@@ -32,7 +32,11 @@
 // mutate recs during the call, and a batch callback's slice is valid
 // only until the callback returns — copy it to retain records. The
 // async path copies the batch before enqueueing, so PublishBatch never
-// holds caller memory past the call.
+// holds caller memory past the call. The records in a slice are values
+// and may be copied out and kept; but records decoded from one wire
+// frame share one string arena and one field slab (see package ulm),
+// so anything that keeps a record longer than its batch calls Compact
+// on it, or the one record keeps the whole frame's memory alive.
 //
 // Determinism contract: in synchronous mode, matched subscribers are
 // evaluated and delivered in subscription-id order (the merge of the

@@ -99,7 +99,11 @@ type filter struct {
 	lastObs  float64 // last observed value (crossing detection)
 	haveSent bool    // a delivery exists
 	lastSent float64 // last delivered value (delta reference)
-	lastRaw  string  // last delivered raw value (on-change)
+	// lastRaw is the last delivered raw value (on-change): a copy in
+	// the filter's own buffer, because the record it came from may share
+	// its frame's string arena (ulm.DecodeBinaryBatch), which a retained
+	// substring would keep alive.
+	lastRaw []byte
 }
 
 func newFilter(req Request) *filter { return &filter{req: req} }
@@ -146,11 +150,11 @@ func (f *filter) passes(rec ulm.Record) bool {
 		if !ok {
 			return true // unmeasurable: pass through
 		}
-		if f.haveLast && raw == f.lastRaw {
+		if f.haveLast && raw == string(f.lastRaw) {
 			return false
 		}
 		f.haveLast = true
-		f.lastRaw = raw
+		f.lastRaw = append(f.lastRaw[:0], raw...)
 		return true
 	case DeliverThreshold:
 		raw, ok := rec.Get(f.req.watchedField())

@@ -259,29 +259,36 @@ func (f *Frame) Clone() *Frame {
 // field, so records leaving the zero-copy plane carry exactly their
 // individual count plus the hops they actually took, never a deeper
 // batchmate's total.
+//
+// The records alias nothing in the frame's buffer, which may be reused
+// at once. They do share one string arena and one field slab (see
+// ulm.DecodeBinaryBatch): anything that keeps a record longer than its
+// batch keeps rec.Compact() instead.
 func (f *Frame) Records(dst []ulm.Record) ([]ulm.Record, error) {
-	rest := f.buf[f.recOff:]
 	delta := f.Hops() - f.baseHops()
-	var err error
-	for i := 0; i < f.Count; i++ {
-		var rec ulm.Record
-		if rest, err = ulm.DecodeBinary(rest, &rec); err != nil {
-			return dst, fmt.Errorf("gateway: frame record %d/%d: %w", i, f.Count, err)
-		}
-		if delta > 0 {
-			addHops(&rec, delta)
-		}
-		dst = append(dst, rec)
+	spare := 0
+	if delta > 0 {
+		spare = 1 // room for addHops to append the hop field in place
+	}
+	n := len(dst)
+	dst, rest, err := ulm.DecodeBinaryBatch(dst, f.buf[f.recOff:], f.Count, spare)
+	if err != nil {
+		return dst, fmt.Errorf("gateway: frame: %w", err)
 	}
 	if len(rest) != 0 {
-		return dst, fmt.Errorf("gateway: %d trailing bytes in frame", len(rest))
+		return dst[:n], fmt.Errorf("gateway: %d trailing bytes in frame", len(rest))
+	}
+	if delta > 0 {
+		for i := n; i < len(dst); i++ {
+			addHops(&dst[i], delta)
+		}
 	}
 	return dst, nil
 }
 
 // addHops adds d relay hops to rec's hop field, saturating at the wire
-// ceiling. Records decoded from a frame own their field slices (fresh
-// from DecodeBinary), so the mutation is safe.
+// ceiling. Records decoded from a frame own their field slots (and one
+// spare, see Records), so the mutation is safe and stays in place.
 func addHops(rec *ulm.Record, d int) {
 	n := recHops(*rec) + d
 	if n > maxFrameHops {
@@ -416,22 +423,32 @@ func appendJSONFrame(dst []byte, data []byte) []byte {
 // parseBatchFrame parses a full batch frame (header + payload) whose
 // CRC has already been verified. The returned Frame borrows buf.
 func parseBatchFrame(buf []byte) (Frame, error) {
+	sensor, count, recOff, err := splitBatchFrame(buf)
+	if err != nil {
+		return Frame{}, err
+	}
+	return Frame{Sensor: string(sensor), Count: count, buf: buf, recOff: recOff}, nil
+}
+
+// splitBatchFrame locates the parts of a full batch frame: the sensor
+// name's bytes, the declared record count, and the offset of the first
+// record byte within buf.
+func splitBatchFrame(buf []byte) (sensor []byte, count, recOff int, err error) {
 	payload := buf[wireFrameHdr+framePrelude:]
 	n, sz := binary.Uvarint(payload)
 	if sz <= 0 || n > uint64(len(payload)-sz) {
-		return Frame{}, errBadFrame
+		return nil, 0, 0, errBadFrame
 	}
-	sensor := string(payload[sz : sz+int(n)])
+	sensor = payload[sz : sz+int(n)]
 	payload = payload[sz+int(n):]
-	count, sz2 := binary.Uvarint(payload)
-	if sz2 <= 0 || count > uint64(len(payload)-sz2) {
+	c, sz2 := binary.Uvarint(payload)
+	if sz2 <= 0 || c > uint64(len(payload)-sz2) {
 		// Each record is ≥1 byte (its magic), so a count beyond the
 		// remaining bytes is garbage that happened to checksum — reject
 		// before anyone trusts Count for accounting.
-		return Frame{}, errBadFrame
+		return nil, 0, 0, errBadFrame
 	}
-	recOff := len(buf) - len(payload) + sz2
-	return Frame{Sensor: sensor, Count: int(count), buf: buf, recOff: recOff}, nil
+	return sensor, int(c), len(buf) - len(payload) + sz2, nil
 }
 
 // verifyFrame checks a full frame's declared length and CRC.

@@ -318,8 +318,12 @@ func (g *Gateway) PublishFrame(f *Frame) error {
 	}
 	replica := f.Replica()
 	if g.bus.HasConsumers(f.Sensor) {
-		recs, err := f.Records(g.takeFrameScratch())
+		// The scratch goes back to the pool by the pointer it came out
+		// with, whatever the decode did to the slice behind it.
+		scratch := frameScratch.Get().(*[]ulm.Record)
+		recs, err := f.Records((*scratch)[:0])
 		if err != nil {
+			frameScratch.Put(scratch)
 			g.frameDecodeErrs.Add(1)
 			return err
 		}
@@ -327,8 +331,10 @@ func (g *Gateway) PublishFrame(f *Frame) error {
 		// Bus-only publish: the hub loop above already delivered the raw
 		// frame to every matching frame subscriber, so the decoded records
 		// must not reach the frame plane a second time.
-		g.publishBatch(f.Sensor, recs, false, replica)
-		g.putFrameScratch(recs)
+		g.publishBatch(f.Sensor, recs, true, replica)
+		clear(recs)
+		*scratch = recs
+		frameScratch.Put(scratch)
 	} else {
 		g.frameRelays.Add(1)
 		g.frameRelayRecs.Add(uint64(f.Count))
@@ -348,15 +354,6 @@ func (g *Gateway) PublishFrame(f *Frame) error {
 // frameScratch pools record slices for PublishFrame's decode path so a
 // decoding ingest hop doesn't allocate a fresh batch per frame.
 var frameScratch = sync.Pool{New: func() any { s := make([]ulm.Record, 0, 256); return &s }}
-
-func (g *Gateway) takeFrameScratch() []ulm.Record {
-	return (*frameScratch.Get().(*[]ulm.Record))[:0]
-}
-
-func (g *Gateway) putFrameScratch(s []ulm.Record) {
-	clear(s)
-	frameScratch.Put(&s)
-}
 
 // noteRelayed updates producer accounting for records that passed
 // through as raw frames: the publish total grows by the header count,

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"log"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -569,7 +570,7 @@ func (g *Gateway) Publish(sensorName string, rec ulm.Record) {
 		// intact, not degraded to a host guess.
 		p.live = true
 		if !p.explicit {
-			p.meta.Host = rec.Host
+			p.meta.Host = strings.Clone(rec.Host)
 		}
 	}
 	p.mirrored = false // a primary ingest: this gateway owns the sensor
@@ -605,7 +606,7 @@ func (g *Gateway) Publish(sensorName string, rec ulm.Record) {
 // costs. recs is borrowed — see bus.PublishBatch for the ownership
 // contract. Unknown sensors are registered implicitly, once per batch.
 func (g *Gateway) PublishBatch(sensorName string, recs []ulm.Record) {
-	g.publishBatch(sensorName, recs, true, false)
+	g.publishBatch(sensorName, recs, false, false)
 	if fw := g.forwarder(); fw != nil && len(recs) > 0 {
 		fw.Forward(sensorName, recs, nil)
 	}
@@ -619,18 +620,21 @@ func (g *Gateway) PublishBatch(sensorName string, recs []ulm.Record) {
 // primary's directory entry) and the batch is never re-forwarded to
 // the replica set (no replication loops).
 func (g *Gateway) PublishReplicaBatch(sensorName string, recs []ulm.Record) {
-	g.publishBatch(sensorName, recs, true, true)
+	g.publishBatch(sensorName, recs, false, true)
 }
 
-// publishBatch is PublishBatch with the frame plane optional and the
-// replica distinction explicit. The frame-ingest decode path
-// (PublishFrame) has already handed the raw frame bytes to every
-// matching frame subscriber, so it feeds only the bus here — feeding
-// the decoded records to the frame plane too would deliver each record
-// twice to every v2 pass-through subscriber. replica ingest (pushed
-// copies from the sensor's primary) suppresses registration hooks and
-// marks the entry mirrored.
-func (g *Gateway) publishBatch(sensorName string, recs []ulm.Record, feedFrames, replica bool) {
+// publishBatch is PublishBatch with the record source and the replica
+// distinction explicit. fromFrame marks records PublishFrame decoded
+// from a wire frame, which changes two things. The raw frame bytes
+// have already gone to every matching frame subscriber, so the records
+// feed only the bus — feeding them to the frame plane too would
+// deliver each record twice to every v2 pass-through subscriber. And
+// the records share their frame's string arena and field slab, so the
+// last-event cache keeps Compact copies of them, never the records
+// themselves: one cached record must not keep its whole frame alive.
+// replica ingest (pushed copies from the sensor's primary) suppresses
+// registration hooks and marks the entry mirrored.
+func (g *Gateway) publishBatch(sensorName string, recs []ulm.Record, fromFrame, replica bool) {
 	if len(recs) == 0 {
 		return
 	}
@@ -659,6 +663,13 @@ func (g *Gateway) publishBatch(sensorName string, recs []ulm.Record, feedFrames,
 		telemetry.StampTrace(&recs2[0], tid, 0)
 		recs = recs2
 	}
+	// What the last-event cache keeps of the batch, worked out before
+	// the shard lock is taken.
+	lasts := recs
+	if fromFrame {
+		var buf [4]ulm.Record // on the stack up to four event runs
+		lasts = compactLasts(buf[:0], recs)
+	}
 	ps := g.pshard(sensorName)
 	ps.mu.Lock()
 	p := ps.producers[sensorName]
@@ -670,7 +681,7 @@ func (g *Gateway) publishBatch(sensorName string, recs []ulm.Record, feedFrames,
 	if revived {
 		p.live = true
 		if !p.explicit {
-			p.meta.Host = recs[0].Host
+			p.meta.Host = strings.Clone(recs[0].Host)
 		}
 	}
 	if replica {
@@ -681,8 +692,8 @@ func (g *Gateway) publishBatch(sensorName string, recs []ulm.Record, feedFrames,
 		p.mirrored = false
 	}
 	p.published += uint64(len(recs))
-	for i := range recs {
-		p.last[recs[i].Event] = recs[i]
+	for i := range lasts {
+		p.last[lasts[i].Event] = lasts[i]
 	}
 	p.lastFrame = p.lastFrame[:0] // decoded records are newer than any pending frame
 	p.gen++
@@ -698,7 +709,7 @@ func (g *Gateway) publishBatch(sensorName string, recs []ulm.Record, feedFrames,
 	if fire {
 		g.fireRegistration(sensorName, meta, true, seq)
 	}
-	if feedFrames {
+	if !fromFrame {
 		g.feedFrameSubs(sensorName, recs)
 	}
 	g.bus.PublishBatch(sensorName, recs)
@@ -707,6 +718,37 @@ func (g *Gateway) publishBatch(sensorName string, recs []ulm.Record, feedFrames,
 		tr.Observe("ingest", d)
 		tr.Event(tid, 0, sensorName, "ingest", d)
 	}
+}
+
+// compactLasts appends to dst a Compact copy of the last record of each
+// run of same-event records in recs — all a last-event cache keeps of
+// a batch (stored in order, a later run of an event overwrites an
+// earlier one) and, being copies, all that keeps nothing else of the
+// batch alive. One sensor's batch is typically one run: one copy, and
+// one map write under the shard lock instead of one per record.
+func compactLasts(dst, recs []ulm.Record) []ulm.Record {
+	for i := range recs {
+		if i+1 == len(recs) || recs[i+1].Event != recs[i].Event {
+			dst = append(dst, recs[i].Compact())
+		}
+	}
+	return dst
+}
+
+// decodePending decodes a relayed frame stashed by noteRelayed into
+// what the last-event cache keeps of it. Callers run it outside the
+// shard lock — the frame can be megabytes.
+func (g *Gateway) decodePending(pending []byte) []ulm.Record {
+	f, err := parseBatchFrame(pending)
+	var recs []ulm.Record
+	if err == nil {
+		recs, err = f.Records(nil)
+	}
+	if err != nil {
+		g.frameDecodeErrs.Add(1)
+		return nil
+	}
+	return compactLasts(nil, recs)
 }
 
 // consumerTopic is the sensor whose consumer count a subscription
@@ -1055,14 +1097,7 @@ func (g *Gateway) Query(principal, sensorName, event string) (ulm.Record, bool, 
 		p.lastFrame = p.lastFrame[:0]
 		gen := p.gen
 		ps.mu.Unlock()
-		var recs []ulm.Record
-		f, err := parseBatchFrame(pending)
-		if err == nil {
-			recs, err = f.Records(nil)
-		}
-		if err != nil {
-			g.frameDecodeErrs.Add(1)
-		}
+		recs := g.decodePending(pending)
 		g.readShardLocks.Add(1)
 		ps.mu.Lock()
 		if p.gen == gen {
@@ -1138,14 +1173,7 @@ func (g *Gateway) Handoff(sensorName string) (st HandoffState, ok bool) {
 		p.lastFrame = p.lastFrame[:0]
 		gen := p.gen
 		ps.mu.Unlock()
-		var frecs []ulm.Record
-		f, err := parseBatchFrame(pending)
-		if err == nil {
-			frecs, err = f.Records(nil)
-		}
-		if err != nil {
-			g.frameDecodeErrs.Add(1)
-		}
+		frecs := g.decodePending(pending)
 		ps.mu.Lock()
 		p, found = ps.producers[sensorName]
 		if !found || !p.live {

@@ -269,13 +269,7 @@ func (sc *snapshotCache) refreshShard(g *Gateway, i int, now time.Time) *shardSn
 	ps.mu.Unlock()
 	decoded := make([][]ulm.Record, len(pending))
 	for j := range pending {
-		f, err := parseBatchFrame(pending[j].frame)
-		if err == nil {
-			decoded[j], err = f.Records(nil)
-		}
-		if err != nil {
-			g.frameDecodeErrs.Add(1)
-		}
+		decoded[j] = g.decodePending(pending[j].frame)
 	}
 
 	snap := &shardSnap{asOf: now}

@@ -368,7 +368,11 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	// Start small: most connections are one-shot query/summary/list
+	// calls or a hello line (clients dial per call), and the scanner
+	// grows on demand up to the cap for the batched publishers that
+	// need more.
+	sc.Buffer(make([]byte, 0, 4*1024), 4*1024*1024)
 	enc := json.NewEncoder(conn)
 	// The first read — the version-negotiation window — is bounded: a
 	// peer that connects and sends nothing must not hold this goroutine

@@ -88,14 +88,28 @@ func V2Format(format string) bool {
 type frameReader struct {
 	br  *bufio.Reader
 	buf []byte
+	// hdr and frame live here, not in next's and the read loops' stack
+	// frames, because both escape (through io.ReadFull and the frame
+	// callbacks) and would otherwise be allocated per frame. sensors
+	// interns the sensor names seen on this connection, so a frame
+	// allocates its Sensor string only the first time the name appears.
+	hdr     [wireFrameHdr]byte
+	frame   Frame
+	sensors map[string]string
 }
 
+// maxInternedSensors bounds a reader's sensor-name table; a connection
+// naming more sensors than this starts the table over.
+const maxInternedSensors = 4096
+
+// newFrameReader wraps r in a frame reader with a 64 KiB read buffer
+// (bufio.NewReaderSize reuses r when it already is one that large).
 func newFrameReader(r io.Reader) *frameReader {
 	return &frameReader{br: bufio.NewReaderSize(r, 64*1024)}
 }
 
 func (fr *frameReader) next() ([]byte, error) {
-	var hdr [wireFrameHdr]byte
+	hdr := &fr.hdr
 	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
 		return nil, err
 	}
@@ -116,6 +130,25 @@ func (fr *frameReader) next() ([]byte, error) {
 		return nil, errBadFrame
 	}
 	return buf, nil
+}
+
+// batchFrame parses buf — the batch frame next just returned — into
+// the reader's one Frame, which like buf is valid until the next call.
+func (fr *frameReader) batchFrame(buf []byte) (*Frame, error) {
+	sensor, count, recOff, err := splitBatchFrame(buf)
+	if err != nil {
+		return nil, err
+	}
+	name, ok := fr.sensors[string(sensor)]
+	if !ok {
+		if fr.sensors == nil || len(fr.sensors) >= maxInternedSensors {
+			fr.sensors = make(map[string]string)
+		}
+		name = string(sensor)
+		fr.sensors[name] = name
+	}
+	fr.frame = Frame{Sensor: name, Count: count, buf: buf, recOff: recOff}
+	return &fr.frame, nil
 }
 
 // writeFrameResp marshals resp as one JSON control frame (reusing
@@ -174,9 +207,9 @@ func (t *TCPServer) serveConnV2(conn net.Conn) {
 		}
 		switch buf[wireFrameHdr] {
 		case frameOpBatch:
-			f, perr := parseBatchFrame(buf)
+			f, perr := fr.batchFrame(buf)
 			if perr == nil {
-				perr = t.gw.PublishFrame(&f)
+				perr = t.gw.PublishFrame(f)
 			}
 			if perr != nil {
 				// The CRC vouched for transport integrity but the payload
@@ -535,47 +568,41 @@ func (t *TCPServer) serveHistoryV2(conn net.Conn, scratch *[]byte, req wireReque
 }
 
 // writeChunkedBatch decodes an oversized stored frame and re-frames
-// its records in batchMax-sized wire frames.
+// its records in batchMax-sized wire frames, one chunk in memory at a
+// time.
 func writeChunkedBatch(conn net.Conn, out *[]byte, sensor string, count int, recBytes []byte, batchMax int, n *int) error {
-	recs := make([]ulm.Record, 0, batchMax)
-	flush := func() error {
-		if len(recs) == 0 {
-			return nil
+	var recs []ulm.Record
+	for count > 0 {
+		chunk := min(batchMax, count)
+		var err error
+		if recs, recBytes, err = ulm.DecodeBinaryBatch(recs[:0], recBytes, chunk, 0); err != nil {
+			return err
 		}
+		count -= chunk
 		*out = appendBatchFrame((*out)[:0], batchHops(recs), sensor, recs)
-		*n += len(recs)
-		recs = recs[:0]
-		_, werr := conn.Write(*out)
-		return werr
-	}
-	rest := recBytes
-	for i := 0; i < count; i++ {
-		var rec ulm.Record
-		var derr error
-		if rest, derr = ulm.DecodeBinary(rest, &rec); derr != nil {
-			return derr
-		}
-		recs = append(recs, rec)
-		if len(recs) >= batchMax {
-			if err := flush(); err != nil {
-				return err
-			}
+		*n += chunk
+		if _, werr := conn.Write(*out); werr != nil {
+			return werr
 		}
 	}
-	return flush()
+	return nil
 }
 
 // dialNegotiate dials and, when the client's policy and the payload
 // format allow v2, performs the version handshake. It returns the
 // connection, the buffered reader that MUST be used for all further
 // reads (it may hold bytes past the handshake response), and the
-// negotiated version (1 = JSON-per-line).
+// negotiated version (1 = JSON-per-line). The reader is only big
+// enough for the handshake line — publishers never read again, JSON
+// streams buffer in their decoder — so the 64 KiB frame buffer exists
+// only on connections that negotiated v2 and stream frames back
+// (newFrameReader wraps it).
 func (c *Client) dialNegotiate(format string) (net.Conn, *bufio.Reader, int, error) {
 	conn, err := c.dial()
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	br := bufio.NewReaderSize(conn, 64*1024)
+	br := bufio.NewReaderSize(conn, 512)
 	if c.Protocol == ProtoJSON || !V2Format(format) {
 		if c.Protocol == ProtoV2 {
 			conn.Close()
@@ -623,7 +650,7 @@ func (c *Client) openSubscribeV2(conn net.Conn, br *bufio.Reader, wr wireRequest
 		conn.Close()
 		return nil, nil, err
 	}
-	fr := &frameReader{br: br}
+	fr := newFrameReader(br)
 	if c.Timeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(c.Timeout)) //nolint:errcheck
 	}
@@ -740,12 +767,12 @@ func (s *Stream) readFrameLoop(fr *frameReader, fn func(f *Frame)) {
 		}
 		switch buf[wireFrameHdr] {
 		case frameOpBatch:
-			f, perr := parseBatchFrame(buf)
+			f, perr := fr.batchFrame(buf)
 			if perr != nil {
 				s.decodeErrs.Add(1)
 				continue
 			}
-			fn(&f)
+			fn(f)
 		case frameOpJSON:
 			var resp wireResponse
 			if json.Unmarshal(buf[wireFrameHdr+framePrelude:], &resp) != nil {
@@ -780,7 +807,7 @@ func (c *Client) historyStreamV2(conn net.Conn, br *bufio.Reader, hr HistoryRequ
 	if _, err := conn.Write(appendJSONFrame(nil, data)); err != nil {
 		return 0, err
 	}
-	fr := &frameReader{br: br}
+	fr := newFrameReader(br)
 	var recs []ulm.Record
 	n := 0
 	for {
@@ -793,7 +820,7 @@ func (c *Client) historyStreamV2(conn net.Conn, br *bufio.Reader, hr HistoryRequ
 		}
 		switch buf[wireFrameHdr] {
 		case frameOpBatch:
-			f, perr := parseBatchFrame(buf)
+			f, perr := fr.batchFrame(buf)
 			if perr != nil {
 				return n, fmt.Errorf("gateway: history stream: %w", perr)
 			}

@@ -458,9 +458,38 @@ func FuzzWireFrame(f *testing.F) {
 			if pf.Count < 0 {
 				t.Fatalf("parsed negative count %d", pf.Count)
 			}
+			// The reader's reused Frame says what the one-off parse says.
+			if rf, rerr := fr.batchFrame(buf); rerr != nil || rf.Sensor != pf.Sensor || rf.Count != pf.Count || rf.recOff != pf.recOff {
+				t.Fatalf("frameReader.batchFrame = %+v, %v; parseBatchFrame = %+v", rf, rerr, pf)
+			}
 			out, err := pf.Records(nil)
 			if err == nil && len(out) != pf.Count {
 				t.Fatalf("decoded %d records, header declared %d", len(out), pf.Count)
+			}
+			// Frame.Records rides the batch decoder; record-at-a-time
+			// decode plus the hop delta is the reference it must match.
+			var want []ulm.Record
+			rest := buf[pf.recOff:]
+			var refErr error
+			for i := 0; i < pf.Count && refErr == nil; i++ {
+				var rec ulm.Record
+				if rest, refErr = ulm.DecodeBinary(rest, &rec); refErr == nil {
+					if d := pf.Hops() - pf.baseHops(); d > 0 {
+						addHops(&rec, d)
+					}
+					want = append(want, rec)
+				}
+			}
+			if refErr == nil && len(rest) != 0 {
+				refErr = errors.New("trailing bytes")
+			}
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("Frame.Records err %v, record-at-a-time err %v", err, refErr)
+			}
+			for i := range out {
+				if out[i].String() != want[i].String() {
+					t.Fatalf("record %d differs:\n batch:  %s\n single: %s", i, out[i].String(), want[i].String())
+				}
 			}
 			// Round-trip: re-encoding the decoded records must verify.
 			if err == nil {

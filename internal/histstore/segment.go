@@ -202,19 +202,17 @@ func frameHead(payload []byte) (sensor string, count uint64, rest []byte, err er
 }
 
 // decodeRecs decodes count ULM binary records from rest, appending to
-// recs (reused across frames).
+// recs (reused across frames); readFrame has bounded count by the byte
+// length. The records of one frame share one string arena and one
+// field slab (ulm.DecodeBinaryBatch).
 func decodeRecs(rest []byte, count uint64, recs []ulm.Record) ([]ulm.Record, error) {
-	var err error
-	for i := uint64(0); i < count; i++ {
-		var rec ulm.Record
-		rest, err = ulm.DecodeBinary(rest, &rec)
-		if err != nil {
-			return recs, err
-		}
-		recs = append(recs, rec)
+	n := len(recs)
+	recs, rest, err := ulm.DecodeBinaryBatch(recs, rest, int(count), 0)
+	if err != nil {
+		return recs, err
 	}
 	if len(rest) != 0 {
-		return recs, fmt.Errorf("histstore: %d trailing bytes in frame", len(rest))
+		return recs[:n], fmt.Errorf("histstore: %d trailing bytes in frame", len(rest))
 	}
 	return recs, nil
 }

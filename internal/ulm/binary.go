@@ -1,10 +1,13 @@
 package ulm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 	"time"
 )
 
@@ -62,73 +65,187 @@ func (r *Record) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
+// strRef locates one string as bytes [off, off+n) of some buffer: the
+// wire data while a record is scanned, a batch's arena afterwards.
+type strRef struct{ off, n int }
+
+// headStrings is the number of strings ahead of a record's fields:
+// host, prog, lvl, event.
+const headStrings = 4
+
+// scanRecord validates the binary record at data[pos:] — the one set
+// of checks the single-record and batch decoders share, so they cannot
+// disagree about what is well formed — and appends to refs where each
+// of its strings sits in data: host, prog, lvl, event, then key and
+// value per field. It returns the record's date and the offset just
+// past the record.
+func scanRecord(data []byte, pos int, refs []strRef) (usec uint64, _ []strRef, next int, err error) {
+	if pos >= len(data) || data[pos] != binaryMagic {
+		return 0, refs, pos, ErrBadMagic
+	}
+	if usec, pos, err = scanUvarint(data, pos+1); err != nil {
+		return 0, refs, pos, err
+	}
+	for i := 0; i < headStrings; i++ {
+		if refs, pos, err = scanString(data, pos, refs); err != nil {
+			return 0, refs, pos, err
+		}
+	}
+	n, pos, err := scanUvarint(data, pos)
+	if err != nil {
+		return 0, refs, pos, err
+	}
+	if n > uint64(len(data)-pos) { // each field needs ≥2 bytes; cheap sanity bound
+		return 0, refs, pos, fmt.Errorf("ulm: implausible field count %d", n)
+	}
+	for i := uint64(0); i < 2*n; i++ {
+		if refs, pos, err = scanString(data, pos, refs); err != nil {
+			return 0, refs, pos, err
+		}
+	}
+	return usec, refs, pos, nil
+}
+
+func scanUvarint(data []byte, pos int) (uint64, int, error) {
+	v, n := binary.Uvarint(data[pos:])
+	if n <= 0 {
+		return 0, pos, errors.New("ulm: truncated varint")
+	}
+	return v, pos + n, nil
+}
+
+func scanString(data []byte, pos int, refs []strRef) ([]strRef, int, error) {
+	n, pos, err := scanUvarint(data, pos)
+	if err != nil {
+		return refs, pos, err
+	}
+	if n > uint64(len(data)-pos) {
+		return refs, pos, errors.New("ulm: truncated string")
+	}
+	return append(refs, strRef{pos, int(n)}), pos + int(n), nil
+}
+
 // DecodeBinary decodes one record from the front of data, returning the
-// remaining bytes.
+// remaining bytes (data itself when the record is malformed). It is the
+// streaming form — one allocation per non-empty string; anything that
+// holds a whole batch decodes it with DecodeBinaryBatch.
 func DecodeBinary(data []byte, r *Record) ([]byte, error) {
-	if len(data) == 0 || data[0] != binaryMagic {
-		return data, ErrBadMagic
-	}
-	data = data[1:]
-	usec, data, err := readUvarint(data)
+	var buf [headStrings + 2*16]strRef // on the stack up to 16 fields
+	usec, refs, next, err := scanRecord(data, 0, buf[:0])
 	if err != nil {
 		return data, err
 	}
+	str := func(i int) string { return string(data[refs[i].off : refs[i].off+refs[i].n]) }
 	r.Date = time.UnixMicro(int64(usec)).UTC()
-	if r.Host, data, err = readString(data); err != nil {
-		return data, err
+	r.Host, r.Prog, r.Lvl, r.Event = str(0), str(1), str(2), str(3)
+	r.Fields = make([]Field, (len(refs)-headStrings)/2)
+	for i := range r.Fields {
+		r.Fields[i] = Field{str(headStrings + 2*i), str(headStrings + 2*i + 1)}
 	}
-	if r.Prog, data, err = readString(data); err != nil {
-		return data, err
+	return data[next:], nil
+}
+
+// batchScratch is DecodeBinaryBatch's pass-1 working memory, pooled so
+// a steady stream of batches allocates none of it.
+type batchScratch struct {
+	arena []byte     // the batch's distinct string bytes
+	refs  []strRef   // per record, per string slot: where it sits in arena
+	wire  []strRef   // the record being scanned: where each string sits in data
+	recs  []recShape // per record
+}
+
+// recShape is what pass 2 needs of a scanned record besides its refs.
+type recShape struct {
+	usec  uint64
+	slots int // strings in the record: headStrings + 2 × fields
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// maxPooledArena keeps one giant batch from pinning its working memory
+// in the pool forever.
+const maxPooledArena = 1 << 20
+
+func (s *batchScratch) release() {
+	if cap(s.arena) > maxPooledArena {
+		return
 	}
-	if r.Lvl, data, err = readString(data); err != nil {
-		return data, err
-	}
-	if r.Event, data, err = readString(data); err != nil {
-		return data, err
-	}
-	n, data, err := readUvarint(data)
-	if err != nil {
-		return data, err
-	}
-	if n > uint64(len(data)) { // each field needs ≥2 bytes; cheap sanity bound
-		return data, fmt.Errorf("ulm: implausible field count %d", n)
-	}
-	r.Fields = make([]Field, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var k, v string
-		if k, data, err = readString(data); err != nil {
-			return data, err
+	s.arena, s.refs, s.wire, s.recs = s.arena[:0], s.refs[:0], s.wire[:0], s.recs[:0]
+	batchPool.Put(s)
+}
+
+// DecodeBinaryBatch decodes count back-to-back records from the front
+// of data, appending them to dst, and returns the remaining bytes. It
+// accepts exactly the input on which count successive DecodeBinary
+// calls succeed and yields the same records; a malformed batch appends
+// nothing and returns data itself.
+//
+// The whole batch is materialised from two allocations however many
+// records it holds: one string arena and one field slab. A string
+// equal to the one in the same slot of the previous record — HOST,
+// PROG, LVL, NL.EVNT, every key, every unchanged value — is stored in
+// the arena once. Each record's Fields is a cap-clipped slice of the
+// slab with spare unused slots behind it, so appending up to spare
+// fields to a record neither reallocates nor touches its neighbour,
+// and appending more reallocates. The records alias nothing in data,
+// but they do share the arena and the slab: retaining one record
+// retains both, so anything that keeps a record longer than its batch
+// keeps record.Compact() instead.
+func DecodeBinaryBatch(dst []Record, data []byte, count, spare int) ([]Record, []byte, error) {
+	s := batchPool.Get().(*batchScratch)
+	defer s.release()
+	pos, prev := 0, 0 // prev: index in s.refs of the previous record's slots
+	for i := 0; i < count; i++ {
+		var usec uint64
+		var err error
+		if usec, s.wire, pos, err = scanRecord(data, pos, s.wire[:0]); err != nil {
+			return dst, data, fmt.Errorf("ulm: batch record %d/%d: %w", i, count, err)
 		}
-		if v, data, err = readString(data); err != nil {
-			return data, err
+		start := len(s.refs)
+		for j, w := range s.wire {
+			b := data[w.off : w.off+w.n]
+			if prev+j < start {
+				if p := s.refs[prev+j]; bytes.Equal(s.arena[p.off:p.off+p.n], b) {
+					s.refs = append(s.refs, p)
+					continue
+				}
+			}
+			s.refs = append(s.refs, strRef{len(s.arena), w.n})
+			s.arena = append(s.arena, b...)
 		}
-		r.Fields = append(r.Fields, Field{k, v})
+		s.recs = append(s.recs, recShape{usec, len(s.wire)})
+		prev = start
 	}
-	return data, nil
+
+	arena := string(s.arena)
+	str := func(r strRef) string { return arena[r.off : r.off+r.n] }
+	var slab []Field
+	if n := (len(s.refs)-headStrings*count)/2 + spare*count; n > 0 {
+		slab = make([]Field, n)
+	}
+	dst = slices.Grow(dst, count)
+	refs := s.refs
+	for _, shape := range s.recs {
+		r := refs[:shape.slots]
+		refs = refs[shape.slots:]
+		nf := (shape.slots - headStrings) / 2
+		fields := slab[: nf : nf+spare]
+		slab = slab[nf+spare:]
+		for f := range fields {
+			fields[f] = Field{str(r[headStrings+2*f]), str(r[headStrings+2*f+1])}
+		}
+		dst = append(dst, Record{
+			Date: time.UnixMicro(int64(shape.usec)).UTC(),
+			Host: str(r[0]), Prog: str(r[1]), Lvl: str(r[2]), Event: str(r[3]),
+			Fields: fields,
+		})
+	}
+	return dst, data[pos:], nil
 }
 
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-func readUvarint(data []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, data, errors.New("ulm: truncated varint")
-	}
-	return v, data[n:], nil
-}
-
-func readString(data []byte) (string, []byte, error) {
-	n, data, err := readUvarint(data)
-	if err != nil {
-		return "", data, err
-	}
-	if n > uint64(len(data)) {
-		return "", data, errors.New("ulm: truncated string")
-	}
-	return string(data[:n]), data[n:], nil
 }
 
 // BinaryWriter streams binary records to an io.Writer.

@@ -17,6 +17,12 @@
 // throughput event data that cannot tolerate ASCII parsing overhead,
 // paper §3.0) and an XML rendering (the ULM-to-XML gateway filter,
 // paper §7.0).
+//
+// Ownership: a Record is a plain value and its strings are immutable,
+// so records are freely copied and retained. Records decoded from one
+// frame by DecodeBinaryBatch share one string arena and one field slab;
+// anything that keeps a record longer than its batch calls Compact, or
+// the one record keeps the whole batch's memory alive.
 package ulm
 
 import (
@@ -129,6 +135,42 @@ func (r *Record) Set(key, value string) {
 func (r *Record) Clone() Record {
 	c := *r
 	c.Fields = append([]Field(nil), r.Fields...)
+	return c
+}
+
+// Compact returns a copy of the record that shares no memory with it:
+// one string holding all of its string bytes and one field slice of
+// exactly its length. It is what a long-lived holder (a last-event
+// cache) keeps of a record decoded by DecodeBinaryBatch, whose strings
+// and fields would otherwise pin the whole batch.
+func (r *Record) Compact() Record {
+	n := len(r.Host) + len(r.Prog) + len(r.Lvl) + len(r.Event)
+	for _, f := range r.Fields {
+		n += len(f.Key) + len(f.Value)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(r.Host)
+	b.WriteString(r.Prog)
+	b.WriteString(r.Lvl)
+	b.WriteString(r.Event)
+	for _, f := range r.Fields {
+		b.WriteString(f.Key)
+		b.WriteString(f.Value)
+	}
+	rest := b.String()
+	cut := func(n int) string {
+		s := rest[:n]
+		rest = rest[n:]
+		return s
+	}
+	c := Record{Date: r.Date, Host: cut(len(r.Host)), Prog: cut(len(r.Prog)), Lvl: cut(len(r.Lvl)), Event: cut(len(r.Event))}
+	if len(r.Fields) > 0 {
+		c.Fields = make([]Field, len(r.Fields))
+		for i, f := range r.Fields {
+			c.Fields[i] = Field{cut(len(f.Key)), cut(len(f.Value))}
+		}
+	}
 	return c
 }
 
