@@ -50,6 +50,12 @@ var borrowedCallbackRegs = map[string]bool{
 	"FollowBatch":          true,
 	"SubscribeFramesFunc":  true,
 	"ReplayBus":            true,
+	// The wire client's stream callbacks: the records of one received
+	// frame share an arena and a field slab, and the slice is reused for
+	// the next frame.
+	"SubscribeBatchStream": true,
+	"SubscribeFrameStream": true,
+	"HistoryStream":        true,
 }
 
 func runBorrowShare(pass *Pass) error {

@@ -123,8 +123,8 @@ func TestSummaryFoldsBatches(t *testing.T) {
 func TestSubscribeBatchChanCountsPerRecordDrops(t *testing.T) {
 	g := New("gw", nil)
 	var dropCb int
-	// depth 3 records = one 3-record channel slot.
-	sub, ch, err := g.SubscribeBatchChan(Request{Sensor: "cpu@h"}, 3, func(n int) { dropCb += n })
+	// depth 3 records = one 3-record queue item.
+	sub, err := g.subscribeQueued(Request{Sensor: "cpu@h"}, 3, false, func(n int) { dropCb += n })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,72 +138,48 @@ func TestSubscribeBatchChanCountsPerRecordDrops(t *testing.T) {
 		t.Fatalf("onDrop total = %d, want 5", dropCb)
 	}
 	// The buffered batch is intact and owned by the receiver.
-	tb := <-ch
-	if tb.Sensor != "cpu@h" || len(tb.Recs) != 3 {
-		t.Fatalf("buffered batch = %q/%d", tb.Sensor, len(tb.Recs))
+	it, ok := sub.q.pop()
+	if !ok || it.tb.Sensor != "cpu@h" || len(it.tb.Recs) != 3 {
+		t.Fatalf("buffered batch = %v %q/%d", ok, it.tb.Sensor, len(it.tb.Recs))
 	}
 	// Delivered counts include shed records; delivered - WireDrops is
-	// what actually crossed the channel.
+	// what actually crossed the queue.
 	d, _ := sub.Counts()
 	if d != 8 || d-sub.WireDrops() != 3 {
 		t.Fatalf("delivered=%d wireDrops=%d", d, sub.WireDrops())
 	}
 }
 
-// A batch larger than the channel's record budget is split into
+// A batch larger than the queue's record budget is split into
 // chunks: what fits is delivered, the remainder is shed per record —
-// never the whole batch for want of one oversized slot.
+// never the whole batch for want of one oversized slot. The same on
+// either plane.
 func TestSubscribeBatchChanSplitsOversizedBatches(t *testing.T) {
-	g := New("gw", nil)
-	sub, ch, err := g.SubscribeBatchChan(Request{Sensor: "cpu@h"}, 2*chanBatchMax, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Cancel()
-	g.PublishBatch("cpu@h", mkBatch("E", 3*chanBatchMax)) // 2 chunks fit, 1 shed
-	if d := sub.WireDrops(); d != chanBatchMax {
-		t.Fatalf("WireDrops = %d, want %d (only the overflow chunk)", d, chanBatchMax)
-	}
-	// The two buffered chunks carry the batch's head, in order.
-	want := 0.0
-	for i := 0; i < 2; i++ {
-		tb := <-ch
-		if len(tb.Recs) != chanBatchMax {
-			t.Fatalf("chunk %d carries %d records", i, len(tb.Recs))
+	for _, frames := range []bool{false, true} {
+		g := New("gw", nil)
+		sub, err := g.subscribeQueued(Request{Sensor: "cpu@h"}, 2*chanBatchMax, frames, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for k := range tb.Recs {
-			if v, _ := tb.Recs[k].Float("VAL"); v != want {
-				t.Fatalf("chunk %d record %d VAL = %v, want %v", i, k, v, want)
+		g.PublishBatch("cpu@h", mkBatch("E", 3*chanBatchMax)) // 2 chunks fit, 1 shed
+		if d := sub.WireDrops(); d != chanBatchMax {
+			t.Fatalf("frames=%v: WireDrops = %d, want %d (only the overflow chunk)", frames, d, chanBatchMax)
+		}
+		// The two buffered chunks carry the batch's head, in order.
+		want := 0.0
+		for i := 0; i < 2; i++ {
+			it, ok := sub.q.pop()
+			if !ok || len(it.tb.Recs) != chanBatchMax {
+				t.Fatalf("frames=%v: chunk %d carries %d records (%v)", frames, i, len(it.tb.Recs), ok)
 			}
-			want++
+			for k := range it.tb.Recs {
+				if v, _ := it.tb.Recs[k].Float("VAL"); v != want {
+					t.Fatalf("frames=%v: chunk %d record %d VAL = %v, want %v", frames, i, k, v, want)
+				}
+				want++
+			}
 		}
-	}
-}
-
-// Regression: the per-record channel form sheds partial batches per
-// record — a batch that half-fits drops only (and exactly) the records
-// that did not fit.
-func TestSubscribeChanPartialBatchDropAccounting(t *testing.T) {
-	g := New("gw", nil)
-	var drops int
-	sub, ch, err := g.SubscribeChan(Request{Sensor: "cpu@h"}, 2, func() { drops++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Cancel()
-	g.PublishBatch("cpu@h", mkBatch("E", 5)) // 2 fit, 3 shed
-	if d := sub.WireDrops(); d != 3 {
-		t.Fatalf("WireDrops = %d, want 3 (partial shed per record)", d)
-	}
-	if drops != 3 {
-		t.Fatalf("onDrop calls = %d, want 3", drops)
-	}
-	// The records that fit are the batch's first two, in order.
-	for i := 0; i < 2; i++ {
-		tr := <-ch
-		if v, _ := tr.Rec.Float("VAL"); v != float64(i) {
-			t.Fatalf("record %d VAL = %v", i, v)
-		}
+		sub.Cancel()
 	}
 }
 

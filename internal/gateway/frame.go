@@ -13,7 +13,7 @@ import (
 
 // Wire protocol v2 framing. After a successful version handshake (a
 // JSON {"op":"hello"} line answered with the negotiated version — see
-// wire_v2.go) the connection stops being newline-delimited JSON and
+// wire.go) the connection stops being newline-delimited JSON and
 // carries length-prefixed, CRC-checked binary frames in both
 // directions:
 //

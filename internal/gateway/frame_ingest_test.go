@@ -147,6 +147,59 @@ func TestFrameReaderLoopZeroAllocs(t *testing.T) {
 			t.Fatalf("frame %+v, err %v", f, err)
 		}
 	})
+	// The same through the codec the connection loops read with: the
+	// indirection, and the control object a frame never fills, cost
+	// nothing per frame.
+	var cdc wireCodec = newFrameCodec(nopConn{}, &replayReader{data: appendBatchFrame(nil, 0, "cpu@h1", fatRun(8, 4))})
+	var req wireRequest
+	assertNoAllocs(t, "wireCodec.read of a batch frame", func() {
+		req = wireRequest{}
+		f, err := cdc.read(&req)
+		if err != nil || f == nil || f.Sensor != "cpu@h1" || f.Count != 8 {
+			t.Fatalf("frame %+v, err %v", f, err)
+		}
+	})
+}
+
+// TestSubscriberWriteZeroAllocs: a warmed binary-framing subscriber
+// write path allocates nothing per frame, relayed or cooked — less than
+// replicated-site's allocs_per_rec bound of one allocation per 64-record
+// frame leaves room for.
+func TestSubscriberWriteZeroAllocs(t *testing.T) {
+	g := New("gw", nil)
+	sub, err := g.subscribeQueued(Request{}, 0, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	var cdc wireCodec = newFrameCodec(nopConn{}, nil)
+	w := cdc.events("", sub)
+	raw := mustParseFrame(t, appendBatchFrame(nil, 0, "cpu@h1", fatRun(64, 12)))
+	assertNoAllocs(t, "relay of a raw frame", func() {
+		if err := w.(frameRelay).relay(&raw); err != nil {
+			t.Fatal(err)
+		}
+	})
+	recs := fatRun(64, 12)
+	assertNoAllocs(t, "two cooked frames", func() {
+		if wrote, err := w.add("cpu@h1", recs, 32); err != nil || !wrote || w.pending() != 0 {
+			t.Fatalf("wrote %v, pending %d, err %v", wrote, w.pending(), err)
+		}
+	})
+	// And the publishing side of a relay: a record and a spliced frame
+	// through the Publisher's frame builder.
+	pub := &Publisher{conn: nopConn{}, ver: cdc.version(), batch: cdc.newBatch("", false), maxRecs: 64}
+	assertNoAllocs(t, "Publisher.Publish + PublishFrame + Flush", func() {
+		if err := pub.Publish("cpu@h1", recs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pub.PublishFrame(&raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := pub.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func retainedHeap() uint64 {

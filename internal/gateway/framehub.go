@@ -1,11 +1,9 @@
 package gateway
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"jamm/internal/auth"
 	"jamm/internal/ulm"
 )
 
@@ -26,156 +24,37 @@ import (
 // given subscriber — raw frames bypass the bus, decoded frames ride
 // it — so nothing is delivered twice.
 
-// frameItem is one hub delivery: either a raw relayed frame or a
-// cooked batch of locally published records (exactly one is set).
-type frameItem struct {
-	f  *Frame
-	tb TopicBatch
-}
-
-// records returns the item's record count.
-func (it frameItem) records() int {
-	if it.f != nil {
-		return it.f.Count
-	}
-	return len(it.tb.Recs)
-}
-
-// frameQueue is the bounded buffer between the publish path and one
-// frame subscriber's wire connection, bounding buffered RECORDS like
-// SubscribeBatchChan's queue: a slow consumer pins bounded memory no
-// matter how traffic is framed, and anything shed is counted per
-// record, never silently.
-type frameQueue struct {
-	mu     sync.Mutex
-	queue  []frameItem
-	recs   int
-	budget int
-	notify chan struct{}
-	quit   chan struct{}
-}
-
-// pushFrame admits a raw frame (cloning it: the caller's buffer is
-// borrowed), reporting whether the record budget allowed it. An empty
-// queue admits unconditionally — a relayed frame may legally carry more
-// records than the whole budget (maxBatchRecords vs the wire depth of
-// 256), and a strict budget check would shed every such frame forever
-// instead of applying slow-consumer backpressure. The overshoot is
-// bounded at one item: while it sits queued, recs exceeds the budget
-// and nothing else is admitted.
-func (q *frameQueue) pushFrame(f *Frame) bool {
-	q.mu.Lock()
-	if q.recs > 0 && q.recs+f.Count > q.budget {
-		q.mu.Unlock()
-		return false
-	}
-	q.queue = append(q.queue, frameItem{f: f.Clone()})
-	q.recs += f.Count
-	q.mu.Unlock()
-	q.wake()
-	return true
-}
-
-// pushBatch admits a cooked chunk of local records (copying them),
-// with the same empty-queue overshoot allowance as pushFrame so a
-// budget below the chunk size still makes progress.
-func (q *frameQueue) pushBatch(topic string, part []ulm.Record) bool {
-	q.mu.Lock()
-	if q.recs > 0 && q.recs+len(part) > q.budget {
-		q.mu.Unlock()
-		return false
-	}
-	out := make([]ulm.Record, len(part))
-	copy(out, part)
-	q.queue = append(q.queue, frameItem{tb: TopicBatch{Sensor: topic, Recs: out}})
-	q.recs += len(part)
-	q.mu.Unlock()
-	q.wake()
-	return true
-}
-
-func (q *frameQueue) wake() {
-	select {
-	case q.notify <- struct{}{}:
-	default:
-	}
-}
-
-func (q *frameQueue) backlog() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.recs
-}
-
-// forward hands queued items to ch in order; an item stays counted
-// against the budget until the receiver takes it.
-func (q *frameQueue) forward(ch chan<- frameItem) {
-	for {
-		q.mu.Lock()
-		if len(q.queue) == 0 {
-			q.mu.Unlock()
-			select {
-			case <-q.notify:
-				continue
-			case <-q.quit:
-				return
-			}
-		}
-		it := q.queue[0]
-		q.mu.Unlock()
-		select {
-		case ch <- it:
-			q.mu.Lock()
-			q.queue = q.queue[1:]
-			q.recs -= it.records()
-			if len(q.queue) == 0 {
-				q.queue = nil
-			}
-			q.mu.Unlock()
-		case <-q.quit:
-			return
-		}
-	}
-}
-
-// frameSub is one frame-plane subscription: its topic scope ("" =
-// every sensor) plus its bounded queue.
-type frameSub struct {
-	sensor string
-	q      *frameQueue
-	s      *Subscription
-	shed   func(n int)
-}
-
-// frameHub is the gateway's copy-on-write frame-subscriber set.
+// frameHub is the gateway's copy-on-write set of frame-plane
+// subscriptions; each one's request names its topic scope ("" = every
+// sensor).
 type frameHub struct {
 	mu   sync.Mutex
-	subs atomic.Pointer[[]*frameSub]
+	subs atomic.Pointer[[]*Subscription]
 }
 
-func (h *frameHub) load() []*frameSub {
+func (h *frameHub) load() []*Subscription {
 	if p := h.subs.Load(); p != nil {
 		return *p
 	}
 	return nil
 }
 
-func (h *frameHub) add(fs *frameSub) {
+func (h *frameHub) add(s *Subscription) {
 	h.mu.Lock()
 	old := h.load()
-	next := make([]*frameSub, len(old)+1)
+	next := make([]*Subscription, len(old)+1)
 	copy(next, old)
-	next[len(old)] = fs
+	next[len(old)] = s
 	h.subs.Store(&next)
 	h.mu.Unlock()
 }
 
-func (h *frameHub) remove(fs *frameSub) {
+func (h *frameHub) remove(s *Subscription) {
 	h.mu.Lock()
 	old := h.load()
-	next := make([]*frameSub, 0, len(old))
+	next := make([]*Subscription, 0, len(old))
 	for _, o := range old {
-		if o != fs {
+		if o != s {
 			next = append(next, o)
 		}
 	}
@@ -183,116 +62,29 @@ func (h *frameHub) remove(fs *frameSub) {
 	h.mu.Unlock()
 }
 
+// covers reports whether a frame-plane subscription's scope includes
+// topic.
+func (s *Subscription) covers(topic string) bool {
+	return s.req.Sensor == "" || s.req.Sensor == topic
+}
+
 // PassThrough reports whether a request can ride the zero-copy frame
 // plane: no per-record filtering of any kind (the same condition under
 // which the bus hook compiles to nil) and an exact sensor scope —
 // frame subscriptions match topics exactly, so prefix requests ride
-// the record plane.
+// the record plane. subscribeQueued picks the plane by it.
 func PassThrough(req Request) bool {
 	return req.Mode == DeliverAll && len(req.Events) == 0 && !req.Prefix
-}
-
-// SubscribeFrames opens a frame-plane subscription: delivered items
-// are either raw relayed frames (forwarded untouched from a binary
-// publisher upstream) or cooked batches of locally published records
-// for the wire layer to encode. Only pass-through requests qualify —
-// anything needing per-record filtering must ride the record plane.
-// depth bounds buffered records exactly like SubscribeBatchChan; shed
-// items are counted per record on the subscription and reported to
-// onDrop. The channel-closing caveats of SubscribeChan apply.
-func (g *Gateway) SubscribeFrames(req Request, depth int, onDrop func(n int)) (*Subscription, <-chan frameItem, error) {
-	if !PassThrough(req) {
-		return nil, nil, fmt.Errorf("gateway: frame subscriptions cannot filter (mode %v, %d events)", req.Mode, len(req.Events))
-	}
-	if err := g.authorize(req.Principal, req.Sensor, auth.ActionStream); err != nil {
-		return nil, nil, err
-	}
-	if depth <= 0 {
-		depth = 256
-	}
-	q := &frameQueue{budget: depth, notify: make(chan struct{}, 1), quit: make(chan struct{})}
-	ch := make(chan frameItem)
-	s := &Subscription{g: g, req: req, backlog: q.backlog}
-	var cancelOnce sync.Once
-	fs := &frameSub{sensor: req.Sensor, q: q, s: s}
-	fs.shed = func(n int) {
-		s.wireDrops.Add(uint64(n))
-		if onDrop != nil {
-			onDrop(n)
-		}
-	}
-	s.onCancel = func() {
-		cancelOnce.Do(func() {
-			g.hub.remove(fs)
-			close(q.quit)
-		})
-	}
-	g.hub.add(fs)
-	go q.forward(ch)
-	g.addConsumer(req.Sensor, 1)
-	return s, ch, nil
-}
-
-// SubscribeFramesFunc is the callback form of SubscribeFrames for
-// in-process relays outside this package (a forwarding daemon feeding
-// a sharded site): raw relayed frames reach onFrame (borrowed — Clone
-// to retain), cooked batches of locally published records reach
-// onBatch (slice borrowed — copy to retain). Both run on a dedicated
-// goroutine, in delivery order. Cancel the returned subscription to
-// stop it.
-func (g *Gateway) SubscribeFramesFunc(req Request, depth int, onDrop func(n int), onFrame func(f *Frame), onBatch func(sensor string, recs []ulm.Record)) (*Subscription, error) {
-	sub, ch, err := g.SubscribeFrames(req, depth, onDrop)
-	if err != nil {
-		return nil, err
-	}
-	quit := make(chan struct{})
-	prev := sub.onCancel
-	sub.onCancel = func() {
-		prev()
-		close(quit)
-	}
-	go func() {
-		for {
-			select {
-			case it := <-ch:
-				if it.f != nil {
-					onFrame(it.f)
-				} else {
-					onBatch(it.tb.Sensor, it.tb.Recs)
-				}
-			case <-quit:
-				return
-			}
-		}
-	}()
-	return sub, nil
 }
 
 // feedFrameSubs hands a cooked local batch to matching frame
 // subscribers. Called by Publish/PublishBatch after bus delivery; a
 // gateway with no frame subscribers pays one atomic load.
 func (g *Gateway) feedFrameSubs(topic string, recs []ulm.Record) {
-	subs := g.hub.load()
-	if len(subs) == 0 {
-		return
-	}
-	for _, fs := range subs {
-		if fs.sensor != "" && fs.sensor != topic {
-			continue
-		}
-		fs.s.fDelivered.Add(uint64(len(recs)))
-		// Chunk like SubscribeBatchChan so a small budget can admit the
-		// head of a big batch instead of starving on it.
-		for off := 0; off < len(recs); off += chanBatchMax {
-			end := off + chanBatchMax
-			if end > len(recs) {
-				end = len(recs)
-			}
-			if fs.q.pushBatch(topic, recs[off:end]) {
-				g.frameDelivered.Add(uint64(end - off))
-			} else {
-				fs.shed(end - off)
-			}
+	for _, s := range g.hub.load() {
+		if s.covers(topic) {
+			s.fDelivered.Add(uint64(len(recs)))
+			g.frameDelivered.Add(uint64(s.offerBatch(topic, recs)))
 		}
 	}
 }
@@ -305,15 +97,12 @@ func (g *Gateway) feedFrameSubs(topic string, recs []ulm.Record) {
 // the bytes move on untouched. The frame is borrowed: its buffer may
 // be reused by the caller after return.
 func (g *Gateway) PublishFrame(f *Frame) error {
-	for _, fs := range g.hub.load() {
-		if fs.sensor != "" && fs.sensor != f.Sensor {
-			continue
-		}
-		fs.s.fDelivered.Add(uint64(f.Count))
-		if fs.q.pushFrame(f) {
-			g.frameDelivered.Add(uint64(f.Count))
-		} else {
-			fs.shed(f.Count)
+	for _, s := range g.hub.load() {
+		if s.covers(f.Sensor) {
+			s.fDelivered.Add(uint64(f.Count))
+			if s.offer(frameItem{f: f}) {
+				g.frameDelivered.Add(uint64(f.Count))
+			}
 		}
 	}
 	replica := f.Replica()

@@ -8,6 +8,19 @@ import (
 	"jamm/internal/ulm"
 )
 
+// SubscribeFrames is the channel view of a frame-plane subscription
+// that TestFrameIngestBusConsumerNoDoubleDelivery was written against:
+// SubscribeFramesFunc's deliveries, copied into a channel.
+func (g *Gateway) SubscribeFrames(req Request, depth int, onDrop func(n int)) (*Subscription, <-chan frameItem, error) {
+	ch := make(chan frameItem, 16) // more than any test delivers, so the callbacks never block
+	sub, err := g.SubscribeFramesFunc(req, depth, onDrop,
+		func(f *Frame) { ch <- frameItem{f: f.Clone()} },
+		func(sensor string, recs []ulm.Record) {
+			ch <- frameItem{tb: TopicBatch{Sensor: sensor, Recs: append([]ulm.Record(nil), recs...)}}
+		})
+	return sub, ch, err
+}
+
 // TestFrameIngestBusConsumerNoDoubleDelivery: when an ingested frame's
 // sensor has BOTH a frame-plane subscriber and a bus consumer, the
 // frame subscriber must receive the records exactly once (as the raw
@@ -65,10 +78,12 @@ func TestFrameIngestBusConsumerNoDoubleDelivery(t *testing.T) {
 // TestFrameQueueAdmitsOversizedFrame: a relayed frame carrying more
 // records than the subscriber's whole record budget must still be
 // deliverable when the queue is empty — a one-item overshoot — rather
-// than being shed 100% of the time.
+// than being shed 100% of the time. While it sits queued nothing else
+// is admitted, and what is refused is counted.
 func TestFrameQueueAdmitsOversizedFrame(t *testing.T) {
 	g := New("gw", nil)
-	sub, ch, err := g.SubscribeFrames(Request{}, 8, nil)
+	var dropCb int
+	sub, err := g.subscribeQueued(Request{}, 8, true, func(n int) { dropCb += n })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,15 +101,30 @@ func TestFrameQueueAdmitsOversizedFrame(t *testing.T) {
 	if err := g.PublishFrame(&f); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case it := <-ch:
-		if it.f == nil || it.f.Count != 32 {
-			t.Fatalf("delivered item = %+v, want the 32-record frame", it)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("oversized frame was shed instead of admitted into the empty queue")
-	}
 	if d := sub.WireDrops(); d != 0 {
-		t.Fatalf("WireDrops = %d, want 0", d)
+		t.Fatalf("WireDrops = %d, want 0: the oversized frame was shed instead of admitted into the empty queue", d)
+	}
+	g.Publish("cpu", mkRec("A", time.Minute, 99)) // behind the overshoot: refused
+	if d := sub.WireDrops(); d != 1 || dropCb != 1 {
+		t.Fatalf("WireDrops = %d, onDrop total = %d, want 1 and 1", d, dropCb)
+	}
+	if b := sub.ChanBacklog(); b != 32 {
+		t.Fatalf("backlog = %d, want 32", b)
+	}
+	it, ok := sub.q.pop()
+	if !ok || it.f == nil || it.f.Count != 32 {
+		t.Fatalf("popped item = %+v, %v, want the 32-record frame", it, ok)
+	}
+	// Dequeued is not written: the records stay in the backlog until the
+	// consumer settles them.
+	if b := sub.ChanBacklog(); b != 32 {
+		t.Fatalf("backlog after pop = %d, want 32 (in the consumer's hands)", b)
+	}
+	sub.q.settle()
+	if b := sub.ChanBacklog(); b != 0 {
+		t.Fatalf("backlog after settle = %d, want 0", b)
+	}
+	if _, ok := sub.q.pop(); ok {
+		t.Fatal("queue holds a second item")
 	}
 }

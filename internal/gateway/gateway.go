@@ -830,179 +830,10 @@ type TopicRecord struct {
 // TopicBatch is one delivered batch together with the sensor (bus
 // topic) it was published under — the unit batch transports forward.
 // Unlike the slices handed to batch callbacks, Recs is owned by the
-// receiver (copied out of the bus's scratch before crossing a channel).
+// receiver (copied out of the bus's scratch on its way into a queue).
 type TopicBatch struct {
 	Sensor string
 	Recs   []ulm.Record
-}
-
-// SubscribeChan opens a streaming subscription that delivers into a
-// bounded channel instead of a callback, decoupling the gateway's
-// publish path from a slow consumer transport. A record that would
-// block is dropped, counted on the subscription (WireDrops), and
-// reported to onDrop (which may be nil) — never silently lost: when
-// part of a delivered batch fits and the rest does not, each dropped
-// record counts individually. depth <= 0 selects a default of 256.
-//
-// The channel is never closed, not even by Cancel (publishes may race
-// the cancellation): do not range over it bare. Receive with a select
-// on the consumer's own shutdown signal, and after Cancel drain
-// non-blocking if late records matter.
-func (g *Gateway) SubscribeChan(req Request, depth int, onDrop func()) (*Subscription, <-chan TopicRecord, error) {
-	if err := g.authorize(req.Principal, req.Sensor, auth.ActionStream); err != nil {
-		return nil, nil, err
-	}
-	if depth <= 0 {
-		depth = 256
-	}
-	ch := make(chan TopicRecord, depth)
-	// s is allocated before the bus insert so the delivery closure can
-	// count drops on it even for records racing Subscribe's return.
-	s := &Subscription{g: g, req: req}
-	s.sub = g.subscribeBatchTopics(req, func(topic string, recs []ulm.Record) {
-		for i := range recs {
-			select {
-			case ch <- TopicRecord{Sensor: topic, Rec: recs[i]}:
-			default: // slow consumer: drop rather than stall producers
-				s.wireDrops.Add(1)
-				if onDrop != nil {
-					onDrop()
-				}
-			}
-		}
-	})
-	g.addConsumer(consumerTopic(req), 1)
-	return s, ch, nil
-}
-
-// chanBatchMax caps the records one TopicBatch carries across a
-// SubscribeBatchChan channel: oversized batches are split so a small
-// record budget can still admit the head of a big batch (partial shed)
-// instead of starving on it.
-const chanBatchMax = 64
-
-// batchChanQueue is the bounded record buffer behind SubscribeBatchChan:
-// the bus delivery callback pushes copied chunks under a mutex (never
-// blocking the publish path), a forwarder goroutine hands them to the
-// receiver's channel in order, and the record count — not a batch or
-// slot count — is what depth bounds, so neither many tiny batches nor
-// a few giant ones change the memory a slow consumer can pin.
-type batchChanQueue struct {
-	mu     sync.Mutex
-	queue  []TopicBatch
-	recs   int // records in queue (incl. one being handed off)
-	budget int
-	notify chan struct{} // cap 1: queue became non-empty
-	quit   chan struct{}
-}
-
-// push admits part (copying it) if the record budget allows, reporting
-// whether it was admitted.
-func (q *batchChanQueue) push(topic string, part []ulm.Record) bool {
-	q.mu.Lock()
-	if q.recs+len(part) > q.budget {
-		q.mu.Unlock()
-		return false
-	}
-	out := make([]ulm.Record, len(part))
-	copy(out, part)
-	q.queue = append(q.queue, TopicBatch{Sensor: topic, Recs: out})
-	q.recs += len(part)
-	q.mu.Unlock()
-	select {
-	case q.notify <- struct{}{}:
-	default:
-	}
-	return true
-}
-
-// backlog returns the queued record count.
-func (q *batchChanQueue) backlog() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.recs
-}
-
-// forward hands queued batches to ch in order. A batch stays counted
-// against the budget until the receiver takes it, so buffered records
-// never exceed depth.
-func (q *batchChanQueue) forward(ch chan<- TopicBatch) {
-	for {
-		q.mu.Lock()
-		if len(q.queue) == 0 {
-			q.mu.Unlock()
-			select {
-			case <-q.notify:
-				continue
-			case <-q.quit:
-				return
-			}
-		}
-		tb := q.queue[0]
-		q.mu.Unlock()
-		select {
-		case ch <- tb:
-			q.mu.Lock()
-			q.queue = q.queue[1:]
-			q.recs -= len(tb.Recs)
-			if len(q.queue) == 0 {
-				q.queue = nil // let the backing array go
-			}
-			q.mu.Unlock()
-		case <-q.quit:
-			return
-		}
-	}
-}
-
-// SubscribeBatchChan is SubscribeChan with batch granularity: delivered
-// batches cross the bounded channel as TopicBatch values — one channel
-// operation per up-to-chanBatchMax records — with the records copied
-// out of the bus's scratch so the receiver owns them. depth bounds the
-// buffered RECORDS (<= 0 selects 256), exactly like SubscribeChan, so
-// a slow consumer pins bounded memory no matter how the publisher
-// frames its batches. A chunk the budget cannot admit is dropped whole
-// but accounted per record: WireDrops grows by its record count and
-// onDrop (which may be nil) receives it — a batch bigger than the
-// remaining budget sheds only its tail, never silently. The
-// channel-closing caveats of SubscribeChan apply, and Cancel also
-// stops the internal forwarder.
-func (g *Gateway) SubscribeBatchChan(req Request, depth int, onDrop func(n int)) (*Subscription, <-chan TopicBatch, error) {
-	if err := g.authorize(req.Principal, req.Sensor, auth.ActionStream); err != nil {
-		return nil, nil, err
-	}
-	if depth <= 0 {
-		depth = 256
-	}
-	chunk := chanBatchMax
-	if chunk > depth {
-		chunk = depth
-	}
-	q := &batchChanQueue{budget: depth, notify: make(chan struct{}, 1), quit: make(chan struct{})}
-	ch := make(chan TopicBatch)
-	s := &Subscription{g: g, req: req, backlog: q.backlog}
-	var cancelOnce sync.Once
-	s.onCancel = func() { cancelOnce.Do(func() { close(q.quit) }) }
-	shed := func(n int) {
-		s.wireDrops.Add(uint64(n))
-		if onDrop != nil {
-			onDrop(n)
-		}
-	}
-	s.sub = g.subscribeBatchTopics(req, func(topic string, recs []ulm.Record) {
-		for off := 0; off < len(recs); off += chunk {
-			end := off + chunk
-			if end > len(recs) {
-				end = len(recs)
-			}
-			if !q.push(topic, recs[off:end]) {
-				shed(end - off)
-			}
-		}
-	})
-	go q.forward(ch)
-	g.addConsumer(consumerTopic(req), 1)
-	return s, ch, nil
 }
 
 // addConsumer adjusts a sensor's consumer count by delta (no-op for
@@ -1235,12 +1066,15 @@ type Subscription struct {
 	g   *Gateway
 	req Request
 	// sub is the bus-plane subscription; nil for frame-plane
-	// subscriptions (SubscribeFrames), which never touch the bus.
+	// subscriptions, which never touch the bus.
 	sub *bus.Subscription
 
 	// wireDrops counts records the transport layer dropped after the
-	// bus delivered them (slow wire consumer) — see SubscribeChan.
+	// gateway delivered them (slow wire consumer, payload the format
+	// cannot carry) — see subscribeQueued. onDrop, when set, hears of
+	// each such loss too.
 	wireDrops atomic.Uint64
+	onDrop    func(n int)
 
 	// fDelivered counts records offered to a frame-plane subscription
 	// (cooked and raw alike); frameDone makes Cancel idempotent in the
@@ -1248,22 +1082,23 @@ type Subscription struct {
 	fDelivered atomic.Uint64
 	frameDone  atomic.Bool
 
-	// backlog reports records buffered behind a batch channel
-	// (SubscribeBatchChan) not yet taken by the receiver; nil for
-	// callback subscriptions. onCancel tears down transport state
-	// (the batch-channel forwarder) when the subscription closes.
-	backlog  func() int
+	// q is the bounded queue a queued subscription delivers into; nil
+	// for callback subscriptions. onCancel tears down what Cancel must
+	// beyond the bus subscription (frame-plane membership, a callback
+	// goroutine).
+	q        *subQueue
 	onCancel func()
 }
 
-// ChanBacklog returns how many delivered records are buffered behind
-// the subscription's batch channel awaiting the receiver (always 0 for
-// callback subscriptions) — the drain signal a graceful shutdown polls.
+// ChanBacklog returns how many delivered records a queued subscription
+// still holds — queued, or dequeued and not yet written out (always 0
+// for callback subscriptions) — the drain signal a graceful shutdown
+// polls.
 func (s *Subscription) ChanBacklog() int {
-	if s.backlog == nil {
+	if s.q == nil {
 		return 0
 	}
-	return s.backlog()
+	return s.q.backlog()
 }
 
 // Request returns the subscription's request.

@@ -36,28 +36,13 @@ var updateTranscripts = flag.Bool("update", false, "rewrite the golden wire tran
 type wireTap struct {
 	ln     net.Listener
 	target string
-	wg     sync.WaitGroup
-
-	mu    sync.Mutex
+	// wg covers the accept loop and both pipes of every connection;
+	// conns and the recordings are read only after it is done.
+	wg    sync.WaitGroup
 	conns []*tappedConn
 }
 
-type tappedConn struct {
-	mu       sync.Mutex
-	c2s, s2c bytes.Buffer
-}
-
-func (tc *tappedConn) tee(dst *bytes.Buffer) io.Writer {
-	return writerFunc(func(p []byte) (int, error) {
-		tc.mu.Lock()
-		defer tc.mu.Unlock()
-		return dst.Write(p)
-	})
-}
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+type tappedConn struct{ c2s, s2c bytes.Buffer }
 
 func startTap(t *testing.T, target string) *wireTap {
 	t.Helper()
@@ -80,17 +65,15 @@ func startTap(t *testing.T, target string) *wireTap {
 				continue
 			}
 			tc := &tappedConn{}
-			tap.mu.Lock()
 			tap.conns = append(tap.conns, tc)
-			tap.mu.Unlock()
 			tap.wg.Add(2)
 			// Half-closes travel through, so a server that hangs up on a
 			// hostile peer and a client that closes after its last frame
 			// both look to the other side exactly as they would unproxied.
 			pipe := func(dst, src net.Conn, rec *bytes.Buffer) {
 				defer tap.wg.Done()
-				io.Copy(io.MultiWriter(dst, tc.tee(rec)), src) //nolint:errcheck
-				dst.(*net.TCPConn).CloseWrite()                //nolint:errcheck
+				io.Copy(io.MultiWriter(dst, rec), src) //nolint:errcheck
+				dst.(*net.TCPConn).CloseWrite()        //nolint:errcheck
 			}
 			go pipe(server, client, &tc.c2s)
 			go pipe(client, server, &tc.s2c)
@@ -139,11 +122,10 @@ var transcriptClock = epoch.Add(time.Hour)
 
 // transcriptSite is one session's gateway, server and proxy.
 type transcriptSite struct {
-	t    *testing.T
-	g    *Gateway
-	srv  *TCPServer
-	hist *histstore.Store
-	tap  *wireTap
+	t   *testing.T
+	g   *Gateway
+	srv *TCPServer
+	tap *wireTap
 }
 
 func newTranscriptSite(t *testing.T, archive bool) *transcriptSite {
@@ -168,7 +150,6 @@ func newTranscriptSite(t *testing.T, archive bool) *transcriptSite {
 		})
 		srv.SetHistory(hist)
 		t.Cleanup(func() { sub.Cancel(); hist.Close() })
-		s.hist = hist
 	}
 	s.tap = startTap(t, srv.Addr())
 	return s
@@ -211,31 +192,27 @@ func (rc *rawConn) sendLine(line string) { rc.send([]byte(line + "\n")) }
 func (rc *rawConn) sendCtl(js string) { rc.send(appendJSONFrame(nil, []byte(js))) }
 
 // readLine consumes one answer line (the transcript records it).
-func (rc *rawConn) readLine() string {
+func (rc *rawConn) readLine() {
 	rc.t.Helper()
 	rc.conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	line, err := rc.fr.br.ReadString('\n')
-	if err != nil {
+	if _, err := rc.fr.br.ReadString('\n'); err != nil {
 		rc.t.Fatalf("reading answer line: %v", err)
 	}
-	return line
 }
 
 // readFrame consumes one answer frame.
-func (rc *rawConn) readFrame() []byte {
+func (rc *rawConn) readFrame() {
 	rc.t.Helper()
 	rc.conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	buf, err := rc.fr.next()
-	if err != nil {
+	if _, err := rc.fr.next(); err != nil {
 		rc.t.Fatalf("reading answer frame: %v", err)
 	}
-	return buf
 }
 
-// hello negotiates max on a raw connection and returns the answer.
-func (rc *rawConn) hello(max int) string {
+// hello negotiates max on a raw connection.
+func (rc *rawConn) hello(max int) {
 	rc.sendLine(fmt.Sprintf(`{"op":"hello","max_version":%d}`, max))
-	return rc.readLine()
+	rc.readLine()
 }
 
 // readEOF waits for the server to hang up.

@@ -1,0 +1,107 @@
+package gateway
+
+import (
+	"jamm/internal/ulm"
+)
+
+// wireCodec is the framing of one wire connection — the only part of
+// the protocol that differs between JSON lines (wire_json.go) and
+// binary frames (wire_v2.go). Server and client hold one per
+// connection; the read side and the write side may be used from two
+// goroutines, one each.
+type wireCodec interface {
+	// version is the protocol version the framing implements.
+	version() int
+
+	// read takes the next inbound message. A control message is
+	// unmarshalled into ctl — a *wireRequest on the server, a
+	// *wireResponse on the client, zeroed by the caller — and read
+	// returns a nil frame; a record-batch frame, which only the binary
+	// framing has, is returned instead, borrowed until the next read.
+	// Errors come in three classes. A *badMessage (returned bare, never
+	// wrapped) was consumed whole: the stream is still in sync and
+	// skipping it is safe. errFrameTooBig and bufio.ErrTooLong mean no
+	// resync point exists. Anything else is transport: EOF, timeouts,
+	// resets.
+	read(ctl any) (*Frame, error)
+	// write sends one control message.
+	write(ctl any) error
+
+	// checkFormat reports whether the framing can carry events in the
+	// payload format.
+	checkFormat(format string) error
+	// events returns the writer sub's event stream goes out through.
+	// Records the payload format cannot carry are shed on sub.
+	events(format string, sub *Subscription) eventWriter
+	// writeBatch writes one history batch as one event frame and returns
+	// how many records it carried; lost hears of each record the payload
+	// format could not.
+	writeBatch(format, sensor string, recs []ulm.Record, lost func()) (int, error)
+
+	// eventFormat is the payload format a client names in a subscribe
+	// request — and decodes event messages with — when the caller asked
+	// for format.
+	eventFormat(format string) string
+	// newBatch returns a Publisher's frame builder. single selects one
+	// frame per record.
+	newBatch(format string, single bool) pubBatch
+}
+
+// frameSplicer is what only the binary framing can do: move a batch
+// that already exists as frame bytes without decoding it. A codec that
+// implements it has its pass-through subscriptions ride the frame plane
+// (its eventWriter is a frameRelay), its history answers splice stored
+// archive frames, and its pubBatch is a frameBatch.
+type frameSplicer interface {
+	// writeStored writes one stored archive frame — count ULM-binary
+	// records — as event frames of at most batchMax records each when it
+	// must be re-framed, and returns how many records it carried.
+	writeStored(sensor string, count int, recBytes []byte, batchMax int) (int, error)
+}
+
+// eventWriter builds and writes a subscription's outbound event frames.
+type eventWriter interface {
+	// add appends a delivered batch to the open frame, writing frames out
+	// as they reach bm records, and reports whether it wrote any.
+	add(sensor string, recs []ulm.Record, bm int) (wrote bool, err error)
+	// pending is the number of records in the open, unwritten frame.
+	pending() int
+	// flush writes the open frame out.
+	flush() error
+}
+
+// frameRelay is the eventWriter of a framing that forwards relayed
+// frames as raw bytes.
+type frameRelay interface {
+	relay(f *Frame) error
+}
+
+// pubBatch builds a Publisher's outbound frames.
+type pubBatch interface {
+	// add encodes one record into the open batch and returns the payload
+	// bytes it added.
+	add(sensor string, rec ulm.Record) (int, error)
+	// markReplica flags everything added from here on as replicated
+	// copies.
+	markReplica()
+	// flush writes the buffered batch out, if any, and starts the next.
+	flush() error
+}
+
+// frameBatch is the pubBatch of a framing that forwards a pre-encoded
+// frame's bytes untouched; splice returns the bytes it added.
+type frameBatch interface {
+	splice(f *Frame) int
+}
+
+// badMessage is the read error for a message that was consumed whole
+// and made no sense: a line that is not JSON, a frame that fails its
+// CRC or its payload parse. answer says the peer is owed an error
+// response (JSON lines: a bad line sat where a request would; binary
+// framing never answers, the frame may have been a publish).
+type badMessage struct {
+	err    error
+	answer bool
+}
+
+func (b *badMessage) Error() string { return b.err.Error() }

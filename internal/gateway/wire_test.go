@@ -464,10 +464,12 @@ func TestWireSubscribeBatchedAllFormats(t *testing.T) {
 				rec    ulm.Record
 			}
 			var recs []got
-			st, err := c.SubscribeStream(Request{}, StreamOptions{Format: format, BatchMax: 8, BatchWait: 2 * time.Millisecond},
-				func(sensor string, rec ulm.Record) {
+			st, err := c.SubscribeBatchStream(Request{}, StreamOptions{Format: format, BatchMax: 8, BatchWait: 2 * time.Millisecond},
+				func(sensor string, batch []ulm.Record) {
 					mu.Lock()
-					recs = append(recs, got{sensor, rec})
+					for _, rec := range batch {
+						recs = append(recs, got{sensor, rec.Clone()})
+					}
 					mu.Unlock()
 				})
 			if err != nil {
@@ -521,7 +523,7 @@ func TestWireSlowConsumerDropsCounted(t *testing.T) {
 	var mu sync.Mutex
 	var seen int
 	var blocked bool
-	st, err := c.SubscribeStream(Request{Sensor: "cpu"}, StreamOptions{}, func(_ string, rec ulm.Record) {
+	st, err := c.SubscribeBatchStream(Request{Sensor: "cpu"}, StreamOptions{}, func(string, []ulm.Record) {
 		mu.Lock()
 		seen++
 		first := !blocked
@@ -599,7 +601,7 @@ func TestWireGarbageStreakClosesConnection(t *testing.T) {
 func TestWireStreamCloseIsNotAnError(t *testing.T) {
 	_, srv := startServer(t)
 	c := NewClient("", srv.Addr())
-	st, err := c.SubscribeStream(Request{Sensor: "cpu"}, StreamOptions{}, func(string, ulm.Record) {})
+	st, err := c.SubscribeBatchStream(Request{Sensor: "cpu"}, StreamOptions{}, func(string, []ulm.Record) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,56 +616,56 @@ func TestWireStreamCloseIsNotAnError(t *testing.T) {
 	}
 }
 
-// Drained shutdown: records sitting in a partial batch behind a long
-// flush timer still reach the subscriber before the server closes.
+// Drained shutdown, in both framings: records sitting in a partial
+// batch behind a long flush timer still reach the subscriber before the
+// server closes. DrainSubscribers has no grace period to hide behind: a
+// record counts as in flight from the moment it is queued until the
+// frame carrying it has been written, dequeued or not, so the moment
+// the drain reports idle the server may close.
 func TestWireDrainedShutdownFlushesPartialBatches(t *testing.T) {
-	g := New("gw1", nil)
-	srv, err := ServeTCP(g, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c := NewClient("", srv.Addr())
-	var mu sync.Mutex
-	var seen int
-	st, err := c.SubscribeStream(Request{Sensor: "cpu"}, StreamOptions{BatchMax: 64, BatchWait: 500 * time.Millisecond},
-		func(string, ulm.Record) {
-			mu.Lock()
-			seen++
-			mu.Unlock()
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for g.Consumers("cpu") == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	for i := 0; i < 3; i++ {
-		g.Publish("cpu", mkRec("E", time.Duration(i)*time.Second, float64(i)))
-	}
-	// The 3 records sit in the server's partial batch for up to 500ms;
-	// the drain must wait them out rather than report idle.
-	srv.StopAccepting()
-	g.Flush()
-	if !srv.DrainSubscribers(5 * time.Second) {
-		t.Fatal("drain timed out")
-	}
-	srv.Close()
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		done := seen >= 3
-		mu.Unlock()
-		if done {
-			return
+	for _, proto := range []Proto{ProtoJSON, ProtoV2} {
+		g := New("gw1", nil)
+		srv, err := ServeTCP(g, "127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		defer srv.Close()
+		c := NewClient("", srv.Addr())
+		c.Protocol = proto
+		var mu sync.Mutex
+		var seen int
+		st, err := c.SubscribeBatchStream(Request{Sensor: "cpu"}, StreamOptions{BatchMax: 64, BatchWait: 500 * time.Millisecond},
+			func(_ string, recs []ulm.Record) {
+				mu.Lock()
+				seen += len(recs)
+				mu.Unlock()
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		for i := 0; i < 3; i++ {
+			g.Publish("cpu", mkRec("E", time.Duration(i)*time.Second, float64(i)))
+		}
+		// The 3 records sit in the server's queue or partial batch for up
+		// to 500ms; the drain must wait them out rather than report idle.
+		srv.StopAccepting()
+		g.Flush()
+		if !srv.DrainSubscribers(5 * time.Second) {
+			t.Fatalf("v%d: drain timed out", st.Version())
+		}
+		srv.Close()
+		select {
+		case <-st.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("v%d: stream never ended after the server closed", st.Version())
+		}
+		mu.Lock()
+		if seen != 3 {
+			t.Fatalf("v%d: subscriber saw %d of 3 records across drained shutdown", st.Version(), seen)
+		}
+		mu.Unlock()
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	t.Fatalf("subscriber saw %d of 3 records across drained shutdown", seen)
 }
 
 // An oversized batch is clamped client-side so a full frame can never
@@ -715,10 +717,8 @@ func (c *stallConn) Write(b []byte) (int, error) {
 // control writes.
 func TestSetBatchMaxStalledPeerDoesNotBlockErr(t *testing.T) {
 	release := make(chan struct{})
-	s := &Stream{
-		conn: &stallConn{release: release},
-		done: make(chan struct{}),
-	}
+	conn := &stallConn{release: release}
+	s := &Stream{conn: conn, cdc: newLineCodec(conn, conn, 0), done: make(chan struct{})}
 	defer close(release)
 
 	writing := make(chan struct{})

@@ -185,26 +185,39 @@ func TestWireV2BadFrameSkippedAndCounted(t *testing.T) {
 // TestWireV2OversizedFrameClosesConnection: an implausible declared
 // length means the stream is desynchronized or hostile — there is no
 // resync point, so the server must hang up (and only on that
-// connection; the server survives).
+// connection; the server survives), counting the disconnect once —
+// on a request stream and on a subscription's control stream alike.
 func TestWireV2OversizedFrameClosesConnection(t *testing.T) {
-	_, srv := startServer(t)
-	conn, br := handshakeV2(t, srv)
+	for _, subscribed := range []bool{false, true} {
+		_, srv := startServer(t)
+		conn, br := handshakeV2(t, srv)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if subscribed {
+			subReq, _ := json.Marshal(wireRequest{Op: "subscribe", Request: Request{Sensor: "cpu"}})
+			if _, err := conn.Write(appendJSONFrame(nil, subReq)); err != nil {
+				t.Fatal(err)
+			}
+			var ack wireResponse
+			if _, err := newFrameCodec(conn, br).read(&ack); err != nil || !ack.OK {
+				t.Fatalf("subscribe ack: %+v, err %v", ack, err)
+			}
+		}
 
-	var hdr [wireFrameHdr]byte
-	binary.LittleEndian.PutUint32(hdr[:], maxWireFrameBytes+1)
-	if _, err := conn.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := br.ReadByte(); err != io.EOF {
-		t.Fatalf("connection read = %v, want EOF (server hangup)", err)
-	}
-	if bf := srv.WireStats().BadFrames; bf != 1 {
-		t.Fatalf("BadFrames = %d, want 1", bf)
-	}
-	// The listener survived the hostile connection.
-	if err := NewClient("", srv.Addr()).Ping(); err != nil {
-		t.Fatalf("server dead after oversized frame: %v", err)
+		var hdr [wireFrameHdr]byte
+		binary.LittleEndian.PutUint32(hdr[:], maxWireFrameBytes+1)
+		if _, err := conn.Write(hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := br.ReadByte(); err != io.EOF {
+			t.Fatalf("subscribed=%v: connection read = %v, want EOF (server hangup)", subscribed, err)
+		}
+		if bf := srv.WireStats().BadFrames; bf != 1 {
+			t.Fatalf("subscribed=%v: BadFrames = %d, want 1", subscribed, bf)
+		}
+		// The listener survived the hostile connection.
+		if err := NewClient("", srv.Addr()).Ping(); err != nil {
+			t.Fatalf("server dead after oversized frame: %v", err)
+		}
 	}
 }
 
@@ -543,47 +556,71 @@ func TestFrameHopDeltaPerRecord(t *testing.T) {
 	}
 }
 
-// TestWireV2SubscriberControlGarbageCloses: the control-frame reader of
-// a live subscription applies the same bounded bad-frame streak as the
-// main v2 loop — a subscriber streaming garbage is disconnected instead
-// of holding the connection and subscription resources indefinitely.
+// TestWireV2SubscriberControlGarbageCloses: the control reader of a
+// live subscription applies the same bounded bad-message streak as the
+// main loop, in either framing — a subscriber streaming garbage is
+// disconnected instead of holding the connection and subscription
+// resources indefinitely.
 func TestWireV2SubscriberControlGarbageCloses(t *testing.T) {
-	_, srv := startServer(t)
-	conn, br := handshakeV2(t, srv)
-
 	subReq, _ := json.Marshal(wireRequest{Op: "subscribe", Request: Request{Sensor: "cpu"}})
-	if _, err := conn.Write(appendJSONFrame(nil, subReq)); err != nil {
-		t.Fatal(err)
-	}
-	fr := &frameReader{br: br}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	first, err := fr.next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ack wireResponse
-	if first[wireFrameHdr] != frameOpJSON || json.Unmarshal(first[wireFrameHdr+framePrelude:], &ack) != nil || !ack.OK {
-		t.Fatalf("bad subscribe ack frame")
-	}
-
 	// CRC-valid frames with an unknown op: garbage the control reader
 	// must count, and eventually cut off.
 	junk, start := beginFrame(nil, 9, 0)
 	junk = finishFrame(junk, start)
-	for i := 0; i < maxConsecutiveBadLines; i++ {
-		if _, err := conn.Write(junk); err != nil {
-			break // server may already have hung up mid-streak
-		}
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var rerr error
-	for rerr == nil {
-		_, rerr = fr.next()
-	}
-	if ne, ok := rerr.(net.Error); ok && ne.Timeout() {
-		t.Fatal("connection still open after a full streak of bad control frames")
-	}
-	if bf := srv.WireStats().BadFrames; bf < maxConsecutiveBadLines {
-		t.Fatalf("BadFrames = %d, want >= %d", bf, maxConsecutiveBadLines)
+	for _, tc := range []struct {
+		name      string
+		v2        bool
+		subscribe []byte
+		garbage   []byte
+		counted   func(WireStats) uint64
+	}{
+		{"json", false, append(subReq, '\n'), []byte("garbage\n"), func(ws WireStats) uint64 { return ws.BadLines }},
+		{"v2", true, appendJSONFrame(nil, subReq), junk, func(ws WireStats) uint64 { return ws.BadFrames }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, srv := startServer(t)
+			var conn net.Conn
+			var br *bufio.Reader
+			if tc.v2 {
+				conn, br = handshakeV2(t, srv)
+			} else {
+				var err error
+				if conn, err = net.Dial("tcp", srv.Addr()); err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				br = bufio.NewReader(conn)
+			}
+			if _, err := conn.Write(tc.subscribe); err != nil {
+				t.Fatal(err)
+			}
+			cdc := wireCodec(newLineCodec(conn, br, maxLineBytes))
+			if tc.v2 {
+				cdc = newFrameCodec(conn, br)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			var ack wireResponse
+			if f, err := cdc.read(&ack); err != nil || f != nil || !ack.OK {
+				t.Fatalf("bad subscribe ack: %+v, frame %v, err %v", ack, f, err)
+			}
+			for i := 0; i < maxConsecutiveBadLines; i++ {
+				if _, err := conn.Write(tc.garbage); err != nil {
+					break // server may already have hung up mid-streak
+				}
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			var rerr error
+			for rerr == nil {
+				_, rerr = cdc.read(&ack)
+			}
+			if ne, ok := rerr.(net.Error); ok && ne.Timeout() {
+				t.Fatal("connection still open after a full streak of bad control messages")
+			}
+			if n := tc.counted(srv.WireStats()); n < maxConsecutiveBadLines {
+				t.Fatalf("bad messages counted = %d, want >= %d", n, maxConsecutiveBadLines)
+			}
+			// The subscription went with the connection.
+			waitUntil(t, "the subscription to be cancelled", func() bool { return g.Consumers("cpu") == 0 })
+		})
 	}
 }

@@ -186,10 +186,10 @@ type (
 	// WireStats counts wire-path loss at a gateway server.
 	WireStats = gateway.WireStats
 	// TopicRecord is one delivered record with its sensor (bus topic) —
-	// the unit Gateway.SubscribeChan delivers.
+	// the unit GatewayClient.History returns.
 	TopicRecord = gateway.TopicRecord
-	// TopicBatch is one delivered batch with its sensor — the unit
-	// Gateway.SubscribeBatchChan delivers.
+	// TopicBatch is one delivered batch with its sensor — the unit a
+	// wire subscription's bounded queue holds.
 	TopicBatch = gateway.TopicBatch
 	// Bridge mirrors a remote gateway's topics into a local bus or
 	// gateway, with batched frames and reconnect-with-backoff.
