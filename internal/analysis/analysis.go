@@ -15,7 +15,8 @@
 //     user-callback invocation while a sync.Mutex/RWMutex acquired in
 //     the same function is held.
 //   - framealias: a gateway.Frame parameter (which borrows its buffer)
-//     must not outlive the call without Clone().
+//     must not outlive the call without Retain() or Clone(), and the
+//     handle Retain() returns must not be discarded.
 //
 // The suite is a self-contained reimplementation of the golang.org/x/
 // tools go/analysis pattern on the standard library alone (go/ast,

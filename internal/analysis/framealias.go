@@ -5,10 +5,12 @@ import (
 	"go/types"
 )
 
-// FrameAlias enforces the frame buffer-borrowing contract: a
-// gateway.Frame handed to a function (parameter of type Frame or
-// *Frame) borrows its buffer — the producing reader reuses it — so the
-// frame may not outlive the call without Clone(). Flagged retentions:
+// FrameAlias enforces the frame ownership contract: a gateway.Frame
+// handed to a function (parameter of type Frame or *Frame) is borrowed
+// — the producing reader releases its buffer to a pool after the call —
+// so the frame may not outlive the call without Retain() (a counted
+// reference to the shared bytes) or Clone() (a private copy). Flagged
+// retentions:
 //
 //   - storing the frame (or a composite containing it) into a field,
 //     map/slice element, dereference, or package-level variable,
@@ -17,16 +19,19 @@ import (
 //   - storing the raw f.Bytes() alias (append(dst, f.Bytes()...) and
 //     copy(dst, f.Bytes()) copy the bytes and stay silent).
 //
-// A value rooted in f.Clone() is owned and always safe; other method
-// calls on the frame (SetHops, Records, Count access) neither retain
-// nor launder it. Deliberate exceptions carry //jamm:frame-ok <why>.
+// A value rooted in f.Retain() or f.Clone() is owned and always safe;
+// other method calls on the frame (SetHops, Records, Count access)
+// neither retain nor launder it. The reference Retain takes lives in
+// the handle it returns, so a Retain() whose result is thrown away can
+// never be released: that is a finding too, on any frame, parameter or
+// not. Deliberate exceptions carry //jamm:frame-ok <why>.
 //
 // The Frame type is matched structurally — a type named Frame declared
 // in a package named gateway — so the analysistest stub package
 // exercises the same code path as the real one.
 var FrameAlias = &Analyzer{
 	Name: "framealias",
-	Doc:  "report borrowed gateway.Frame parameters (or their Bytes() alias) retained past the call without Clone()",
+	Doc:  "report borrowed gateway.Frame parameters (or their Bytes() alias) kept past the call without Retain() or Clone(), and Retain() results thrown away",
 	Run:  runFrameAlias,
 }
 
@@ -40,8 +45,38 @@ func runFrameAlias(pass *Pass) error {
 				checkFrameParam(pass, fn, p)
 			}
 		})
+		ast.Inspect(file, func(n ast.Node) bool {
+			var x ast.Expr
+			switch n := n.(type) {
+			case *ast.ExprStmt:
+				x = n.X
+			case *ast.AssignStmt:
+				if id, ok := n.Lhs[0].(*ast.Ident); ok && id.Name == "_" && len(n.Lhs) == 1 && len(n.Rhs) == 1 {
+					x = n.Rhs[0]
+				}
+			}
+			if isFrameOwningCall(pass.TypesInfo, x, "Retain") {
+				pass.Report(n.Pos(), "the handle Retain() returns is discarded; the reference it holds can never be released — keep the handle and Release it, or annotate //jamm:frame-ok <why>")
+			}
+			return true
+		})
 	}
 	return nil
+}
+
+// isFrameOwningCall reports whether expr is a call of the named
+// ownership-conferring method on a gateway.Frame.
+func isFrameOwningCall(info *types.Info, expr ast.Expr, method string) bool {
+	call, ok := expr.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != method {
+		return false
+	}
+	tv, ok := info.Types[sel.X]
+	return ok && tv.Type != nil && isNamedType(tv.Type, "gateway", "Frame")
 }
 
 func checkFrameParam(pass *Pass, fn funcBody, p types.Object) {
@@ -57,20 +92,20 @@ func checkFrameParam(pass *Pass, fn funcBody, p types.Object) {
 				}
 				if frameEscapes(pass.TypesInfo, stmt.Rhs[i], p, false) {
 					pass.Report(stmt.Pos(),
-						"borrowed frame %q is stored into %s without Clone(); its buffer is reused after the call — Clone it or annotate //jamm:frame-ok <why>",
+						"borrowed frame %q is stored into %s without Retain() or Clone(); its buffer is released after the call — retain it or annotate //jamm:frame-ok <why>",
 						p.Name(), selectorString(lhs))
 				}
 			}
 		case *ast.SendStmt:
 			if frameEscapes(pass.TypesInfo, stmt.Value, p, false) {
 				pass.Report(stmt.Pos(),
-					"borrowed frame %q is sent on a channel without Clone(); its buffer is reused after the call — Clone it or annotate //jamm:frame-ok <why>",
+					"borrowed frame %q is sent on a channel without Retain() or Clone(); its buffer is released after the call — retain it or annotate //jamm:frame-ok <why>",
 					p.Name())
 			}
 		case *ast.GoStmt:
 			if frameEscapesNode(pass.TypesInfo, stmt.Call, p) {
 				pass.Report(stmt.Pos(),
-					"borrowed frame %q is captured by a goroutine without Clone(); its buffer is reused after the call — Clone it or annotate //jamm:frame-ok <why>",
+					"borrowed frame %q is captured by a goroutine without Retain() or Clone(); its buffer is released after the call — retain it or annotate //jamm:frame-ok <why>",
 					p.Name())
 			}
 		}
@@ -116,8 +151,8 @@ func frameEscapes(info *types.Info, expr ast.Expr, obj types.Object, insideCopy 
 		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok &&
 			usesObjectAll(info, sel.X, obj) {
 			switch sel.Sel.Name {
-			case "Clone":
-				return false // owned copy: safe everywhere
+			case "Retain", "Clone":
+				return false // an owned reference or copy: safe everywhere
 			case "Bytes":
 				return !insideCopy // raw buffer alias
 			default:
@@ -156,7 +191,7 @@ func aliasType(t types.Type) bool {
 
 // frameEscapesNode is frameEscapes over an arbitrary subtree (a go
 // statement's call and closure body): any use of obj that is not a
-// Clone() receiver escapes.
+// Retain() or Clone() receiver escapes.
 func frameEscapesNode(info *types.Info, node ast.Node, obj types.Object) bool {
 	found := false
 	ast.Inspect(node, func(n ast.Node) bool {
@@ -165,8 +200,8 @@ func frameEscapesNode(info *types.Info, node ast.Node, obj types.Object) bool {
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok &&
-				usesObjectAll(info, sel.X, obj) && sel.Sel.Name == "Clone" {
-				// The receiver of Clone is laundered; arguments still scan.
+				usesObjectAll(info, sel.X, obj) && (sel.Sel.Name == "Retain" || sel.Sel.Name == "Clone") {
+				// The receiver is laundered; arguments still scan.
 				for _, a := range call.Args {
 					if frameEscapesNode(info, a, obj) {
 						found = true

@@ -1,6 +1,6 @@
 // Package framealias is the golden input for the framealias analyzer:
 // a borrowed gateway.Frame must not outlive its producing call without
-// Clone().
+// Retain() or Clone(), and the handle Retain() returns must be kept.
 package framealias
 
 import "gateway"
@@ -15,15 +15,27 @@ type hub struct {
 }
 
 func (h *hub) keepUncloned(f *gateway.Frame) {
-	h.last = f // want `borrowed frame "f" is stored into h.last without Clone`
+	h.last = f // want `borrowed frame "f" is stored into h.last without Retain\(\) or Clone`
 }
 
 func (h *hub) keepCloned(f *gateway.Frame) {
 	h.last = f.Clone()
 }
 
+func (h *hub) keepRetained(f *gateway.Frame) {
+	h.last.Release()
+	h.last = f.Retain()
+}
+
+// The reference lives in the handle: thrown away, it can never be
+// released. Flagged on any frame, borrowed or owned.
+func (h *hub) retainDiscarded(f *gateway.Frame) {
+	f.Retain()          // want `the handle Retain\(\) returns is discarded`
+	_ = h.last.Retain() // want `the handle Retain\(\) returns is discarded`
+}
+
 func (h *hub) keepBytesAlias(f *gateway.Frame) {
-	h.lastBytes = f.Bytes() // want `borrowed frame "f" is stored into h.lastBytes without Clone`
+	h.lastBytes = f.Bytes() // want `borrowed frame "f" is stored into h.lastBytes without Retain\(\) or Clone`
 }
 
 // The framehub lazy-decode idiom: append copies the frame's bytes into
@@ -39,15 +51,20 @@ func (h *hub) scalarFieldsOK(f *gateway.Frame) {
 }
 
 func (h *hub) sendUncloned(f *gateway.Frame) {
-	h.ch <- f // want `borrowed frame "f" is sent on a channel without Clone`
+	h.ch <- f // want `borrowed frame "f" is sent on a channel without Retain\(\) or Clone`
 }
 
 func (h *hub) goCapture(f *gateway.Frame) {
-	go h.consume(f) // want `borrowed frame "f" is captured by a goroutine without Clone`
+	go h.consume(f) // want `borrowed frame "f" is captured by a goroutine without Retain\(\) or Clone`
 }
 
 func (h *hub) goCloned(f *gateway.Frame) {
 	go h.consume(f.Clone())
+}
+
+func (h *hub) sendRetained(f *gateway.Frame) {
+	h.ch <- f.Retain()
+	go h.consume(f.Retain())
 }
 
 func (h *hub) consume(f *gateway.Frame) {}

@@ -3,7 +3,8 @@
 // stub exercises the same code path as the real one.
 package gateway
 
-// Frame borrows its buffer from the producing reader.
+// Frame is a handle on a buffer the producing reader shares out by
+// reference.
 type Frame struct {
 	Sensor string
 	Count  int
@@ -19,6 +20,15 @@ func (f *Frame) Clone() *Frame {
 	c.buf = append([]byte(nil), f.buf...)
 	return &c
 }
+
+// Retain returns a new handle owning one reference to the shared bytes.
+func (f *Frame) Retain() *Frame {
+	c := *f
+	return &c
+}
+
+// Release gives the handle's reference up.
+func (f *Frame) Release() {}
 
 // SetHops mutates in place; it neither retains nor launders the frame.
 func (f *Frame) SetHops(n int) {}

@@ -122,8 +122,9 @@ func (r *Replicator) Stats() ReplicatorStats {
 
 // Forward implements gateway.Forwarder: fan one primary ingest out to
 // the sensor's replica owners. Exactly one of recs/f is set; both are
-// borrowed, so retained copies are deep (Clone). Never blocks — each
-// link's queue sheds at its budget.
+// borrowed: records are kept as one deep copy the links share, a frame
+// as one reference per link (Frame.Retain). Never blocks — each link's
+// queue sheds at its budget.
 func (r *Replicator) Forward(sensor string, recs []ulm.Record, f *gateway.Frame) {
 	rg := r.ring.Load()
 	if rg == nil || r.k <= 1 {
@@ -142,16 +143,14 @@ func (r *Replicator) Forward(sensor string, recs []ulm.Record, f *gateway.Frame)
 	if len(targets) == 0 {
 		return
 	}
-	it := repItem{sensor: sensor}
+	it := repItem{sensor: sensor, f: f, n: len(recs)}
 	if f != nil {
-		it.f = f.Clone()
 		it.n = f.Count
 	} else {
 		it.recs = make([]ulm.Record, len(recs))
 		for i := range recs {
 			it.recs[i] = recs[i].Clone()
 		}
-		it.n = len(recs)
 	}
 	for _, addr := range targets {
 		if l := r.link(addr); l != nil {
@@ -191,7 +190,8 @@ func (r *Replicator) Close() {
 }
 
 // repItem is one queued replication unit: a deep-copied record batch
-// or a cloned wire frame.
+// or a retained wire frame, which the link releases once it is sent or
+// shed.
 type repItem struct {
 	sensor string
 	recs   []ulm.Record
@@ -200,7 +200,9 @@ type repItem struct {
 }
 
 // replicaLink is the pipe to one replica gateway: a bounded queue
-// drained by a goroutine that owns the (re)connecting publisher.
+// drained by a goroutine that owns the (re)connecting publisher. The
+// record budget bounds what a slow or dead replica pins: the frames it
+// admits, at most twice their bytes (see gateway.Frame).
 type replicaLink struct {
 	r    *Replicator
 	addr string
@@ -215,12 +217,16 @@ type replicaLink struct {
 	wg        sync.WaitGroup
 }
 
+// enqueue admits one borrowed item, retaining its frame, or sheds it.
 func (l *replicaLink) enqueue(it repItem) {
 	l.mu.Lock()
 	if l.queued+it.n > l.r.opts.QueueRecords {
 		l.mu.Unlock()
 		l.r.shed.Add(uint64(it.n))
 		return
+	}
+	if it.f != nil {
+		it.f = it.f.Retain()
 	}
 	l.queue = append(l.queue, it)
 	l.queued += it.n
@@ -231,13 +237,24 @@ func (l *replicaLink) enqueue(it repItem) {
 	}
 }
 
-func (l *replicaLink) drain() []repItem {
+// drain takes everything queued in exchange for spare, the previous
+// take: zeroed, it becomes the array the next enqueues fill.
+func (l *replicaLink) drain(spare []repItem) []repItem {
+	clear(spare)
 	l.mu.Lock()
 	items := l.queue
-	l.queue = nil
+	l.queue = spare[:0]
 	l.queued = 0
 	l.mu.Unlock()
 	return items
+}
+
+// shedAll counts items as replication loss and releases their frames.
+func (l *replicaLink) shedAll(items []repItem) {
+	for _, it := range items {
+		l.r.shed.Add(uint64(it.n))
+		it.f.Release()
+	}
 }
 
 func (l *replicaLink) close() {
@@ -259,6 +276,7 @@ func (l *replicaLink) client() *gateway.Client {
 func (l *replicaLink) run() {
 	defer l.wg.Done()
 	var pub *gateway.Publisher
+	var items []repItem
 	backoff := l.r.opts.MinBackoff
 	defer func() {
 		if pub != nil {
@@ -270,19 +288,17 @@ func (l *replicaLink) run() {
 		case <-l.done:
 			// Final drain: ship what's queued if the link is up; a down
 			// link sheds it, counted.
-			left := l.drain()
+			items = l.drain(items)
 			if pub != nil {
-				l.send(pub, left)
+				l.send(pub, items)
 			} else {
-				for _, it := range left {
-					l.r.shed.Add(uint64(it.n))
-				}
+				l.shedAll(items)
 			}
 			return
 		case <-l.wake:
 		}
 		for {
-			items := l.drain()
+			items = l.drain(items)
 			if len(items) == 0 {
 				break
 			}
@@ -291,9 +307,7 @@ func (l *replicaLink) run() {
 				if err != nil {
 					// Replica down: requeue nothing (the items predate the
 					// outage), shed these, back off before the next try.
-					for _, it := range items {
-						l.r.shed.Add(uint64(it.n))
-					}
+					l.shedAll(items)
 					if !l.sleep(backoff) {
 						return
 					}
@@ -315,8 +329,9 @@ func (l *replicaLink) run() {
 	}
 }
 
-// send ships one drained batch, reporting whether the publisher is
-// still usable.
+// send ships one drained batch, releasing each frame once the
+// publisher has copied it or it is shed, and reports whether the
+// publisher is still usable.
 func (l *replicaLink) send(pub *gateway.Publisher, items []repItem) bool {
 	tr := l.r.tracer.Load()
 	for i, it := range items {
@@ -344,13 +359,12 @@ func (l *replicaLink) send(pub *gateway.Publisher, items []repItem) bool {
 				tr.Event(id, hop, it.sensor, "mirror", d)
 			}
 		}
+		it.f.Release()
 		l.r.replicated.Add(uint64(written))
 		if err != nil {
 			// This item's unwritten records plus everything behind it.
 			l.r.shed.Add(uint64(it.n - written))
-			for _, rest := range items[i+1:] {
-				l.r.shed.Add(uint64(rest.n))
-			}
+			l.shedAll(items[i+1:])
 			return false
 		}
 	}

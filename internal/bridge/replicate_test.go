@@ -1,0 +1,81 @@
+package bridge
+
+import (
+	"net"
+	"testing"
+	"time"
+
+	"jamm/internal/gateway"
+	"jamm/internal/ring"
+)
+
+// waitFor polls cond for up to five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// A replica link holds each forwarded frame by reference and gives the
+// reference back whether the frame was sent to a live replica or shed
+// against a dead one.
+func TestReplicaLinkReleasesFrames(t *testing.T) {
+	// A port nothing listens on.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+
+	for _, tc := range []struct {
+		name string
+		up   bool
+	}{{"replica up", true}, {"replica down", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := gateway.FramesRetained()
+			primary, psrv := startRemote(t)
+			replica, rsrv := startRemote(t)
+			target := dead
+			if tc.up {
+				target = rsrv.Addr()
+			}
+			rep := NewReplicator(psrv.Addr(), ring.New([]string{psrv.Addr(), target}, 16), 2,
+				ReplicatorOptions{BatchMax: 4, BatchWait: time.Millisecond, MinBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
+			primary.SetForwarder(rep)
+
+			// Frames reach the primary over the wire, so what Forward
+			// retains is the server reader's pooled buffer.
+			pub, err := gateway.NewClient("sensor", psrv.Addr()).NewBatchPublisher("", 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 200
+			for i := 0; i < n; i++ {
+				if err := pub.Publish("cpu@h1", mkRec("E", time.Duration(i)*time.Second, float64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := pub.Close(); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the primary to ingest", func() bool { return primary.Stats().Published == n })
+			if tc.up {
+				waitFor(t, "the replica to ingest", func() bool { return replica.Stats().Published == n })
+			} else {
+				waitFor(t, "the dead link to shed", func() bool { return rep.Stats().Shed == n })
+			}
+			rep.Close()
+			if st := rep.Stats(); st.Replicated+st.Shed != n {
+				t.Fatalf("replicated %d + shed %d != %d forwarded", st.Replicated, st.Shed, n)
+			}
+			// What is left is each gateway's last-frame stash.
+			primary.Unregister("cpu@h1")
+			replica.Unregister("cpu@h1")
+			waitFor(t, "the retained frames to be released", func() bool { return gateway.FramesRetained() == base })
+		})
+	}
+}

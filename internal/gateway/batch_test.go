@@ -138,9 +138,9 @@ func TestSubscribeBatchChanCountsPerRecordDrops(t *testing.T) {
 		t.Fatalf("onDrop total = %d, want 5", dropCb)
 	}
 	// The buffered batch is intact and owned by the receiver.
-	it, ok := sub.q.pop()
-	if !ok || it.tb.Sensor != "cpu@h" || len(it.tb.Recs) != 3 {
-		t.Fatalf("buffered batch = %v %q/%d", ok, it.tb.Sensor, len(it.tb.Recs))
+	its := sub.q.popAll(nil)
+	if len(its) != 1 || its[0].tb.Sensor != "cpu@h" || len(its[0].tb.Recs) != 3 {
+		t.Fatalf("buffered batches = %+v, want one of 3 records for cpu@h", its)
 	}
 	// Delivered counts include shed records; delivered - WireDrops is
 	// what actually crossed the queue.
@@ -167,10 +167,13 @@ func TestSubscribeBatchChanSplitsOversizedBatches(t *testing.T) {
 		}
 		// The two buffered chunks carry the batch's head, in order.
 		want := 0.0
-		for i := 0; i < 2; i++ {
-			it, ok := sub.q.pop()
-			if !ok || len(it.tb.Recs) != chanBatchMax {
-				t.Fatalf("frames=%v: chunk %d carries %d records (%v)", frames, i, len(it.tb.Recs), ok)
+		its := sub.q.popAll(nil)
+		if len(its) != 2 {
+			t.Fatalf("frames=%v: %d chunks buffered, want 2", frames, len(its))
+		}
+		for i, it := range its {
+			if len(it.tb.Recs) != chanBatchMax {
+				t.Fatalf("frames=%v: chunk %d carries %d records", frames, i, len(it.tb.Recs))
 			}
 			for k := range it.tb.Recs {
 				if v, _ := it.tb.Recs[k].Float("VAL"); v != want {

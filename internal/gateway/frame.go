@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"jamm/internal/ulm"
 )
@@ -90,13 +93,28 @@ var errFrameTooBig = errors.New("gateway: oversized wire frame")
 
 // Frame is one decoded v2 record-batch frame: the header fields plus
 // the raw bytes, kept so relays can forward the frame without touching
-// the record bodies. A Frame handed to a callback is borrowed (its
-// buffer is reused by the reader); Clone before retaining.
+// the record bodies. It is a handle on a reference-counted buffer, held
+// in one of three ways:
 //
-// The borrow contract is machine-checked: the framealias analyzer
-// (`go run ./cmd/jammlint ./...`) flags a Frame parameter — or its
-// Bytes() alias — stored, sent, or goroutine-captured without Clone()
-// (deliberate exceptions carry //jamm:frame-ok <why>).
+//   - Borrowed: a Frame handed to a callback (a stream's onFrame,
+//     PublishFrame, Forward) is valid until the call returns; the reader
+//     then drops its reference and the buffer goes back to its pool.
+//   - Retained: f.Retain() returns a new handle owning one reference to
+//     the same bytes, to Release exactly once. This is how subscriber
+//     queues, replica links and the last-frame stash keep a frame: one
+//     buffer per hop, no copy, unchanged however long it is held.
+//   - Private copy: f.Clone(). It need not be released.
+//
+// Only a sole owner writes. Relays mutate a frame before they share it
+// (Bridge.relay patches the reader's own frame, the replica flag is
+// patched in a Publisher's copy), and the mutators enforce it: on a
+// frame with other holders they move this handle to a private copy
+// first.
+//
+// The framealias analyzer (`go run ./cmd/jammlint ./...`) flags a Frame
+// parameter — or its Bytes() alias — stored, sent, or goroutine-captured
+// without Retain() or Clone(), and a Retain() whose handle is thrown
+// away (deliberate exceptions carry //jamm:frame-ok <why>).
 type Frame struct {
 	// Sensor is the bus topic every record of the frame was published
 	// under.
@@ -104,8 +122,110 @@ type Frame struct {
 	// Count is the record count declared by the frame header.
 	Count int
 
-	buf    []byte // full frame: 8-byte header + payload
-	recOff int    // offset of the first record byte within buf
+	buf    []byte    // full frame: 8-byte header + payload
+	recOff int       // offset of the first record byte within buf
+	mem    *frameBuf // the counted buffer buf lies in
+	pooled bool      // the handle is Retain's, from frameHandles
+}
+
+// frameBuf is the reference-counted buffer under one or more Frame
+// handles. Readers take theirs from pools of power-of-two size classes,
+// 64 B to 64 KiB, so a held frame pins at most twice its length; the
+// last Release puts it back. A frame above the largest class is
+// allocated exactly and left to the collector on release, like a
+// private copy: an 8 MiB frame pins 8 MiB only while somebody holds it.
+// sync.Pools are emptied by the collector, so idle buffers do not grow
+// the live heap.
+type frameBuf struct {
+	refs atomic.Int32
+	pool *sync.Pool // where the last release puts it; nil: nowhere
+	data []byte
+}
+
+var (
+	// framePools[c] holds buffers of 64<<c bytes: 64 B to 64 KiB.
+	framePools   [11]sync.Pool
+	frameHandles = sync.Pool{New: func() any { return new(Frame) }}
+	// framesRetained counts Retain handles not yet released.
+	framesRetained atomic.Int64
+)
+
+// FramesRetained reports how many handles Retain has given out in this
+// process and nobody has released yet: what queues, replica links and
+// stashes hold right now. A value that only grows is a leak.
+func FramesRetained() int { return int(framesRetained.Load()) }
+
+// getFrameBuf returns a buffer of at least n bytes holding one
+// reference, the caller's.
+func getFrameBuf(n int) *frameBuf {
+	var m *frameBuf
+	if c := max(bits.Len(uint(n-1)), 6) - 6; c >= len(framePools) {
+		m = &frameBuf{data: make([]byte, n)}
+	} else if m, _ = framePools[c].Get().(*frameBuf); m == nil {
+		m = &frameBuf{pool: &framePools[c], data: make([]byte, 64<<c)}
+	}
+	m.refs.Store(1)
+	return m
+}
+
+// release drops one reference. The last one spoils the frame's CRC
+// word, so bytes sent after their release fail the next hop's check.
+func (m *frameBuf) release() {
+	if m.refs.Add(-1) != 0 {
+		return
+	}
+	if len(m.data) >= wireFrameHdr {
+		binary.LittleEndian.PutUint32(m.data[4:], ^binary.LittleEndian.Uint32(m.data[4:]))
+	}
+	if m.pool != nil {
+		m.pool.Put(m)
+	}
+}
+
+// Retain returns a new handle on the frame's bytes, valid until its
+// Release whatever happens to f: a borrowed frame kept without a copy.
+func (f *Frame) Retain() *Frame {
+	f.mem.refs.Add(1)
+	framesRetained.Add(1)
+	h := frameHandles.Get().(*Frame)
+	*h = *f
+	h.pooled = true
+	return h
+}
+
+// Release gives up the handle's reference; the handle must not be used
+// again. A nil frame has nothing to release.
+func (f *Frame) Release() {
+	if f == nil || f.mem == nil {
+		return
+	}
+	m, pooled := f.mem, f.pooled
+	*f = Frame{}
+	if pooled {
+		framesRetained.Add(-1)
+		frameHandles.Put(f)
+	}
+	m.release()
+}
+
+// unshare makes the handle the sole holder of its bytes before a
+// mutator writes, by copying them if anyone else holds them.
+func (f *Frame) unshare() {
+	if f.mem.refs.Load() == 1 {
+		return
+	}
+	shared := f.mem
+	f.mem = privateFrameBuf(f.buf)
+	f.buf = f.mem.data
+	shared.release()
+}
+
+// privateFrameBuf returns an unpooled buffer holding a copy of b and
+// one reference.
+func privateFrameBuf(b []byte) *frameBuf {
+	m := &frameBuf{data: append([]byte(nil), b...)}
+	m.refs.Store(1)
+	return m
 }
 
 // Bytes returns the full wire encoding (header + payload). The slice
@@ -122,7 +242,8 @@ func (f *Frame) baseHops() int { return int(f.buf[wireFrameHdr+2]) }
 
 // SetHops patches the frame's hop counter in place and recomputes the
 // payload CRC — the relay mutation: one byte store plus one checksum
-// pass, never a record decode.
+// pass, never a record decode. Like every mutator it writes only bytes
+// no other handle shares.
 func (f *Frame) SetHops(h int) {
 	if h < 0 {
 		h = 0
@@ -130,6 +251,7 @@ func (f *Frame) SetHops(h int) {
 	if h > maxFrameHops {
 		h = maxFrameHops
 	}
+	f.unshare()
 	f.buf[wireFrameHdr+1] = byte(h)
 	binary.LittleEndian.PutUint32(f.buf[4:], crc32.ChecksumIEEE(f.buf[wireFrameHdr:]))
 }
@@ -222,6 +344,7 @@ func (f *Frame) BumpTrace() bool {
 		return false
 	}
 	hop++
+	f.unshare()
 	const hexDigits = "0123456789abcdef"
 	f.buf[off+17] = hexDigits[hop>>4]
 	f.buf[off+18] = hexDigits[hop&0xf]
@@ -238,6 +361,7 @@ func (f *Frame) Replica() bool { return f.buf[wireFrameHdr+3]&frameFlagReplica !
 // SetHops, so replication links can mark a relayed frame without
 // decoding it.
 func (f *Frame) SetReplica(on bool) {
+	f.unshare()
 	if on {
 		f.buf[wireFrameHdr+3] |= frameFlagReplica
 	} else {
@@ -246,11 +370,11 @@ func (f *Frame) SetReplica(on bool) {
 	binary.LittleEndian.PutUint32(f.buf[4:], crc32.ChecksumIEEE(f.buf[wireFrameHdr:]))
 }
 
-// Clone returns a copy of the frame backed by its own buffer.
+// Clone returns a private copy of the frame, backed by its own buffer:
+// for tests and tools. The delivery plane keeps frames with Retain.
 func (f *Frame) Clone() *Frame {
-	buf := make([]byte, len(f.buf))
-	copy(buf, f.buf)
-	return &Frame{Sensor: f.Sensor, Count: f.Count, buf: buf, recOff: f.recOff}
+	m := privateFrameBuf(f.buf)
+	return &Frame{Sensor: f.Sensor, Count: f.Count, buf: m.data, recOff: f.recOff, mem: m}
 }
 
 // Records decodes the frame's record bodies, appending to dst. The
@@ -260,7 +384,7 @@ func (f *Frame) Clone() *Frame {
 // individual count plus the hops they actually took, never a deeper
 // batchmate's total.
 //
-// The records alias nothing in the frame's buffer, which may be reused
+// The records alias nothing in the frame's buffer, which may be released
 // at once. They do share one string arena and one field slab (see
 // ulm.DecodeBinaryBatch): anything that keeps a record longer than its
 // batch keeps rec.Compact() instead.
@@ -418,16 +542,6 @@ func appendJSONFrame(dst []byte, data []byte) []byte {
 	dst, start := beginFrame(dst, frameOpJSON, 0)
 	dst = append(dst, data...)
 	return finishFrame(dst, start)
-}
-
-// parseBatchFrame parses a full batch frame (header + payload) whose
-// CRC has already been verified. The returned Frame borrows buf.
-func parseBatchFrame(buf []byte) (Frame, error) {
-	sensor, count, recOff, err := splitBatchFrame(buf)
-	if err != nil {
-		return Frame{}, err
-	}
-	return Frame{Sensor: string(sensor), Count: count, buf: buf, recOff: recOff}, nil
 }
 
 // splitBatchFrame locates the parts of a full batch frame: the sensor

@@ -175,8 +175,11 @@ func TestSubscriberWriteZeroAllocs(t *testing.T) {
 	var cdc wireCodec = newFrameCodec(nopConn{}, nil)
 	w := cdc.events("", sub)
 	raw := mustParseFrame(t, appendBatchFrame(nil, 0, "cpu@h1", fatRun(64, 12)))
+	var item frameItem
 	assertNoAllocs(t, "relay of a raw frame", func() {
-		if err := w.(frameRelay).relay(&raw); err != nil {
+		item.f = raw.Retain()
+		w.(frameRelay).relay(&item)
+		if err := w.commit(); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -184,6 +187,9 @@ func TestSubscriberWriteZeroAllocs(t *testing.T) {
 	assertNoAllocs(t, "two cooked frames", func() {
 		if wrote, err := w.add("cpu@h1", recs, 32); err != nil || !wrote || w.pending() != 0 {
 			t.Fatalf("wrote %v, pending %d, err %v", wrote, w.pending(), err)
+		}
+		if err := w.commit(); err != nil {
+			t.Fatal(err)
 		}
 	})
 	// And the publishing side of a relay: a record and a spliced frame

@@ -15,7 +15,10 @@ import (
 // bodies only when something actually needs records — a local bus
 // subscriber, a summary tap, an archiver, a JSON-protocol subscriber —
 // so a gateway in pure-relay position (a chained-site intermediate
-// hop) moves a frame for the cost of a CRC check and a memcpy.
+// hop) moves a frame for the cost of a CRC check: the reader's one
+// pooled buffer is what subscriber queues, replica links and the
+// last-frame stash hold, by counted reference (Frame.Retain), and what
+// a subscriber's writer hands to the socket.
 //
 // Locally published records still reach frame subscribers: Publish and
 // PublishBatch feed matching hub subscriptions with copied record
@@ -94,8 +97,9 @@ func (g *Gateway) feedFrameSubs(topic string, recs []ulm.Record) {
 // once — only when the record plane needs them (a bus subscriber, tap,
 // or summary matches the frame's sensor). A frame nobody needs decoded
 // is pure relay: producer accounting is updated from the header and
-// the bytes move on untouched. The frame is borrowed: its buffer may
-// be reused by the caller after return.
+// the bytes move on untouched. The frame is borrowed: whatever keeps it
+// past the call has retained it. Callers mutate it (hops, trace hop)
+// before they publish it, not after.
 func (g *Gateway) PublishFrame(f *Frame) error {
 	for _, s := range g.hub.load() {
 		if s.covers(f.Sensor) {
@@ -147,9 +151,10 @@ var frameScratch = sync.Pool{New: func() any { s := make([]ulm.Record, 0, 256); 
 // noteRelayed updates producer accounting for records that passed
 // through as raw frames: the publish total grows by the header count,
 // the sensor registers implicitly (host parsed from the conventional
-// sensor@host topic form), and the frame's bytes are stashed — a
-// memcpy, never a decode — so the last-event cache can be filled
-// lazily on the first Query instead of eagerly on every frame. A
+// sensor@host topic form), and the frame is stashed — a reference
+// swapped in under the shard lock, never a copy or a decode — so the
+// last-event cache can be filled lazily on the first Query instead of
+// eagerly on every frame. A
 // replica-flagged frame updates the same state but fires no
 // registration hooks and marks the entry mirrored, exactly like
 // PublishReplicaBatch.
@@ -177,7 +182,8 @@ func (g *Gateway) noteRelayed(f *Frame, replica bool) {
 		p.mirrored = false
 	}
 	p.published += uint64(f.Count)
-	p.lastFrame = append(p.lastFrame[:0], f.Bytes()...)
+	p.takeFrame().Release()
+	p.lastFrame = f.Retain()
 	p.gen++
 	ps.ver.Add(1)
 	fire := revived && !replica

@@ -21,6 +21,19 @@ func (g *Gateway) SubscribeFrames(req Request, depth int, onDrop func(n int)) (*
 	return sub, ch, err
 }
 
+// parseBatchFrame parses a full batch frame (header + payload) whose
+// CRC has already been verified into a Frame that is the sole holder of
+// buf.
+func parseBatchFrame(buf []byte) (Frame, error) {
+	sensor, count, recOff, err := splitBatchFrame(buf)
+	if err != nil {
+		return Frame{}, err
+	}
+	mem := &frameBuf{data: buf}
+	mem.refs.Store(1)
+	return Frame{Sensor: string(sensor), Count: count, buf: buf, recOff: recOff, mem: mem}, nil
+}
+
 // TestFrameIngestBusConsumerNoDoubleDelivery: when an ingested frame's
 // sensor has BOTH a frame-plane subscriber and a bus consumer, the
 // frame subscriber must receive the records exactly once (as the raw
@@ -111,10 +124,11 @@ func TestFrameQueueAdmitsOversizedFrame(t *testing.T) {
 	if b := sub.ChanBacklog(); b != 32 {
 		t.Fatalf("backlog = %d, want 32", b)
 	}
-	it, ok := sub.q.pop()
-	if !ok || it.f == nil || it.f.Count != 32 {
-		t.Fatalf("popped item = %+v, %v, want the 32-record frame", it, ok)
+	its := sub.q.popAll(nil)
+	if len(its) != 1 || its[0].f == nil || its[0].f.Count != 32 {
+		t.Fatalf("taken items = %+v, want the 32-record frame alone", its)
 	}
+	defer its[0].f.Release()
 	// Dequeued is not written: the records stay in the backlog until the
 	// consumer settles them.
 	if b := sub.ChanBacklog(); b != 32 {
@@ -124,7 +138,7 @@ func TestFrameQueueAdmitsOversizedFrame(t *testing.T) {
 	if b := sub.ChanBacklog(); b != 0 {
 		t.Fatalf("backlog after settle = %d, want 0", b)
 	}
-	if _, ok := sub.q.pop(); ok {
-		t.Fatal("queue holds a second item")
+	if more := sub.q.popAll(nil); len(more) != 0 {
+		t.Fatalf("queue holds %d more items", len(more))
 	}
 }

@@ -112,17 +112,29 @@ type producer struct {
 	last      map[string]ulm.Record
 	consumers int
 	published uint64
-	// lastFrame holds the most recent relayed frame's bytes when the
+	// lastFrame holds the most recent relayed frame, retained, when the
 	// sensor's records pass through undecoded (wire v2 relay): the
 	// last-event cache is then filled lazily, on the first Query, so
-	// the relay hot path pays a memcpy instead of a record decode.
-	lastFrame []byte
+	// the relay hot path pays a reference swap instead of a record
+	// decode. One frame per relayed sensor is pinned (at most twice its
+	// bytes, see frameBuf); whoever takes it out releases it — a counter
+	// and a pool, no bytes touched — and decodes it, if at all, outside
+	// the shard lock.
+	lastFrame *Frame
 	// gen counts cache-overwriting updates (publish, relay, unregister).
 	// Query decodes a pending lastFrame outside the shard lock — a frame
 	// can be megabytes — and folds the result in only if gen is
 	// unchanged, so a decode that raced a newer publish never clobbers
 	// fresher records.
 	gen uint64
+}
+
+// takeFrame moves the pending relayed frame, if any, out of the stash:
+// the caller's to Release.
+func (p *producer) takeFrame() *Frame {
+	f := p.lastFrame
+	p.lastFrame = nil
+	return f
 }
 
 // producerShards is the lock-domain count for per-sensor producer
@@ -379,7 +391,7 @@ func (g *Gateway) Unregister(sensorName string) {
 		// refuses non-live sensors): release it so a retained entry
 		// costs one small struct, not the sensor's whole event history.
 		p.last = make(map[string]ulm.Record)
-		p.lastFrame = nil
+		p.takeFrame().Release()
 		p.gen++
 		// Drop the entry outright only when nothing references it: no
 		// live subscriptions (their count must survive re-registration)
@@ -576,7 +588,7 @@ func (g *Gateway) Publish(sensorName string, rec ulm.Record) {
 	p.mirrored = false // a primary ingest: this gateway owns the sensor
 	p.published++
 	p.last[rec.Event] = rec
-	p.lastFrame = p.lastFrame[:0] // decoded record is newer than any pending frame
+	p.takeFrame().Release() // decoded record is newer than any pending frame
 	p.gen++
 	ps.ver.Add(1)
 	var meta Meta
@@ -695,7 +707,7 @@ func (g *Gateway) publishBatch(sensorName string, recs []ulm.Record, fromFrame, 
 	for i := range lasts {
 		p.last[lasts[i].Event] = lasts[i]
 	}
-	p.lastFrame = p.lastFrame[:0] // decoded records are newer than any pending frame
+	p.takeFrame().Release() // decoded records are newer than any pending frame
 	p.gen++
 	ps.ver.Add(1)
 	fire := revived && !replica
@@ -735,15 +747,12 @@ func compactLasts(dst, recs []ulm.Record) []ulm.Record {
 	return dst
 }
 
-// decodePending decodes a relayed frame stashed by noteRelayed into
-// what the last-event cache keeps of it. Callers run it outside the
-// shard lock — the frame can be megabytes.
-func (g *Gateway) decodePending(pending []byte) []ulm.Record {
-	f, err := parseBatchFrame(pending)
-	var recs []ulm.Record
-	if err == nil {
-		recs, err = f.Records(nil)
-	}
+// decodePending decodes a relayed frame taken out of noteRelayed's
+// stash into what the last-event cache keeps of it, and releases it.
+// Callers run it outside the shard lock — the frame can be megabytes.
+func (g *Gateway) decodePending(pending *Frame) []ulm.Record {
+	recs, err := pending.Records(nil)
+	pending.Release()
 	if err != nil {
 		g.frameDecodeErrs.Add(1)
 		return nil
@@ -923,9 +932,7 @@ func (g *Gateway) Query(principal, sensorName, event string) (ulm.Record, bool, 
 	// shard lock — publishes to every sensor on this shard would
 	// otherwise stall behind it — and fold the result in only if the
 	// cache wasn't overtaken (gen unchanged) while unlocked.
-	if len(p.lastFrame) > 0 {
-		pending := append([]byte(nil), p.lastFrame...)
-		p.lastFrame = p.lastFrame[:0]
+	if pending := p.takeFrame(); pending != nil {
 		gen := p.gen
 		ps.mu.Unlock()
 		recs := g.decodePending(pending)
@@ -999,9 +1006,7 @@ func (g *Gateway) Handoff(sensorName string) (st HandoffState, ok bool) {
 	}
 	// Materialize a pending relayed frame first, with the same
 	// decode-outside-the-lock dance as Query (the frame can be large).
-	if len(p.lastFrame) > 0 {
-		pending := append([]byte(nil), p.lastFrame...)
-		p.lastFrame = p.lastFrame[:0]
+	if pending := p.takeFrame(); pending != nil {
 		gen := p.gen
 		ps.mu.Unlock()
 		frecs := g.decodePending(pending)
@@ -1129,6 +1134,9 @@ func (s *Subscription) Cancel() {
 	}
 	if s.onCancel != nil {
 		s.onCancel()
+	}
+	if s.q != nil {
+		s.q.close()
 	}
 	s.g.addConsumer(consumerTopic(s.req), -1)
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // frameItem is one queued delivery: either a raw relayed frame or a
-// cooked batch of records (exactly one is set).
+// cooked batch of records (exactly one is set). A queued frame is
+// retained (Frame.Retain): whoever takes the item out releases it.
 type frameItem struct {
 	f  *Frame
 	tb TopicBatch
@@ -25,20 +26,22 @@ func (it frameItem) records() int {
 
 // subQueue is the one bounded buffer between the publish path and a
 // queued subscription's consumer — a wire connection's writer or
-// SubscribeFramesFunc's callback goroutine, which pops it directly. The
-// publish path pushes under a mutex and never blocks. What the budget
-// bounds is buffered RECORDS, not items: a slow consumer pins bounded
-// memory no matter how traffic is framed, and anything the budget
+// SubscribeFramesFunc's callback goroutine, which takes what is queued
+// directly. The publish path pushes under a mutex and never blocks. What
+// the budget bounds is buffered RECORDS, not items: a slow consumer pins
+// bounded memory no matter how traffic is framed (at most twice the
+// bytes of the frames admitted, see frameBuf), and anything the budget
 // refuses is shed — counted per record by the caller, never silently.
 type subQueue struct {
 	mu     sync.Mutex
 	items  []frameItem
 	recs   int // records queued, counted against budget
-	taken  int // records popped and not yet settled: in the consumer's hands
+	taken  int // records taken and not yet settled: in the consumer's hands
 	budget int
-	// ready holds a token whenever items may be queued: push leaves one,
-	// pop leaves one behind if more remain, so a consumer selecting on it
-	// beside its timer and shutdown signals never misses an item.
+	closed bool
+	// ready holds a token whenever items may be queued, so a consumer
+	// selecting on it beside its timer and shutdown signals never misses
+	// an item.
 	ready chan struct{}
 }
 
@@ -47,22 +50,28 @@ func newSubQueue(budget int) *subQueue {
 }
 
 // push admits one delivery, reporting whether the record budget allowed
-// it. The item is borrowed: its frame is cloned, its records copied, on
-// admit. An empty queue admits unconditionally — a relayed frame may
-// legally carry more records than the whole budget (maxBatchRecords vs
-// the wire depth of 256), and a strict check would shed every such
-// frame forever instead of applying slow-consumer backpressure. The
-// overshoot is bounded at one item: while it sits queued, recs exceeds
-// the budget and nothing else is admitted.
+// it. The item is borrowed: on admit its frame is retained — a
+// reference, not a copy — its records copied. An empty queue admits
+// unconditionally — a relayed frame may legally carry more records than
+// the whole budget (maxBatchRecords vs the wire depth of 256), and a
+// strict check would shed every such frame forever instead of applying
+// slow-consumer backpressure. The overshoot is bounded at one item:
+// while it sits queued, recs exceeds the budget and nothing else is
+// admitted. What reaches a closed queue, from a publish under way when
+// its subscription was cancelled, is discarded.
 func (q *subQueue) push(it frameItem) bool {
 	n := it.records()
 	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return true
+	}
 	if q.recs > 0 && q.recs+n > q.budget {
 		q.mu.Unlock()
 		return false
 	}
 	if it.f != nil {
-		it.f = it.f.Clone()
+		it.f = it.f.Retain()
 	} else {
 		recs := make([]ulm.Record, n)
 		copy(recs, it.tb.Recs)
@@ -71,47 +80,49 @@ func (q *subQueue) push(it frameItem) bool {
 	q.items = append(q.items, it)
 	q.recs += n
 	q.mu.Unlock()
-	q.signal()
-	return true
-}
-
-func (q *subQueue) signal() {
 	select {
 	case q.ready <- struct{}{}:
 	default:
 	}
+	return true
 }
 
-// pop takes the oldest item. Its records move from the budget to the
-// consumer's hands in the same critical section, so backlog never
-// reads zero while a dequeued record is unwritten.
-func (q *subQueue) pop() (frameItem, bool) {
+// popAll takes everything queued, oldest first; the frames' references
+// are now the consumer's to release. It trades for spare, the previous
+// take: zeroed, so a drained queue pins no frame or record, it becomes
+// the array the next pushes fill, and the two swap from then on without
+// allocating. The records move from the budget to the consumer's hands
+// in the same critical section, so backlog never reads zero while a
+// taken record is unwritten.
+func (q *subQueue) popAll(spare []frameItem) []frameItem {
+	clear(spare)
 	q.mu.Lock()
-	if len(q.items) == 0 {
-		q.mu.Unlock()
-		return frameItem{}, false
-	}
-	it := q.items[0]
-	q.items = q.items[1:]
-	more := len(q.items) > 0
-	if !more {
-		q.items = nil // let the backing array go
-	}
-	q.recs -= it.records()
-	q.taken += it.records()
+	items := q.items
+	q.items = spare[:0]
+	q.taken += q.recs
+	q.recs = 0
 	q.mu.Unlock()
-	if more {
-		q.signal()
-	}
-	return it, true
+	return items
 }
 
-// settle records that everything popped so far has left the consumer's
+// settle records that everything taken so far has left the consumer's
 // hands (written out, or counted as lost).
 func (q *subQueue) settle() {
 	q.mu.Lock()
 	q.taken = 0
 	q.mu.Unlock()
+}
+
+// close releases what is still queued when the subscription is
+// cancelled, and admits nothing more.
+func (q *subQueue) close() {
+	q.mu.Lock()
+	items := q.items
+	q.items, q.recs, q.closed = nil, 0, true
+	q.mu.Unlock()
+	for i := range items {
+		items[i].f.Release()
+	}
 }
 
 // backlog returns the records queued or in the consumer's hands.
@@ -193,9 +204,9 @@ func (s *Subscription) offerBatch(topic string, recs []ulm.Record) (admitted int
 
 // SubscribeFramesFunc opens a frame-plane subscription for in-process
 // relays outside this package (a forwarding daemon feeding a sharded
-// site): raw relayed frames reach onFrame (borrowed — Clone to retain),
-// cooked batches of locally published records reach onBatch (slice
-// borrowed — copy to retain). Both run on one dedicated goroutine, in
+// site): raw relayed frames reach onFrame (borrowed — Retain or Clone
+// to keep), cooked batches of locally published records reach onBatch
+// (slice borrowed — copy to retain). Both run on one dedicated goroutine, in
 // delivery order. Only pass-through requests qualify — anything needing
 // per-record filtering must ride the record plane. depth and onDrop are
 // subscribeQueued's. Cancel the returned subscription to stop it.
@@ -214,17 +225,18 @@ func (g *Gateway) SubscribeFramesFunc(req Request, depth int, onDrop func(n int)
 		close(quit)
 	}
 	go func() {
+		var burst []frameItem
 		for {
 			select {
 			case <-sub.q.ready:
-				it, ok := sub.q.pop()
-				if !ok {
-					continue
-				}
-				if it.f != nil {
-					onFrame(it.f)
-				} else {
-					onBatch(it.tb.Sensor, it.tb.Recs)
+				burst = sub.q.popAll(burst)
+				for i := range burst {
+					if it := &burst[i]; it.f != nil {
+						onFrame(it.f)
+						it.f.Release()
+					} else {
+						onBatch(it.tb.Sensor, it.tb.Recs)
+					}
 				}
 				sub.q.settle()
 			case <-quit:

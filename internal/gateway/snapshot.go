@@ -255,15 +255,14 @@ func (sc *snapshotCache) refreshShard(g *Gateway, i int, now time.Time) *shardSn
 	// only where no newer publish overtook the decode (gen unchanged).
 	type stash struct {
 		sensor string
-		frame  []byte
+		frame  *Frame
 		gen    uint64
 	}
 	var pending []stash
 	ps.mu.Lock()
 	for name, p := range ps.producers {
-		if p.live && len(p.lastFrame) > 0 {
-			pending = append(pending, stash{name, append([]byte(nil), p.lastFrame...), p.gen})
-			p.lastFrame = p.lastFrame[:0]
+		if p.live && p.lastFrame != nil {
+			pending = append(pending, stash{name, p.takeFrame(), p.gen})
 		}
 	}
 	ps.mu.Unlock()

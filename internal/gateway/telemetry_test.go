@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -167,5 +168,57 @@ func BenchmarkPublishInstrumented(b *testing.B) {
 	b.ReportMetric(perOpInst, "instr-ns/op")
 	if b.N >= 100 && perOpInst > perOpBare*1.05+50 {
 		b.Errorf("instrumented publish %.0f ns/op vs bare %.0f ns/op: tax above 5%%", perOpInst, perOpBare)
+	}
+}
+
+// TestWireStageCoversEveryFrameOfABurst: frames that leave in one
+// gathered write are each observed in the "wire" stage — every one of
+// them waited for that write — and each sampled frame, relayed or
+// cooked, still gets its own trace event.
+func TestWireStageCoversEveryFrameOfABurst(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	log := telemetry.NewTraceLog(16)
+	tr := telemetry.NewTracer("gw", 0, log)
+	tr.RegisterStages(reg, "wire")
+	g := New("gw", nil)
+	g.SetTracer(tr)
+	sub, err := g.subscribeQueued(Request{}, 0, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	w := newFrameCodec(nopConn{}, nil).events("", sub)
+
+	stamped := func(id uint64) ulm.Record {
+		rec := mkRec("E", 0, 1)
+		telemetry.StampTrace(&rec, id, 3)
+		return rec
+	}
+	if _, err := w.add("mem", []ulm.Record{stamped(0xc0)}, 64); err != nil { // a cooked partial
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		rec := mkRec("E", 0, float64(i))
+		if i == 2 {
+			rec = stamped(0xf2)
+		}
+		f := mustParseFrame(t, appendBatchFrame(nil, 0, "cpu", []ulm.Record{rec}))
+		w.(frameRelay).relay(&frameItem{f: f.Retain()})
+	}
+	if err := w.commit(); err != nil {
+		t.Fatal(err)
+	}
+	var metrics strings.Builder
+	if err := reg.WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if want := `jamm_trace_stage_latency_ns_count{stage="wire"} 5`; !strings.Contains(metrics.String(), want) {
+		t.Fatalf("the wire stage did not observe all 5 frames of the burst: no %q in\n%s", want, metrics.String())
+	}
+	for id, sensor := range map[uint64]string{0xc0: "mem", 0xf2: "cpu"} {
+		evs := log.Events(id)
+		if len(evs) != 1 || evs[0].Stage != "wire" || evs[0].Sensor != sensor || evs[0].Hop != 3 {
+			t.Fatalf("trace %x: events %+v, want one wire event for %s at hop 3", id, evs, sensor)
+		}
 	}
 }

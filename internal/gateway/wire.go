@@ -89,7 +89,8 @@ import (
 // slow-consumer drop counter ("drops") on every frame, so a mirror
 // downstream can see loss it never received. Binary framing sends one
 // frame per run of one sensor, forwards a relayed frame's bytes
-// untouched (timing the socket write as the telemetry "wire" stage),
+// untouched, puts everything a subscription has queued on the socket
+// with one gathered write (timed as the telemetry "wire" stage),
 // splices stored archive frames into history answers undecoded, and
 // reports drops on change in a control frame so relayed bytes need no
 // rewrite. The connection loop below owns the rest, once: negotiation,
@@ -847,55 +848,56 @@ func (c *serverConn) serveSubscribe(req wireRequest) {
 	}()
 	w := c.cdc.events(req.Format, sub)
 	relay, _ := w.(frameRelay) // nil when the framing subscribed cooked
-	var timer *time.Timer
-	var timerC <-chan time.Time
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, timerC = nil, nil
-		}
-	}
-	defer stopTimer()
+	// One timer for the pump's life, armed while a partial frame waits.
+	timer := time.NewTimer(batchWait)
+	timer.Stop()
+	defer timer.Stop()
+	armed := false
+	var burst []frameItem
 	for {
 		select {
 		case <-sub.q.ready:
-			it, ok := sub.q.pop()
-			if !ok {
-				continue
-			}
-			wrote := true
-			if it.f != nil {
-				// A raw relayed frame: flush the cooked partial first to
-				// preserve delivery order, then forward the bytes untouched
-				// — the zero-copy hot path. batch_max never re-batches
-				// these; re-framing is what binary framing avoids.
-				if err = w.flush(); err == nil {
-					err = relay.relay(it.f)
+			// Everything queued by now — typically one upstream flush —
+			// goes out together: the writer holds finished frames until
+			// commit. The pump never waits for more.
+			burst = sub.q.popAll(burst)
+			for i := range burst {
+				wrote := true
+				if it := &burst[i]; it.f != nil {
+					// A raw relayed frame is forwarded untouched — the
+					// zero-copy hot path — behind the cooked partial.
+					// batch_max never re-batches these; re-framing is what
+					// binary framing avoids.
+					relay.relay(it)
+				} else if wrote, err = w.add(it.tb.Sensor, it.tb.Recs, int(batchMax.Load())); err != nil {
+					// The window is re-read per delivered batch so a retune
+					// takes effect on the next frames. Only a framing that
+					// writes as it adds can fail here, and the queue of one
+					// that does holds no frames to release.
+					return
 				}
-			} else {
-				// The window is re-read per delivered batch so a retune
-				// takes effect on the next frames.
-				wrote, err = w.add(it.tb.Sensor, it.tb.Recs, int(batchMax.Load()))
+				if wrote && armed {
+					timer.Stop()
+					armed = false
+				}
 			}
-			if err != nil {
-				return
-			}
-			if wrote {
-				stopTimer()
-			}
-		case <-timerC:
-			timer, timerC = nil, nil
-			if w.flush() != nil {
-				return
-			}
+		case <-timer.C:
+			armed = false
+			err = w.flush()
 		case <-done:
+			return
+		}
+		if err == nil {
+			err = w.commit()
+		}
+		if err != nil {
 			return
 		}
 		if w.pending() == 0 {
 			sub.q.settle()
-		} else if timerC == nil {
-			timer = time.NewTimer(batchWait)
-			timerC = timer.C
+		} else if !armed {
+			timer.Reset(batchWait)
+			armed = true
 		}
 	}
 }

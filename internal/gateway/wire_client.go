@@ -402,9 +402,12 @@ type Publisher struct {
 	maxWait  time.Duration
 	bufRecs  int
 	bufBytes int
-	timer    *time.Timer
-	err      error
-	closed   bool
+	// timer is the publisher's one batch-wait timer, created on first
+	// use; armed says a flush is scheduled.
+	timer  *time.Timer
+	armed  bool
+	err    error
+	closed bool
 
 	// dropped counts records lost to a failed write: a flush error
 	// discards the whole buffered batch (records whose Publish already
@@ -548,8 +551,14 @@ func (p *Publisher) usableLocked() error {
 
 // armTimerLocked starts the batch-wait flush timer if configured.
 func (p *Publisher) armTimerLocked() {
-	if p.timer == nil && p.maxWait > 0 {
+	if p.armed || p.maxWait <= 0 {
+		return
+	}
+	p.armed = true
+	if p.timer == nil {
 		p.timer = time.AfterFunc(p.maxWait, func() { p.Flush() }) //nolint:errcheck
+	} else {
+		p.timer.Reset(p.maxWait)
 	}
 }
 
@@ -561,9 +570,9 @@ func (p *Publisher) Flush() error {
 }
 
 func (p *Publisher) flushLocked() error {
-	if p.timer != nil {
+	if p.armed {
 		p.timer.Stop()
-		p.timer = nil
+		p.armed = false
 	}
 	if p.err != nil {
 		return p.err
@@ -729,8 +738,9 @@ func (c *Client) SubscribeBatchStream(req Request, opts StreamOptions, fn func(s
 // binary frames without decoding their record bodies — the relay form:
 // a bridge in pure pass-through position forwards each frame's bytes
 // into the downstream gateway untouched. fn runs on the stream's
-// reader goroutine; the frame is borrowed (its buffer is reused for
-// the next frame), so callees that retain it must Clone. Returns
+// reader goroutine; the frame is borrowed (the reader releases its
+// buffer before the next frame), so callees that keep it must Retain —
+// or Clone, for a copy they may rewrite. Returns
 // ErrV2Unsupported when the server (or the client's Protocol pin)
 // cannot speak v2 — the caller's signal to fall back to a decoded
 // stream.

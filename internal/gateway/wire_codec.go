@@ -60,20 +60,26 @@ type frameSplicer interface {
 }
 
 // eventWriter builds and writes a subscription's outbound event frames.
+// A framing may hold finished frames back until commit, which the pump
+// calls once it has handed over everything that was queued: that is
+// what lets a burst leave in one write.
 type eventWriter interface {
-	// add appends a delivered batch to the open frame, writing frames out
-	// as they reach bm records, and reports whether it wrote any.
+	// add appends a delivered batch to the open frame, finishing frames
+	// as they reach bm records, and reports whether it finished any.
 	add(sensor string, recs []ulm.Record, bm int) (wrote bool, err error)
-	// pending is the number of records in the open, unwritten frame.
+	// pending is the number of records in the open, unfinished frame.
 	pending() int
-	// flush writes the open frame out.
+	// flush finishes the open frame.
 	flush() error
+	// commit writes out whatever finished frames are still held.
+	commit() error
 }
 
 // frameRelay is the eventWriter of a framing that forwards relayed
-// frames as raw bytes.
+// frames as raw bytes. relay finishes the open frame first and takes
+// the item's frame, with its reference, for commit to release.
 type frameRelay interface {
-	relay(f *Frame) error
+	relay(it *frameItem)
 }
 
 // pubBatch builds a Publisher's outbound frames.

@@ -133,6 +133,9 @@ func (w *lineEvents) flush() error {
 	return err
 }
 
+// commit has nothing to do: lines are written as they finish.
+func (w *lineEvents) commit() error { return nil }
+
 func (w *lineEvents) emit(resp wireResponse) error {
 	if w.drops != nil {
 		resp.Drops = w.drops()

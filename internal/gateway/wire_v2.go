@@ -23,19 +23,22 @@ func V2Format(format string) bool {
 	return format == "" || format == FormatULM || format == FormatBinary
 }
 
-// frameReader reads whole v2 frames from a buffered stream, reusing
-// one buffer: the returned slice is valid until the next call. Errors
-// split into three classes the callers handle differently — errBadFrame
+// frameReader reads whole v2 frames from a buffered stream, each into
+// a pooled, reference-counted buffer (see frameBuf) sized for it: the
+// returned slice — and the Frame batchFrame makes of it — is the
+// reader's until the next call, which releases it, so a connection
+// waiting for its next frame pins no frame memory. Errors split into
+// three classes the callers handle differently — errBadFrame
 // (CRC failure on a plausible length: the frame's bytes were consumed,
 // the stream is still in sync, skipping is safe), errFrameTooBig (the
 // length word itself is implausible: no resync point exists), and
 // transport errors (EOF, timeouts).
 type frameReader struct {
-	br  *bufio.Reader
-	buf []byte
+	br *bufio.Reader
 	// hdr and frame live here, not in next's and the read loops' stack
 	// frames, because both escape (through io.ReadFull and the frame
-	// callbacks) and would otherwise be allocated per frame. sensors
+	// callbacks) and would otherwise be allocated per frame. frame holds
+	// the reader's reference to the current message's buffer. sensors
 	// interns the sensor names seen on this connection, so a frame
 	// allocates its Sensor string only the first time the name appears.
 	hdr     [wireFrameHdr]byte
@@ -54,6 +57,7 @@ func newFrameReader(r io.Reader) *frameReader {
 }
 
 func (fr *frameReader) next() ([]byte, error) {
+	fr.frame.Release()
 	hdr := &fr.hdr
 	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
 		return nil, err
@@ -63,16 +67,17 @@ func (fr *frameReader) next() ([]byte, error) {
 		return nil, errFrameTooBig
 	}
 	need := wireFrameHdr + int(plen)
-	if cap(fr.buf) < need {
-		fr.buf = make([]byte, need)
-	}
-	buf := fr.buf[:need]
+	mem := getFrameBuf(need)
+	buf := mem.data[:need]
+	fr.frame = Frame{buf: buf, mem: mem}
 	copy(buf, hdr[:])
-	if _, err := io.ReadFull(fr.br, buf[wireFrameHdr:]); err != nil {
-		return nil, err
+	_, err := io.ReadFull(fr.br, buf[wireFrameHdr:])
+	if err == nil && crc32.ChecksumIEEE(buf[wireFrameHdr:]) != binary.LittleEndian.Uint32(hdr[4:]) {
+		err = errBadFrame
 	}
-	if crc32.ChecksumIEEE(buf[wireFrameHdr:]) != binary.LittleEndian.Uint32(hdr[4:]) {
-		return nil, errBadFrame
+	if err != nil {
+		fr.frame.Release()
+		return nil, err
 	}
 	return buf, nil
 }
@@ -92,7 +97,7 @@ func (fr *frameReader) batchFrame(buf []byte) (*Frame, error) {
 		name = string(sensor)
 		fr.sensors[name] = name
 	}
-	fr.frame = Frame{Sensor: name, Count: count, buf: buf, recOff: recOff}
+	fr.frame.Sensor, fr.frame.Count, fr.frame.recOff = name, count, recOff
 	return &fr.frame, nil
 }
 
@@ -205,14 +210,30 @@ func writeChunkedBatch(conn net.Conn, out *[]byte, sensor string, count int, rec
 // frameEvents writes a subscription's events as batch frames, one per
 // run of one sensor's records. Relayed frames pass through as the bytes
 // they arrived in; locally published records arrive cooked and are
-// encoded here, once per connection.
+// encoded here, once per connection. Nothing goes out as it is added:
+// sealed and relayed frames collect, in order, into a burst that commit
+// puts on the socket with one gathered write.
 type frameEvents struct {
 	c         *frameCodec
 	sub       *Subscription
-	out       []byte
 	cur       []ulm.Record
 	sensor    string
 	lastDrops uint64
+	// bufs lists the burst's frames for the gathered write, which
+	// consumes wv, its copy of the slice header. Cooked frames lie in
+	// out, relayed ones in the buffers held holds; flat is where a burst
+	// is joined for a connection that cannot gather.
+	bufs, wv  net.Buffers
+	out, flat []byte
+	held      []*Frame
+	traced    []wireTrace
+}
+
+// wireTrace is what the "wire" trace event of a sampled frame needs.
+type wireTrace struct {
+	sensor string
+	tid    uint64
+	hop    int
 }
 
 func (c *frameCodec) events(_ string, sub *Subscription) eventWriter {
@@ -221,18 +242,14 @@ func (c *frameCodec) events(_ string, sub *Subscription) eventWriter {
 
 func (w *frameEvents) add(sensor string, recs []ulm.Record, bm int) (wrote bool, err error) {
 	if sensor != w.sensor && len(w.cur) > 0 {
-		if err := w.flush(); err != nil {
-			return true, err
-		}
+		w.seal()
 		wrote = true
 	}
 	w.sensor = sensor
 	for i := range recs {
 		w.cur = append(w.cur, recs[i])
 		if len(w.cur) >= bm {
-			if err := w.flush(); err != nil {
-				return true, err
-			}
+			w.seal()
 			wrote = true
 		}
 	}
@@ -242,50 +259,88 @@ func (w *frameEvents) add(sensor string, recs []ulm.Record, bm int) (wrote bool,
 func (w *frameEvents) pending() int { return len(w.cur) }
 
 func (w *frameEvents) flush() error {
+	w.seal()
+	return nil
+}
+
+// seal finishes the open frame into the burst. Should out have to grow
+// for it, the frames sealed before stay where bufs found them.
+func (w *frameEvents) seal() {
 	if len(w.cur) == 0 {
-		return nil
+		return
 	}
-	w.out = appendBatchFrame(w.out[:0], batchHops(w.cur), w.sensor, w.cur)
+	start := len(w.out)
+	w.out = appendBatchFrame(w.out, batchHops(w.cur), w.sensor, w.cur)
+	w.bufs = append(w.bufs, w.out[start:])
 	// The trace attribute (if any) must be read before cur is reset.
-	tr := w.sub.g.tracer.Load()
-	var tid uint64
-	var hop int
-	traced := false
-	if tr != nil {
-		tid, hop, traced = telemetry.RecordTrace(w.cur)
+	if w.sub.g.tracer.Load() != nil {
+		if tid, hop, ok := telemetry.RecordTrace(w.cur); ok {
+			w.traced = append(w.traced, wireTrace{w.sensor, tid, hop})
+		}
 	}
 	w.cur = w.cur[:0]
-	return w.send(tr, w.out, w.sensor, tid, hop, traced)
 }
 
-func (w *frameEvents) relay(f *Frame) error {
-	tr := w.sub.g.tracer.Load()
-	var tid uint64
-	var hop int
-	traced := false
-	if tr != nil {
-		tid, hop, traced = f.Trace()
+// relay moves a queued item's relayed frame, reference and all, into
+// the burst behind the cooked partial, which is sealed first to preserve
+// delivery order.
+func (w *frameEvents) relay(it *frameItem) {
+	w.seal()
+	f := it.f
+	it.f = nil
+	w.bufs = append(w.bufs, f.Bytes())
+	w.held = append(w.held, f)
+	if w.sub.g.tracer.Load() != nil {
+		if tid, hop, ok := f.Trace(); ok {
+			w.traced = append(w.traced, wireTrace{f.Sensor, tid, hop})
+		}
 	}
-	return w.send(tr, f.Bytes(), f.Sensor, tid, hop, traced)
 }
 
-// send writes one event frame. The socket write is what the telemetry
-// "wire" stage times. Drops follow on change as a control frame rather
-// than piggybacked per frame, so relayed frames need no rewrite.
-func (w *frameEvents) send(tr *telemetry.Tracer, frame []byte, sensor string, tid uint64, hop int, traced bool) error {
+// commit writes the burst out — one writev on a TCP connection, one
+// joined write on anything else (TLS) — and releases its relayed
+// frames. The socket write is what the telemetry "wire" stage times,
+// for every frame of the burst: each waited for it. Drops follow on
+// change as a control frame rather than piggybacked per frame, so
+// relayed frames need no rewrite.
+func (w *frameEvents) commit() error {
+	n := len(w.bufs)
+	if n == 0 {
+		return nil
+	}
+	tr := w.sub.g.tracer.Load()
 	var w0 time.Time
 	if tr != nil {
 		w0 = time.Now()
 	}
-	if _, err := w.c.conn.Write(frame); err != nil {
-		return err
-	}
-	if tr != nil {
-		d := time.Since(w0)
-		tr.Observe("wire", d)
-		if traced {
-			tr.Event(tid, hop, sensor, "wire", d)
+	var err error
+	if _, gathers := w.c.conn.(*net.TCPConn); gathers || n == 1 {
+		w.wv = w.bufs
+		_, err = w.wv.WriteTo(w.c.conn)
+	} else {
+		w.flat = w.flat[:0]
+		for _, b := range w.bufs {
+			w.flat = append(w.flat, b...)
 		}
+		_, err = w.c.conn.Write(w.flat)
+	}
+	if err == nil && tr != nil {
+		d := time.Since(w0)
+		for range n {
+			tr.Observe("wire", d)
+		}
+		for _, t := range w.traced {
+			tr.Event(t.tid, t.hop, t.sensor, "wire", d)
+		}
+	}
+	for _, f := range w.held {
+		f.Release()
+	}
+	clear(w.bufs)
+	clear(w.held)
+	w.bufs, w.held, w.traced, w.out = w.bufs[:0], w.held[:0], w.traced[:0], w.out[:0]
+	if err != nil {
+		return err
 	}
 	if d := w.sub.WireDrops(); d != w.lastDrops {
 		w.lastDrops = d
