@@ -11,7 +11,7 @@ import (
 // always borrowed, never retained (bus package doc). A function that
 // receives a borrowed slice — a PublishBatch/AppendBatch-style
 // implementation, a callback registered through TapBatch/SubscribeBatch/
-// FollowBatch, or any function whose doc comment says its slice is
+// SubscribeSealed/FollowBatch, or any function whose doc comment says its slice is
 // borrowed — must not let the parameter slice outlive the call:
 //
 //   - no store into a struct field, map/slice element, dereference, or
@@ -47,6 +47,7 @@ var borrowedCallbackRegs = map[string]bool{
 	"TapBatch":             true,
 	"SubscribeBatch":       true,
 	"SubscribeBatchTopics": true,
+	"SubscribeSealed":      true,
 	"FollowBatch":          true,
 	"SubscribeFramesFunc":  true,
 	"ReplayBus":            true,

@@ -9,8 +9,10 @@ import (
 // handed to a function (parameter of type Frame or *Frame) is borrowed
 // — the producing reader releases its buffer to a pool after the call —
 // so the frame may not outlive the call without Retain() (a counted
-// reference to the shared bytes) or Clone() (a private copy). Flagged
-// retentions:
+// reference to the shared bytes) or Clone() (a private copy). The same
+// goes for a frame arriving as a bus.Sealed — the sealed parameter of a
+// bus.SubscribeSealed callback, or what s.(*gateway.Frame) unwraps from
+// it — which is kept with Hold(). Flagged retentions:
 //
 //   - storing the frame (or a composite containing it) into a field,
 //     map/slice element, dereference, or package-level variable,
@@ -19,7 +21,7 @@ import (
 //   - storing the raw f.Bytes() alias (append(dst, f.Bytes()...) and
 //     copy(dst, f.Bytes()) copy the bytes and stay silent).
 //
-// A value rooted in f.Retain() or f.Clone() is owned and always safe;
+// A value rooted in f.Retain(), f.Clone() or s.Hold() is owned and always safe;
 // other method calls on the frame (SetHops, Records, Count access)
 // neither retain nor launder it. The reference Retain takes lives in
 // the handle it returns, so a Retain() whose result is thrown away can
@@ -39,7 +41,7 @@ func runFrameAlias(pass *Pass) error {
 	for _, file := range pass.Files {
 		forEachFunc(file, func(fn funcBody) {
 			params := paramObjects(pass.TypesInfo, fn, func(t types.Type) bool {
-				return isNamedType(t, "gateway", "Frame")
+				return isNamedType(t, "gateway", "Frame") || isNamedType(t, "bus", "Sealed")
 			})
 			for _, p := range params {
 				checkFrameParam(pass, fn, p)
@@ -123,6 +125,8 @@ func frameEscapes(info *types.Info, expr ast.Expr, obj types.Object, insideCopy 
 		return frameEscapes(info, e.X, obj, insideCopy)
 	case *ast.StarExpr:
 		return frameEscapes(info, e.X, obj, insideCopy)
+	case *ast.TypeAssertExpr:
+		return frameEscapes(info, e.X, obj, insideCopy)
 	case *ast.CompositeLit:
 		for _, el := range e.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
@@ -151,7 +155,7 @@ func frameEscapes(info *types.Info, expr ast.Expr, obj types.Object, insideCopy 
 		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok &&
 			usesObjectAll(info, sel.X, obj) {
 			switch sel.Sel.Name {
-			case "Retain", "Clone":
+			case "Retain", "Clone", "Hold":
 				return false // an owned reference or copy: safe everywhere
 			case "Bytes":
 				return !insideCopy // raw buffer alias
@@ -191,7 +195,7 @@ func aliasType(t types.Type) bool {
 
 // frameEscapesNode is frameEscapes over an arbitrary subtree (a go
 // statement's call and closure body): any use of obj that is not a
-// Retain() or Clone() receiver escapes.
+// Retain(), Clone() or Hold() receiver escapes.
 func frameEscapesNode(info *types.Info, node ast.Node, obj types.Object) bool {
 	found := false
 	ast.Inspect(node, func(n ast.Node) bool {
@@ -200,7 +204,7 @@ func frameEscapesNode(info *types.Info, node ast.Node, obj types.Object) bool {
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok &&
-				usesObjectAll(info, sel.X, obj) && (sel.Sel.Name == "Retain" || sel.Sel.Name == "Clone") {
+				usesObjectAll(info, sel.X, obj) && (sel.Sel.Name == "Retain" || sel.Sel.Name == "Clone" || sel.Sel.Name == "Hold") {
 				// The receiver is laundered; arguments still scan.
 				for _, a := range call.Args {
 					if frameEscapesNode(info, a, obj) {

@@ -58,9 +58,11 @@ func handle(recs []Record) {
 	global = recs // want `borrowed slice "recs" is stored into global and outlives the call`
 }
 
+func SubscribeSealed(fn func(recs []Record, sealed any)) {}
+
 func register() {
 	TapBatch(handle)
-	TapBatch(func(recs []Record) {
+	SubscribeSealed(func(recs []Record, _ any) {
 		global = recs // want `borrowed slice "recs" is stored into global and outlives the call`
 	})
 }

@@ -3,6 +3,7 @@
 // Retain() or Clone(), and the handle Retain() returns must be kept.
 package framealias
 
+import "bus"
 import "gateway"
 
 type hub struct {
@@ -68,6 +69,13 @@ func (h *hub) sendRetained(f *gateway.Frame) {
 }
 
 func (h *hub) consume(f *gateway.Frame) {}
+
+// A frame arriving sealed, as in a bus.SubscribeSealed callback, is as
+// borrowed as any: unwrapping it does not own it, Hold() does.
+func (h *hub) keepSealed(s bus.Sealed) {
+	h.last = s.(*gateway.Frame) // want `borrowed frame "s" is stored into h.last without Retain\(\) or Clone`
+	h.last = s.Hold().(*gateway.Frame)
+}
 
 // annotated is the deliberate, justified exception.
 func (h *hub) annotated(f *gateway.Frame) {

@@ -3,6 +3,8 @@
 // stub exercises the same code path as the real one.
 package gateway
 
+import "bus"
+
 // Frame is a handle on a buffer the producing reader shares out by
 // reference.
 type Frame struct {
@@ -26,6 +28,9 @@ func (f *Frame) Retain() *Frame {
 	c := *f
 	return &c
 }
+
+// Hold is Retain, as bus.Sealed spells it.
+func (f *Frame) Hold() bus.Sealed { return f.Retain() }
 
 // Release gives the handle's reference up.
 func (f *Frame) Release() {}

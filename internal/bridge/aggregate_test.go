@@ -30,15 +30,17 @@ func TestAggregateMirrorEndToEnd(t *testing.T) {
 	var mu sync.Mutex
 	var aggRecs, rawRecs int
 	site := aggregate.NewSite()
-	local.SubscribeTopics("", nil, func(topic string, rec ulm.Record) {
+	local.SubscribeBatchTopics("", nil, func(topic string, recs []ulm.Record) {
 		mu.Lock()
 		defer mu.Unlock()
-		if strings.HasPrefix(topic, aggregate.TopicPrefix) {
-			site.Observe(rec)
-			aggRecs++
+		if !strings.HasPrefix(topic, aggregate.TopicPrefix) {
+			rawRecs += len(recs)
 			return
 		}
-		rawRecs++
+		for _, rec := range recs {
+			site.Observe(rec)
+			aggRecs++
+		}
 	})
 	if !br.WaitConnected(5 * time.Second) {
 		t.Fatal("bridge never connected")

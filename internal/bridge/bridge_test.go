@@ -69,10 +69,12 @@ func TestBridgeMirrorsRemoteTopics(t *testing.T) {
 	var mu sync.Mutex
 	var n int
 	var topics []string
-	local.SubscribeTopics("", nil, func(topic string, rec ulm.Record) {
+	local.SubscribeBatchTopics("", nil, func(topic string, recs []ulm.Record) {
 		mu.Lock()
-		n++
-		topics = append(topics, topic)
+		for range recs {
+			n++
+			topics = append(topics, topic)
+		}
 		mu.Unlock()
 	})
 	if !br.WaitConnected(5 * time.Second) {

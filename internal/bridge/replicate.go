@@ -218,9 +218,12 @@ type replicaLink struct {
 }
 
 // enqueue admits one borrowed item, retaining its frame, or sheds it.
+// An empty queue admits anything: a frame bigger than the whole budget
+// overshoots it by that one item — and nothing else gets in while it
+// sits — instead of being shed forever.
 func (l *replicaLink) enqueue(it repItem) {
 	l.mu.Lock()
-	if l.queued+it.n > l.r.opts.QueueRecords {
+	if l.queued > 0 && l.queued+it.n > l.r.opts.QueueRecords {
 		l.mu.Unlock()
 		l.r.shed.Add(uint64(it.n))
 		return

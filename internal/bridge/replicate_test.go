@@ -7,6 +7,7 @@ import (
 
 	"jamm/internal/gateway"
 	"jamm/internal/ring"
+	"jamm/internal/ulm"
 )
 
 // waitFor polls cond for up to five seconds.
@@ -78,4 +79,40 @@ func TestReplicaLinkReleasesFrames(t *testing.T) {
 			waitFor(t, "the retained frames to be released", func() bool { return gateway.FramesRetained() == base })
 		})
 	}
+}
+
+// TestReplicaLinkAdmitsOversizedFrame: a frame carrying more records
+// than the link's whole queue budget is admitted into an empty queue —
+// a one-item overshoot — and replicated, not shed forever.
+func TestReplicaLinkAdmitsOversizedFrame(t *testing.T) {
+	base := gateway.FramesRetained()
+	primary, psrv := startRemote(t)
+	replica, rsrv := startRemote(t)
+	rep := NewReplicator(psrv.Addr(), ring.New([]string{psrv.Addr(), rsrv.Addr()}, 16), 2,
+		ReplicatorOptions{QueueRecords: 8, BatchMax: 64, BatchWait: time.Millisecond})
+	primary.SetForwarder(rep)
+
+	const n = 32 // one frame, four times the budget
+	pub, err := gateway.NewClient("sensor", psrv.Addr()).NewBatchPublisher("", n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]ulm.Record, n)
+	for i := range recs {
+		recs[i] = mkRec("E", time.Duration(i)*time.Second, float64(i))
+	}
+	if _, err := pub.PublishBatch("cpu@h1", recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the replica to ingest", func() bool { return replica.Stats().Published == n })
+	rep.Close()
+	if st := rep.Stats(); st.Shed != 0 || st.Replicated != n {
+		t.Fatalf("replicated %d, shed %d, want %d and 0", st.Replicated, st.Shed, n)
+	}
+	primary.Unregister("cpu@h1")
+	replica.Unregister("cpu@h1")
+	waitFor(t, "the retained frames to be released", func() bool { return gateway.FramesRetained() == base })
 }

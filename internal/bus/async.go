@@ -3,13 +3,15 @@ package bus
 import "jamm/internal/ulm"
 
 // asyncItem is one queued publish — a single record, a batch (recs
-// non-nil, owned by the queue), or a flush barrier token when flush is
-// non-nil.
+// non-nil, owned by the queue), a sealed batch (a held reference the
+// worker releases after delivery, beside recs, its decoded form or nil),
+// or a flush barrier token when flush is non-nil.
 type asyncItem struct {
-	topic string
-	rec   ulm.Record
-	recs  []ulm.Record
-	flush chan<- struct{}
+	topic  string
+	rec    ulm.Record
+	recs   []ulm.Record
+	sealed Sealed
+	flush  chan<- struct{}
 }
 
 // asyncCoalesceMax is the ceiling on how many queued records a worker
@@ -55,9 +57,10 @@ func (b *Bus) StartAsync(queueLen int) {
 
 // drain delivers one shard queue. It coalesces consecutive same-topic
 // records into one batch per delivery, stopping a batch at a topic
-// change, a flush token, or its adaptive target — so the Flush barrier
-// still means "everything enqueued before the token has been
-// delivered", and per-topic order is untouched.
+// change, a flush token, a sealed batch (delivered alone, as it was
+// published), or its adaptive target — so the Flush barrier still means
+// "everything enqueued before the token has been delivered", and
+// per-topic order is untouched.
 //
 // The target is the live backlog observed when the batch starts
 // (clamped to the asyncCoalesceMax ceiling), not the ceiling itself:
@@ -86,6 +89,12 @@ func (b *Bus) drain(q chan asyncItem) {
 			it.flush <- struct{}{}
 			continue
 		}
+		if it.sealed != nil {
+			b.noteAsyncBatch(it.sealed.Len())
+			b.deliverBatch(it.topic, it.recs, nil, it.sealed)
+			it.sealed.Release()
+			continue
+		}
 		buf = buf[:0]
 		if it.recs != nil {
 			buf = append(buf, it.recs...)
@@ -109,9 +118,10 @@ func (b *Bus) drain(q chan asyncItem) {
 					closed = true
 					break coalesce
 				}
-				if next.flush != nil || next.topic != it.topic {
-					// A barrier or another topic: deliver what we have
-					// first, then handle it, preserving queue order.
+				if next.flush != nil || next.sealed != nil || next.topic != it.topic {
+					// A barrier, a sealed batch or another topic: deliver
+					// what we have first, then handle it, preserving queue
+					// order.
 					pending, havePending = next, true
 					break coalesce
 				}
@@ -125,7 +135,7 @@ func (b *Bus) drain(q chan asyncItem) {
 			}
 		}
 		b.noteAsyncBatch(len(buf))
-		b.deliverBatch(it.topic, buf, nil)
+		b.deliverBatch(it.topic, buf, nil, nil)
 		if closed {
 			return
 		}

@@ -148,21 +148,22 @@ func TestTapBatchObservesWithoutCounting(t *testing.T) {
 	var n int
 	b.Subscribe("cpu", nil, func(ulm.Record) { n++ })
 	b.PublishBatch("cpu", batchOf(4))
+	b.Publish("cpu", rec("E")) // a batch of one
 	b.Publish("mem", rec("F")) // outside the tap's topic
-	if tapped != 4 || topics != 1 {
+	if tapped != 5 || topics != 2 {
 		t.Fatalf("tap saw %d records, %d topical batches", tapped, topics)
 	}
-	if st := b.Stats(); st.Delivered != 4 {
+	if st := b.Stats(); st.Delivered != 5 {
 		t.Fatalf("tap distorted stats: %+v", st)
 	}
 	if !tap.Cancel() {
 		t.Fatal("tap cancel failed")
 	}
 	b.PublishBatch("cpu", batchOf(2))
-	if tapped != 4 {
+	if tapped != 5 {
 		t.Fatal("tap observed after cancel")
 	}
-	if n != 6 {
+	if n != 7 {
 		t.Fatalf("subscriber got %d", n)
 	}
 }
@@ -397,5 +398,143 @@ func TestPublishBatchZeroAllocs(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("nothing delivered")
+	}
+}
+
+// testSealed is a Sealed of n records that counts its outstanding holds.
+type testSealed struct {
+	n    int
+	held *atomic.Int64
+}
+
+func (s testSealed) Len() int     { return s.n }
+func (s testSealed) Hold() Sealed { s.held.Add(1); return s }
+func (s testSealed) Release()     { s.held.Add(-1) }
+
+// A sealed publish is one id-ordered pass: sealed subscribers get the
+// sealed form, everyone else the records beside it — or nothing, when
+// the publisher did not decode — and NeedsRecords tells the publisher
+// which it will be.
+func TestPublishSealedOnePass(t *testing.T) {
+	b := New(Options{})
+	var order []string
+	note := func(tag string) func(string, []ulm.Record, Sealed) {
+		return func(topic string, recs []ulm.Record, s Sealed) {
+			if s != nil {
+				order = append(order, fmt.Sprintf("%s:%s:sealed%d", tag, topic, s.Len()))
+			} else {
+				order = append(order, fmt.Sprintf("%s:%s:recs%d", tag, topic, len(recs)))
+			}
+		}
+	}
+	rec1 := b.SubscribeBatchTopics("cpu", nil, func(topic string, recs []ulm.Record) { note("1")(topic, recs, nil) })
+	s2 := b.SubscribeSealed("cpu", note("2"))
+	odd := func(_ string, r ulm.Record) Decision {
+		if v, _ := r.Get("SEQ"); v == "1" {
+			return Deliver
+		}
+		return Suppress
+	}
+	rec3 := b.SubscribeBatchTopics("", odd, func(topic string, recs []ulm.Record) { note("3")(topic, recs, nil) })
+	b.SubscribeSealed("", note("4"))
+	b.SubscribeSealed("mem", note("5")) // another topic: never matched
+	if !b.NeedsRecords("cpu") || !b.NeedsRecords("mem") {
+		t.Fatal("NeedsRecords false beside record subscribers")
+	}
+	var held atomic.Int64
+	var observed []int
+	b.SetDeliverObserver(func(n int, _ time.Duration) { observed = append(observed, n) })
+	b.PublishSealed("cpu", testSealed{3, &held}, batchOf(3))
+	b.PublishBatch("cpu", batchOf(2))
+	rec1.Cancel()
+	rec3.Cancel()
+	if b.NeedsRecords("cpu") {
+		t.Fatal("NeedsRecords true with only sealed subscribers left")
+	}
+	b.PublishSealed("cpu", testSealed{3, &held}, nil)
+	want := []string{
+		"1:cpu:recs3", "2:cpu:sealed3", "3:cpu:recs1", "4:cpu:sealed3",
+		"1:cpu:recs2", "2:cpu:recs2", "3:cpu:recs1", "4:cpu:recs2",
+		"2:cpu:sealed3", "4:cpu:sealed3",
+	}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v\nwant    %v", order, want)
+	}
+	if d, _ := s2.Counts(); d != 8 {
+		t.Fatalf("sealed subscriber counted %d delivered, want 8", d)
+	}
+	if st := b.Stats(); st.Published != 8 || st.Delivered != 3+3+1+3+2+2+1+2+3+3 || st.Suppressed != 3 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if held.Load() != 0 {
+		t.Fatalf("synchronous delivery held %d references", held.Load())
+	}
+	// The observer times the passes that carried records, not the bare
+	// hand-off of an undecoded sealed batch.
+	if fmt.Sprint(observed) != "[3 2]" {
+		t.Fatalf("observer saw passes of %v records, want [3 2]", observed)
+	}
+}
+
+// A record subscriber that registered after the publisher asked
+// NeedsRecords is not handed a batch nobody decoded.
+func TestPublishSealedUndecodedSkipsRecordSubscribers(t *testing.T) {
+	b := New(Options{})
+	var held atomic.Int64
+	called := false
+	b.SubscribeBatch("cpu", nil, func([]ulm.Record) { called = true })
+	b.PublishSealed("cpu", testSealed{3, &held}, nil)
+	if called {
+		t.Fatal("record subscriber called with no records")
+	}
+	if st := b.Stats(); st.Published != 3 || st.Delivered != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// In async mode a sealed batch is queued by reference, delivered alone
+// in publish order with the topic's other batches, and released.
+func TestAsyncPublishSealedHoldsOrdersReleases(t *testing.T) {
+	b := New(Options{Shards: 1})
+	var held atomic.Int64
+	var mu sync.Mutex
+	var got []string
+	entered, release := make(chan struct{}), make(chan struct{})
+	first := true
+	b.SubscribeSealed("cpu", func(_ string, recs []ulm.Record, s Sealed) {
+		if first {
+			first = false
+			close(entered)
+			<-release // stall the worker so the rest queue up behind it
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if s != nil {
+			got = append(got, fmt.Sprintf("sealed%d", s.Len()))
+		} else {
+			got = append(got, fmt.Sprintf("recs%d", len(recs)))
+		}
+	})
+	b.StartAsync(64)
+	defer b.StopAsync()
+	b.Publish("cpu", recN("E", 0))
+	<-entered
+	b.Publish("cpu", recN("E", 1))
+	b.Publish("cpu", recN("E", 2))
+	b.PublishSealed("cpu", testSealed{5, &held}, nil)
+	b.PublishSealed("cpu", testSealed{6, &held}, nil)
+	b.PublishBatch("cpu", batchOf(3))
+	if held.Load() != 2 {
+		t.Fatalf("queue holds %d references, want 2", held.Load())
+	}
+	close(release)
+	b.Flush()
+	mu.Lock()
+	defer mu.Unlock()
+	if want := "[recs1 recs2 sealed5 sealed6 recs3]"; fmt.Sprint(got) != want {
+		t.Fatalf("delivered %v, want %s", got, want)
+	}
+	if held.Load() != 0 {
+		t.Fatalf("%d references still held after delivery", held.Load())
 	}
 }

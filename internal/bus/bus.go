@@ -16,6 +16,17 @@
 //     batch-of-one over the same path — there is exactly one delivery
 //     implementation. Hooks still run per record, so delivery policies
 //     (on-change, threshold) see every sample.
+//   - A batch may also travel sealed: an encoded form (the gateway's
+//     wire frame) the bus moves without looking inside. PublishSealed
+//     hands the Sealed to the subscribers that asked for it
+//     (SubscribeSealed — hookless by construction, since a hook needs
+//     records) and the records the caller decoded from it to everyone
+//     else, in the same id-ordered pass, so one index holds every
+//     subscriber and a batch has one place to be delivered from. The
+//     caller decodes only when NeedsRecords says somebody matched wants
+//     records; a record subscriber that registers between that check
+//     and the publish misses that one batch, a sealed one that does
+//     still gets it.
 //   - The steady-state delivery path is amortized zero-allocation: the
 //     per-publish scratch (matched subscribers + filtered sub-batches)
 //     is pooled, subscriber lists are kept in subscription-id order at
@@ -48,6 +59,7 @@
 package bus
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -151,8 +163,8 @@ type Bus struct {
 	workers sync.WaitGroup
 
 	// deliverObs, when set (SetDeliverObserver), is called after every
-	// deliverBatch with the batch size and the time the delivery pass
-	// took — the telemetry plane's bus-stage latency tap. Disabled, the
+	// deliverBatch of records with the batch size and the time the
+	// delivery pass took — the telemetry plane's bus-stage latency tap. Disabled, the
 	// hot path pays one atomic load.
 	deliverObs atomic.Pointer[func(recs int, d time.Duration)]
 }
@@ -193,26 +205,29 @@ func (b *Bus) shard(topic string) *shard {
 // Shards returns the shard count.
 func (b *Bus) Shards() int { return len(b.shards) }
 
-// HasConsumers reports whether any subscription, tap, or wildcard
-// observer would see a publish of topic — the predicate the gateway's
-// zero-copy frame relay uses to decide whether a received frame must
-// be decoded into records at all. One atomic load plus a scan of the
-// (typically tiny) wildcard set plus, when that matches nothing, one
-// shard-map lookup. Prefix subscriptions live in the wildcard set but
-// count only for topics under their prefix, so a relay hop carrying an
-// `_agg/`-scoped mirror still forwards ordinary sensor frames
-// undecoded.
-func (b *Bus) HasConsumers(topic string) bool {
+// NeedsRecords reports whether any subscriber a publish of topic would
+// match takes records rather than the sealed form — a plain or hooked
+// subscription, a tap, a wildcard or matching prefix observer. It is
+// the predicate the gateway's zero-copy frame relay uses to decide
+// whether a received frame must be decoded at all: one atomic load and
+// a scan of the (typically tiny) wildcard set plus, when that settles
+// nothing, the topic's own list under its shard lock. Subscriptions to
+// other topics cost nothing.
+func (b *Bus) NeedsRecords(topic string) bool {
 	for _, s := range b.loadWildcard() {
-		if !s.prefix || strings.HasPrefix(topic, s.topic) {
+		if s.fnS == nil && (!s.prefix || strings.HasPrefix(topic, s.topic)) {
 			return true
 		}
 	}
 	sh := b.shard(topic)
 	sh.mu.Lock()
-	n := len(sh.topics[topic])
-	sh.mu.Unlock()
-	return n > 0
+	defer sh.mu.Unlock()
+	for _, s := range sh.topics[topic] {
+		if s.fnS == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // ShardOf returns the shard index a topic routes to.
@@ -231,7 +246,8 @@ func (b *Bus) Stats() Stats {
 }
 
 // SetDeliverObserver installs (or, with nil, removes) a callback run
-// after every delivery pass with the batch size and the pass duration —
+// after every delivery pass that carries records (not one that only
+// hands a sealed batch on) with the batch size and the pass duration —
 // the telemetry plane's bus-stage latency tap. The observer runs on
 // publishing and async-worker goroutines and must be cheap and
 // non-blocking (a histogram observe, not I/O).
@@ -255,13 +271,15 @@ type Subscription struct {
 	prefix bool
 	hook   Hook
 	// fnB is the delivery callback — every subscription delivers
-	// batches. The single-record Subscribe/SubscribeTopics entry points
-	// wrap their callbacks in a record loop at subscribe time, so the
-	// publish path has exactly one delivery shape. nil = tap (observes
-	// via hook, never delivers).
+	// batches. The single-record Subscribe entry point wraps its callback
+	// in a record loop at subscribe time, so the publish path has exactly
+	// one delivery shape for records.
 	fnB func(topic string, recs []ulm.Record)
-	// silent marks an observer (Tap/TapBatch): it receives records (or
-	// runs its hook) but never touches delivery counters.
+	// fnS is set on SubscribeSealed subscriptions: a sealed publish
+	// reaches them through it, undecoded.
+	fnS func(topic string, recs []ulm.Record, s Sealed)
+	// silent marks an observer (TapBatch): it receives records but never
+	// touches delivery counters.
 	silent bool
 
 	// mu serializes hook invocations for wildcard subscriptions, whose
@@ -297,23 +315,6 @@ func (b *Bus) Subscribe(topic string, hook Hook, fn func(ulm.Record)) *Subscript
 		fnB: func(_ string, recs []ulm.Record) {
 			for i := range recs {
 				fn(recs[i])
-			}
-		}}
-	b.insert(s)
-	return s
-}
-
-// SubscribeTopics is Subscribe with a topic-aware callback: fn receives
-// the topic a record was published under beside the record itself.
-// Transports that mirror a bus elsewhere (the gateway wire protocol,
-// the bus-to-bus bridge) need the topic to republish under the same
-// name; plain consumers should use Subscribe. Like Subscribe, it is an
-// adapter over the batch delivery path.
-func (b *Bus) SubscribeTopics(topic string, hook Hook, fn func(topic string, rec ulm.Record)) *Subscription {
-	s := &Subscription{id: b.nextID.Add(1), bus: b, topic: topic, hook: hook,
-		fnB: func(t string, recs []ulm.Record) {
-			for i := range recs {
-				fn(t, recs[i])
 			}
 		}}
 	b.insert(s)
@@ -357,17 +358,28 @@ func (b *Bus) SubscribeBatchTopicsPrefix(prefix string, hook Hook, fn func(topic
 	return s
 }
 
-// Tap registers a silent observer of one topic ("" = every topic): tap
-// runs where a hook would — serialized per subscription, before
-// delivery — but never receives deliveries and never affects counters.
-func (b *Bus) Tap(topic string, tap func(topic string, rec ulm.Record)) *Subscription {
-	s := &Subscription{
-		id: b.nextID.Add(1), bus: b, topic: topic, silent: true,
-		hook: func(t string, rec ulm.Record) Decision {
-			tap(t, rec)
-			return Skip
-		},
-	}
+// Sealed is a batch of one topic's records in an encoded form the bus
+// moves without looking inside — the gateway's wire frame. A Sealed
+// handed to a callback or to PublishSealed is borrowed: valid until the
+// call returns. Whatever keeps it longer keeps what Hold returns, a
+// counted reference to the same bytes, and gives it up with Release.
+type Sealed interface {
+	// Len returns the number of records in the batch.
+	Len() int
+	// Hold returns a new reference to the batch, valid until its Release.
+	Hold() Sealed
+	// Release gives up a reference Hold returned.
+	Release()
+}
+
+// SubscribeSealed registers a subscriber that takes batches sealed:
+// what PublishSealed publishes reaches fn as s with recs nil, what
+// Publish and PublishBatch publish as recs with s nil. Both are
+// borrowed — copy recs, Hold s, to keep them past the call. There is no
+// hook, since a hook needs records. topic "" subscribes to every topic.
+func (b *Bus) SubscribeSealed(topic string, fn func(topic string, recs []ulm.Record, s Sealed)) *Subscription {
+	s := &Subscription{id: b.nextID.Add(1), bus: b, topic: topic, fnS: fn,
+		fnB: func(t string, recs []ulm.Record) { fn(t, recs, nil) }}
 	b.insert(s)
 	return s
 }
@@ -376,9 +388,9 @@ func (b *Bus) Tap(topic string, tap func(topic string, rec ulm.Record)) *Subscri
 // published batch of the topic ("" = every topic) in one call, outside
 // the bus locks, without affecting delivery counters. The gateway's
 // summary folding rides this — one tap invocation (and one state lock)
-// per batch instead of per record. Unlike Tap, the tap runs where
-// deliveries do (outside the shard lock), so concurrent publishers of
-// one topic may invoke it concurrently; taps carrying state must lock.
+// per batch instead of per record. The tap runs where deliveries
+// do (outside the shard lock), so concurrent publishers of one topic
+// may invoke it concurrently; taps carrying state must lock.
 func (b *Bus) TapBatch(topic string, tap func(topic string, recs []ulm.Record)) *Subscription {
 	s := &Subscription{id: b.nextID.Add(1), bus: b, topic: topic, silent: true, fnB: tap}
 	b.insert(s)
@@ -453,15 +465,21 @@ func (s *Subscription) Cancel() bool {
 }
 
 // matchEntry carries one matched subscriber from the locked evaluation
-// phase to the unlocked delivery phase, together with which records of
-// the batch it receives: the whole batch (full), or the filtered
-// sub-batch scratch.filtered[off:off+n] its hook delivered.
+// phase to the unlocked delivery phase, together with what of the batch
+// it receives: the filtered sub-batch scratch.filtered[off:off+n] its
+// hook delivered (the zero shape), the whole batch as records, or the
+// whole batch sealed.
 type matchEntry struct {
-	sub  *Subscription
-	full bool
-	off  int
-	n    int
+	sub   *Subscription
+	shape uint8
+	off   int
+	n     int
 }
+
+const (
+	whole uint8 = iota + 1
+	wholeSealed
+)
 
 // pubScratch is the pooled per-publish scratch that keeps the
 // steady-state delivery path allocation-free at any fan-out and batch
@@ -507,7 +525,7 @@ func (b *Bus) Publish(topic string, rec ulm.Record) {
 	// record travels by reference so the no-subscriber fast path never
 	// copies it (it is copied into pooled scratch only once a
 	// subscriber exists).
-	b.deliverBatch(topic, nil, &rec)
+	b.deliverBatch(topic, nil, &rec, nil)
 }
 
 // PublishBatch feeds a batch of records of one topic to every matching
@@ -527,30 +545,53 @@ func (b *Bus) PublishBatch(topic string, recs []ulm.Record) {
 		return
 	}
 	if qp := b.queues.Load(); qp != nil {
-		cp := make([]ulm.Record, len(recs))
-		copy(cp, recs)
-		(*qp)[HashTopic(topic)&b.mask] <- asyncItem{topic: topic, recs: cp}
+		it := asyncItem{topic: topic}
+		if len(recs) == 1 {
+			it.rec = recs[0] // as Publish queues it: no slice to allocate
+		} else {
+			it.recs = slices.Clone(recs)
+		}
+		(*qp)[HashTopic(topic)&b.mask] <- it
 		return
 	}
-	b.deliverBatch(topic, recs, nil)
+	b.deliverBatch(topic, recs, nil, nil)
+}
+
+// PublishSealed feeds one sealed batch of topic to every matching
+// subscriber: SubscribeSealed subscribers receive sealed itself,
+// everyone else recs — the same batch, decoded by the caller, or nil
+// when NeedsRecords(topic) said nobody wants records. Both are borrowed.
+// In async mode the queue holds sealed by reference (and a copy of recs)
+// until the worker has delivered it, in publish order with the topic's
+// other batches.
+func (b *Bus) PublishSealed(topic string, sealed Sealed, recs []ulm.Record) {
+	if qp := b.queues.Load(); qp != nil {
+		(*qp)[HashTopic(topic)&b.mask] <- asyncItem{topic: topic, recs: slices.Clone(recs), sealed: sealed.Hold()}
+		return
+	}
+	b.deliverBatch(topic, recs, nil, sealed)
 }
 
 // deliverBatch is the one delivery implementation: evaluate hooks under
 // the shard lock (and per-subscription locks for wildcards), building
 // each subscriber's sub-batch, then deliver outside all locks so
-// callbacks may re-enter the bus. Exactly one of recs/single is set:
-// a nil recs means a batch of one held in *single, materialized into
-// pooled scratch only once a subscriber exists.
-func (b *Bus) deliverBatch(topic string, recs []ulm.Record, single *ulm.Record) {
+// callbacks may re-enter the bus. The batch is recs, or the one record
+// in *single (materialized into pooled scratch only once a subscriber
+// exists), or sealed — with recs its decoded form, nil when the
+// publisher did not decode it, in which case only sealed subscribers
+// are served.
+func (b *Bus) deliverBatch(topic string, recs []ulm.Record, single *ulm.Record, sealed Sealed) {
 	n := len(recs)
 	if single != nil {
 		n = 1
+	} else if sealed != nil {
+		n = sealed.Len()
 	}
 	b.published.Add(uint64(n))
-	if obs := b.deliverObs.Load(); obs != nil {
+	if obs := b.deliverObs.Load(); obs != nil && (single != nil || len(recs) > 0) {
 		// The defer covers both the no-subscriber early return and the
-		// normal exit; its closure allocation is paid only with an
-		// observer attached.
+		// normal exit. A pass that only hands a sealed batch on is not
+		// timed: two clock reads would double what it costs.
 		t0 := time.Now()
 		defer func() { (*obs)(n, time.Since(t0)) }()
 	}
@@ -589,32 +630,31 @@ func (b *Bus) deliverBatch(topic string, recs []ulm.Record, single *ulm.Record) 
 				continue
 			}
 		}
+		shape := whole
+		if sealed != nil && s.fnS != nil {
+			shape = wholeSealed
+		} else if len(recs) == 0 {
+			continue // wants records of a batch nobody decoded
+		}
 		if s.hook == nil {
-			if s.fnB == nil {
-				continue // inert: neither hook nor delivery
-			}
 			if !s.silent {
-				s.delivered.Add(uint64(len(recs)))
-				b.delivered.Add(uint64(len(recs)))
+				s.delivered.Add(uint64(n))
+				b.delivered.Add(uint64(n))
 			}
-			entries = append(entries, matchEntry{sub: s, full: true})
+			entries = append(entries, matchEntry{sub: s, shape: shape})
 			continue
 		}
 		// Hooked subscription: evaluate per record, collecting the
-		// delivered sub-batch (unless it's a hook-only tap).
-		collect := s.fnB != nil
+		// delivered sub-batch.
 		off := len(filtered)
-		ndel, nsup := 0, 0
+		nsup := 0
 		if isWild {
 			s.mu.Lock()
 		}
 		for k := range recs {
 			switch s.hook(topic, recs[k]) { //jamm:lock-ok hook-under-shard-lock is the documented delivery contract (see Subscription docs); hooks must be non-blocking
 			case Deliver:
-				ndel++
-				if collect {
-					filtered = append(filtered, recs[k])
-				}
+				filtered = append(filtered, recs[k])
 			case Suppress:
 				nsup++
 			}
@@ -622,9 +662,7 @@ func (b *Bus) deliverBatch(topic string, recs []ulm.Record, single *ulm.Record) 
 		if isWild {
 			s.mu.Unlock()
 		}
-		if !collect {
-			continue // tap: observes via hook, never delivers or counts
-		}
+		ndel := len(filtered) - off
 		if !s.silent {
 			if ndel > 0 {
 				s.delivered.Add(uint64(ndel))
@@ -637,12 +675,11 @@ func (b *Bus) deliverBatch(topic string, recs []ulm.Record, single *ulm.Record) 
 		}
 		switch {
 		case ndel == 0:
-			filtered = filtered[:off]
 		case ndel == len(recs):
 			// Every record delivered: hand the original batch, reclaim
 			// the scratch copies.
 			filtered = filtered[:off]
-			entries = append(entries, matchEntry{sub: s, full: true})
+			entries = append(entries, matchEntry{sub: s, shape: whole})
 		default:
 			entries = append(entries, matchEntry{sub: s, off: off, n: ndel})
 		}
@@ -651,10 +688,12 @@ func (b *Bus) deliverBatch(topic string, recs []ulm.Record, single *ulm.Record) 
 	sp.filtered = filtered
 	sh.mu.Unlock()
 	for k := range entries {
-		e := &entries[k]
-		if e.full {
+		switch e := &entries[k]; e.shape {
+		case wholeSealed:
+			e.sub.fnS(topic, nil, sealed)
+		case whole:
 			e.sub.fnB(topic, recs)
-		} else {
+		default:
 			e.sub.fnB(topic, filtered[e.off:e.off+e.n])
 		}
 	}

@@ -36,12 +36,16 @@ func TestTopicRouting(t *testing.T) {
 func TestSubscribeTopicsCarriesTopic(t *testing.T) {
 	b := New(Options{})
 	var got []string
-	b.SubscribeTopics("", nil, func(topic string, r ulm.Record) {
-		got = append(got, topic+":"+r.Event)
+	b.SubscribeBatchTopics("", nil, func(topic string, recs []ulm.Record) {
+		for _, r := range recs {
+			got = append(got, topic+":"+r.Event)
+		}
 	})
 	var cpuOnly []string
-	sub := b.SubscribeTopics("cpu", nil, func(topic string, r ulm.Record) {
-		cpuOnly = append(cpuOnly, topic)
+	sub := b.SubscribeBatchTopics("cpu", nil, func(topic string, recs []ulm.Record) {
+		for range recs {
+			cpuOnly = append(cpuOnly, topic)
+		}
 	})
 	b.Publish("cpu", rec("A"))
 	b.Publish("mem", rec("B"))
@@ -125,29 +129,6 @@ func TestHookDecisions(t *testing.T) {
 	st := b.Stats()
 	if st.Delivered != 1 || st.Suppressed != 1 {
 		t.Fatalf("stats = %+v", st) // Skip counts in neither
-	}
-}
-
-func TestTapObservesWithoutCounting(t *testing.T) {
-	b := New(Options{})
-	var seen []string
-	tap := b.Tap("cpu", func(topic string, r ulm.Record) { seen = append(seen, topic+"/"+r.Event) })
-	var n int
-	b.Subscribe("cpu", nil, func(ulm.Record) { n++ })
-	b.Publish("cpu", rec("E"))
-	b.Publish("mem", rec("F")) // outside the tap's topic
-	if len(seen) != 1 || seen[0] != "cpu/E" {
-		t.Fatalf("tap saw %v", seen)
-	}
-	if st := b.Stats(); st.Delivered != 1 {
-		t.Fatalf("tap distorted stats: %+v", st)
-	}
-	if !tap.Cancel() {
-		t.Fatal("tap cancel failed")
-	}
-	b.Publish("cpu", rec("E"))
-	if len(seen) != 1 {
-		t.Fatal("tap observed after cancel")
 	}
 }
 

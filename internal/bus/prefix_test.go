@@ -33,10 +33,10 @@ func TestSubscribePrefix(t *testing.T) {
 	}
 	mu.Unlock()
 
-	if !b.HasConsumers("_agg/count") || !b.HasConsumers("_agg/anything") {
-		t.Fatal("prefix subscription invisible to HasConsumers")
+	if !b.NeedsRecords("_agg/count") || !b.NeedsRecords("_agg/anything") {
+		t.Fatal("prefix subscription invisible to NeedsRecords")
 	}
-	if b.HasConsumers("cpu") {
+	if b.NeedsRecords("cpu") {
 		t.Fatal("non-matching topic reports consumers")
 	}
 
@@ -47,7 +47,7 @@ func TestSubscribePrefix(t *testing.T) {
 	if got["_agg/count"] != 1 {
 		t.Fatal("delivery after cancel")
 	}
-	if b.HasConsumers("_agg/count") {
+	if b.NeedsRecords("_agg/count") {
 		t.Fatal("cancelled prefix subscription still counts")
 	}
 }

@@ -62,7 +62,7 @@ type Request struct {
 	// how one wire subscription covers a synthetic topic family — a
 	// dashboard subscribes to {Sensor: "_agg/", Prefix: true} and
 	// receives every aggregate stream the gateway computes. Prefix
-	// requests ride the record plane (never the zero-copy frame plane)
+	// requests are served records (never sealed frames, see PassThrough)
 	// and do not contribute to per-sensor consumer counts.
 	Prefix bool `json:"prefix,omitempty"`
 	// Events restricts delivery to the named event types; empty means

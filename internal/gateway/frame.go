@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"jamm/internal/bus"
 	"jamm/internal/ulm"
 )
 
@@ -207,6 +208,14 @@ func (f *Frame) Release() {
 	}
 	m.release()
 }
+
+// Len and Hold, with Release, make a *Frame a bus.Sealed: the encoded
+// batch the bus hands to subscribers that take frames, and holds by
+// reference while it is queued for async delivery.
+func (f *Frame) Len() int { return f.Count }
+
+// Hold is Retain, as bus.Sealed spells it.
+func (f *Frame) Hold() bus.Sealed { return f.Retain() }
 
 // unshare makes the handle the sole holder of its bytes before a
 // mutator writes, by copying them if anyone else holds them.

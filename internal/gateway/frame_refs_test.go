@@ -296,7 +296,11 @@ func TestSubscriberBurstOneWrite(t *testing.T) {
 	// until the test reads it, so everything published before that is
 	// queued when the pump first looks.
 	rc.sendCtl(`{"op":"subscribe","batch_max":64,"batch_wait_ms":1000}`)
-	waitUntil(t, "the subscription", func() bool { return len(g.hub.load()) == 1 })
+	waitUntil(t, "the subscription", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.subs) == 1
+	})
 	g.Publish("mem", mkRec("E", 0, -1)) // cooked: a partial frame at batch_max 64
 	fr := newFrameReader(bytes.NewReader(numberedFrames("cpu", 16)))
 	for i := 0; i < 16; i++ {

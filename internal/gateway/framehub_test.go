@@ -1,25 +1,14 @@
 package gateway
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"jamm/internal/ulm"
 )
-
-// SubscribeFrames is the channel view of a frame-plane subscription
-// that TestFrameIngestBusConsumerNoDoubleDelivery was written against:
-// SubscribeFramesFunc's deliveries, copied into a channel.
-func (g *Gateway) SubscribeFrames(req Request, depth int, onDrop func(n int)) (*Subscription, <-chan frameItem, error) {
-	ch := make(chan frameItem, 16) // more than any test delivers, so the callbacks never block
-	sub, err := g.SubscribeFramesFunc(req, depth, onDrop,
-		func(f *Frame) { ch <- frameItem{f: f.Clone()} },
-		func(sensor string, recs []ulm.Record) {
-			ch <- frameItem{tb: TopicBatch{Sensor: sensor, Recs: append([]ulm.Record(nil), recs...)}}
-		})
-	return sub, ch, err
-}
 
 // parseBatchFrame parses a full batch frame (header + payload) whose
 // CRC has already been verified into a Frame that is the sole holder of
@@ -34,58 +23,210 @@ func parseBatchFrame(buf []byte) (Frame, error) {
 	return Frame{Sensor: string(sensor), Count: count, buf: buf, recOff: recOff, mem: mem}, nil
 }
 
-// TestFrameIngestBusConsumerNoDoubleDelivery: when an ingested frame's
-// sensor has BOTH a frame-plane subscriber and a bus consumer, the
-// frame subscriber must receive the records exactly once (as the raw
-// frame) — the decode branch feeds only the bus, never the frame plane
-// a second time.
+// TestFrameIngestBusConsumerNoDoubleDelivery: whatever else is
+// subscribed beside it, and however the records come in, a sealed
+// subscriber and a record consumer each see each record exactly once —
+// a frame as the raw frame, decoded only when a record consumer
+// matches.
 func TestFrameIngestBusConsumerNoDoubleDelivery(t *testing.T) {
-	g := New("gw", nil)
-	var busSeen atomic.Int64
-	bsub, err := g.Subscribe(Request{Sensor: "cpu"}, func(ulm.Record) { busSeen.Add(1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bsub.Cancel()
-	fsub, ch, err := g.SubscribeFrames(Request{}, 64, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fsub.Cancel()
-
 	recs := []ulm.Record{mkRec("A", 0, 1), mkRec("B", time.Second, 2)}
-	buf := appendBatchFrame(nil, 0, "cpu", recs)
-	f, err := parseBatchFrame(buf)
+	consumers := map[string]*Request{
+		"none": nil, "exact": {Sensor: "cpu"}, "wildcard": {}, "prefix": {Sensor: "cp", Prefix: true},
+	}
+	ingests := map[string]func(t *testing.T, g *Gateway){
+		"Publish": func(_ *testing.T, g *Gateway) {
+			for _, r := range recs {
+				g.Publish("cpu", r)
+			}
+		},
+		"PublishBatch": func(_ *testing.T, g *Gateway) { g.PublishBatch("cpu", recs) },
+		"PublishFrame": func(t *testing.T, g *Gateway) {
+			f := mustParseFrame(t, appendBatchFrame(nil, 0, "cpu", recs))
+			if err := g.PublishFrame(&f); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for _, scope := range []string{"cpu", ""} {
+		for cname, creq := range consumers {
+			for iname, ingest := range ingests {
+				t.Run(fmt.Sprintf("sealed=%q/consumer=%s/%s", scope, cname, iname), func(t *testing.T) {
+					g := New("gw", nil)
+					var seen, frames, raw, cooked atomic.Int64
+					subscribers := uint64(1)
+					if creq != nil {
+						subscribers++
+						csub, err := g.SubscribeBatch(*creq, func(recs []ulm.Record) { seen.Add(int64(len(recs))) })
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer csub.Cancel()
+					}
+					fsub, err := g.SubscribeFramesFunc(Request{Sensor: scope}, 64, nil,
+						func(f *Frame) { frames.Add(1); raw.Add(int64(f.Count)) },
+						func(_ string, recs []ulm.Record) { cooked.Add(int64(len(recs))) })
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer fsub.Cancel()
+					ingest(t, g)
+					waitUntil(t, "the sealed subscriber", func() bool { return raw.Load()+cooked.Load() == 2 })
+					// What the bus offered the subscriber is what it counted:
+					// nothing more is on its way.
+					if d, _ := fsub.Counts(); d != 2 {
+						t.Fatalf("sealed subscriber was offered %d records, want 2", d)
+					}
+					wantFS, wantFrames := FrameStats{}, int64(0)
+					if iname == "PublishFrame" {
+						wantFrames = 1
+						if creq == nil {
+							wantFS = FrameStats{Relays: 1, RelayRecords: 2}
+						} else {
+							wantFS = FrameStats{Decodes: 1}
+						}
+					}
+					if frames.Load() != wantFrames || raw.Load() != 2*wantFrames {
+						t.Fatalf("sealed subscriber got %d frames (%d records) and %d cooked records, want %d frames", frames.Load(), raw.Load(), cooked.Load(), wantFrames)
+					}
+					if creq != nil && seen.Load() != 2 {
+						t.Fatalf("record consumer saw %d records, want 2", seen.Load())
+					}
+					if fs := g.FrameStats(); fs != wantFS {
+						t.Fatalf("FrameStats = %+v, want %+v", fs, wantFS)
+					}
+					if st := g.Stats(); st.Published != 2 || st.Delivered != 2*subscribers {
+						t.Fatalf("Stats = %+v, want 2 published, %d delivered", st, 2*subscribers)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPublishFrameAsyncOrderAndRelease: under StartAsync, frames and
+// record batches interleaved on one topic reach a sealed subscriber and
+// a record subscriber in publish order, and the queue's references to
+// the frames are gone once they are delivered.
+func TestPublishFrameAsyncOrderAndRelease(t *testing.T) {
+	base := FramesRetained()
+	g := New("gw", nil)
+	g.StartAsync(8)
+	defer g.StopAsync()
+	var mu sync.Mutex
+	var sealed, cooked []float64
+	vals := func(dst *[]float64, recs []ulm.Record) {
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range recs {
+			v, _ := recs[i].Float("VAL")
+			*dst = append(*dst, v)
+		}
+	}
+	csub, err := g.SubscribeBatch(Request{Sensor: "cpu"}, func(recs []ulm.Record) { vals(&cooked, recs) })
 	if err != nil {
 		t.Fatal(err)
+	}
+	fsub, err := g.SubscribeFramesFunc(Request{Sensor: "cpu"}, 1024, nil,
+		func(f *Frame) {
+			recs, err := f.Records(nil)
+			if err != nil {
+				t.Error(err)
+			}
+			vals(&sealed, recs)
+		},
+		func(_ string, recs []ulm.Record) { vals(&sealed, recs) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	for i := 0; i < n; i += 2 {
+		g.PublishBatch("cpu", []ulm.Record{mkRec("E", 0, float64(i))})
+		f := mustParseFrame(t, appendBatchFrame(nil, 0, "cpu", []ulm.Record{mkRec("E", 0, float64(i+1))}))
+		if err := g.PublishFrame(&f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Flush()
+	waitUntil(t, "the sealed subscriber to drain", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(sealed) == n
+	})
+	for name, got := range map[string][]float64{"sealed": sealed, "record": cooked} {
+		if len(got) != n {
+			t.Fatalf("%s subscriber saw %d records, want %d", name, len(got), n)
+		}
+		for i, v := range got {
+			if v != float64(i) {
+				t.Fatalf("%s subscriber: record %d carries VAL %v: out of publish order", name, i, v)
+			}
+		}
+	}
+	if d := fsub.WireDrops(); d != 0 {
+		t.Fatalf("WireDrops = %d", d)
+	}
+	csub.Cancel()
+	fsub.Cancel()
+	settled(t, base)
+}
+
+// TestSealedSubscriptionCancelTwice: a sealed subscription is a bus
+// subscription, so its second Cancel is a no-op like anyone's.
+func TestSealedSubscriptionCancelTwice(t *testing.T) {
+	g := New("gw", nil)
+	keep, err := g.Subscribe(Request{Sensor: "cpu"}, func(ulm.Record) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer keep.Cancel()
+	sub, err := g.subscribeQueued(Request{Sensor: "cpu"}, 0, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := g.Consumers("cpu"); n != 2 {
+		t.Fatalf("Consumers = %d, want 2", n)
+	}
+	sub.Cancel()
+	sub.Cancel()
+	if n := g.Consumers("cpu"); n != 1 {
+		t.Fatalf("Consumers after two Cancels = %d, want 1", n)
+	}
+	if c := g.Stats().ConsumerClamps; c != 0 {
+		t.Fatalf("ConsumerClamps = %d", c)
+	}
+}
+
+// TestPublishFrameIgnoresUnrelatedSubscriptions: sealed subscriptions
+// to other sensors are in the bus's per-topic index, so a frame neither
+// reaches them nor pays for them.
+func TestPublishFrameIgnoresUnrelatedSubscriptions(t *testing.T) {
+	g := New("gw", nil)
+	var subs []*Subscription
+	for i := 0; i < 1000; i++ {
+		sub, err := g.subscribeQueued(Request{Sensor: fmt.Sprintf("mem@h%d", i)}, 0, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Cancel()
+		subs = append(subs, sub)
+	}
+	f := mustParseFrame(t, appendBatchFrame(nil, 0, "cpu@h1", fatRun(4, 1)))
+	if !raceEnabled { // sync.Pool drops a quarter of its Puts under the race detector
+		assertNoAllocs(t, "PublishFrame beside 1000 unrelated sealed subscriptions", func() {
+			if err := g.PublishFrame(&f); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 	if err := g.PublishFrame(&f); err != nil {
 		t.Fatal(err)
 	}
-
-	select {
-	case it := <-ch:
-		if it.f == nil || it.f.Count != 2 {
-			t.Fatalf("first frame-plane item = %+v, want the raw 2-record frame", it)
+	for _, sub := range subs {
+		if d, _ := sub.Counts(); d != 0 || sub.ChanBacklog() != 0 {
+			t.Fatalf("subscription to %s was delivered %d records of cpu@h1", sub.Request().Sensor, d)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("frame subscriber received nothing")
 	}
-	// The decoded records must NOT arrive as a second, cooked item.
-	select {
-	case it := <-ch:
-		t.Fatalf("frame subscriber received a duplicate item: %+v", it)
-	case <-time.After(200 * time.Millisecond):
-	}
-	if n := busSeen.Load(); n != 2 {
-		t.Fatalf("bus subscriber saw %d records, want 2", n)
-	}
-	if fs := g.FrameStats(); fs.Decodes != 1 || fs.Relays != 0 {
-		t.Fatalf("FrameStats = %+v, want 1 decode and 0 relays", fs)
-	}
-	if d := g.frameDelivered.Load(); d != 2 {
-		t.Fatalf("frameDelivered = %d, want 2 (each record counted once)", d)
-	}
+	g.Unregister("cpu@h1") // the last-frame stash
 }
 
 // TestFrameQueueAdmitsOversizedFrame: a relayed frame carrying more

@@ -20,6 +20,7 @@ package gateway
 import (
 	"fmt"
 	"log"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -137,6 +138,19 @@ func (p *producer) takeFrame() *Frame {
 	return f
 }
 
+// info is the sensor's row in the listing.
+func (p *producer) info(name string) SensorInfo {
+	return SensorInfo{
+		Name:      name,
+		Host:      p.meta.Host,
+		Type:      p.meta.Type,
+		Interval:  p.meta.Interval,
+		Consumers: p.consumers,
+		Published: p.published,
+		Mirrored:  p.mirrored,
+	}
+}
+
 // producerShards is the lock-domain count for per-sensor producer
 // state; like the bus's topic shards, it keeps publishes of different
 // sensors off each other's locks.
@@ -152,6 +166,17 @@ type producerShard struct {
 	// an idle shard's snapshot is refreshed with a pointer swap, not a
 	// copy.
 	ver atomic.Uint64
+}
+
+// upsert returns name's producer entry, creating an empty one — not
+// live, no consumers — if there is none. Called with ps.mu held.
+func (ps *producerShard) upsert(name string) *producer {
+	p := ps.producers[name]
+	if p == nil {
+		p = &producer{last: make(map[string]ulm.Record)}
+		ps.producers[name] = p
+	}
+	return p
 }
 
 // Gateway is one event gateway instance. It is safe for concurrent use;
@@ -222,15 +247,11 @@ type Gateway struct {
 	// from its archive tail.
 	histFallback atomic.Pointer[HistoryFallback]
 
-	// hub is the zero-copy frame plane (framehub.go): v2 wire
-	// subscribers without filters ride it, binary frames from upstream
-	// relays enter through PublishFrame.
-	hub             frameHub
+	// What became of the frames PublishFrame ingested (FrameStats).
 	frameRelays     atomic.Uint64
 	frameRelayRecs  atomic.Uint64
 	frameDecodes    atomic.Uint64
 	frameDecodeErrs atomic.Uint64
-	frameDelivered  atomic.Uint64
 }
 
 // Config tunes a gateway's event-distribution core.
@@ -359,11 +380,7 @@ func (g *Gateway) pshard(sensorName string) *producerShard {
 func (g *Gateway) Register(sensorName string, meta Meta) {
 	ps := g.pshard(sensorName)
 	ps.mu.Lock()
-	p := ps.producers[sensorName]
-	if p == nil {
-		p = &producer{last: make(map[string]ulm.Record)}
-		ps.producers[sensorName] = p
-	}
+	p := ps.upsert(sensorName)
 	p.meta = meta
 	p.explicit = true
 	p.live = true
@@ -510,15 +527,7 @@ func (g *Gateway) Sensors() []SensorInfo {
 			if !p.live {
 				continue // unregistered; entry retained for counts/meta
 			}
-			out = append(out, SensorInfo{
-				Name:      name,
-				Host:      p.meta.Host,
-				Type:      p.meta.Type,
-				Interval:  p.meta.Interval,
-				Consumers: p.consumers,
-				Published: p.published,
-				Mirrored:  p.mirrored,
-			})
+			out = append(out, p.info(name))
 		}
 		ps.mu.Unlock()
 	}
@@ -544,10 +553,8 @@ func (g *Gateway) Consumers(sensorName string) int {
 func (g *Gateway) Stats() Stats {
 	bs := g.bus.Stats()
 	st := Stats{
-		// Records relayed as raw frames never touch the bus, but they
-		// entered (and left) this gateway all the same.
-		Published:      bs.Published + g.frameRelayRecs.Load(),
-		Delivered:      bs.Delivered + g.frameDelivered.Load(),
+		Published:      bs.Published,
+		Delivered:      bs.Delivered,
 		Suppressed:     bs.Suppressed,
 		Queries:        g.queries.Load(),
 		ConsumerClamps: g.consumerClamps.Load(),
@@ -567,48 +574,17 @@ func (g *Gateway) Stats() Stats {
 // are registered implicitly (application sensors outside JAMM control
 // still feed the system).
 func (g *Gateway) Publish(sensorName string, rec ulm.Record) {
-	ps := g.pshard(sensorName)
-	ps.mu.Lock()
-	p := ps.producers[sensorName]
-	if p == nil {
-		p = &producer{last: make(map[string]ulm.Record)}
-		ps.producers[sensorName] = p
-	}
-	revived := !p.live
-	if revived {
-		// Implicit (re-)registration. Explicitly registered metadata
-		// wins deterministically: a sensor that Registered and was
-		// unregistered mid-churn comes back with its Type/Interval
-		// intact, not degraded to a host guess.
-		p.live = true
-		if !p.explicit {
-			p.meta.Host = strings.Clone(rec.Host)
-		}
-	}
-	p.mirrored = false // a primary ingest: this gateway owns the sensor
-	p.published++
-	p.last[rec.Event] = rec
-	p.takeFrame().Release() // decoded record is newer than any pending frame
-	p.gen++
-	ps.ver.Add(1)
-	var meta Meta
-	var seq uint64
-	if revived {
-		meta = p.meta
-		seq = g.regSeq.Add(1)
-	}
-	ps.mu.Unlock()
-	if revived {
-		g.fireRegistration(sensorName, meta, true, seq)
-	}
-	if len(g.hub.load()) != 0 {
-		g.feedFrameSubs(sensorName, []ulm.Record{rec})
-	}
-	g.bus.Publish(sensorName, rec)
-	if fw := g.forwarder(); fw != nil {
-		fw.Forward(sensorName, []ulm.Record{rec}, nil)
-	}
+	one := oneRecord.Get().(*[1]ulm.Record)
+	one[0] = rec
+	g.ingest(sensorName, one[:], nil, false, false)
+	oneRecord.Put(one)
 }
+
+// oneRecord pools the batch-of-one Publish hands to ingest, which a
+// slice on its stack could not be: subscriber callbacks see it. Like
+// the bus's own one-record scratch it is not zeroed on the way back: a
+// pooled array retains at most one record until its next use.
+var oneRecord = sync.Pool{New: func() any { return new([1]ulm.Record) }}
 
 // PublishBatch feeds a batch of one sensor's records through the
 // gateway with one producer-shard lock acquisition and one bus fan-out:
@@ -618,9 +594,8 @@ func (g *Gateway) Publish(sensorName string, rec ulm.Record) {
 // costs. recs is borrowed — see bus.PublishBatch for the ownership
 // contract. Unknown sensors are registered implicitly, once per batch.
 func (g *Gateway) PublishBatch(sensorName string, recs []ulm.Record) {
-	g.publishBatch(sensorName, recs, false, false)
-	if fw := g.forwarder(); fw != nil && len(recs) > 0 {
-		fw.Forward(sensorName, recs, nil)
+	if len(recs) > 0 {
+		g.ingest(sensorName, recs, nil, false, true)
 	}
 }
 
@@ -632,82 +607,111 @@ func (g *Gateway) PublishBatch(sensorName string, recs []ulm.Record) {
 // primary's directory entry) and the batch is never re-forwarded to
 // the replica set (no replication loops).
 func (g *Gateway) PublishReplicaBatch(sensorName string, recs []ulm.Record) {
-	g.publishBatch(sensorName, recs, false, true)
+	if len(recs) > 0 {
+		g.ingest(sensorName, recs, nil, true, false)
+	}
 }
 
-// publishBatch is PublishBatch with the record source and the replica
-// distinction explicit. fromFrame marks records PublishFrame decoded
-// from a wire frame, which changes two things. The raw frame bytes
-// have already gone to every matching frame subscriber, so the records
-// feed only the bus — feeding them to the frame plane too would
-// deliver each record twice to every v2 pass-through subscriber. And
-// the records share their frame's string arena and field slab, so the
-// last-event cache keeps Compact copies of them, never the records
-// themselves: one cached record must not keep its whole frame alive.
-// replica ingest (pushed copies from the sensor's primary) suppresses
-// registration hooks and marks the entry mirrored.
-func (g *Gateway) publishBatch(sensorName string, recs []ulm.Record, fromFrame, replica bool) {
-	if len(recs) == 0 {
-		return
-	}
-	// Telemetry: on sampled batches (one in -trace-sample), stamp the
-	// trace attribute and time the whole primary ingest. Timing rides
-	// the same sampling gate as the stamp — two time.Now calls per
-	// batch would alone bust the <=5% instrumentation budget the bench
-	// smoke enforces, so unsampled batches pay only an atomic load and
-	// an atomic counter bump. The stamp must not mutate the caller's
-	// borrowed slice or its records' field storage, so a sampled batch
-	// pays for a slice copy plus one record clone.
-	tr := g.tracer.Load()
-	if replica {
-		tr = nil
-	}
+// ingest is the one way records enter the gateway: it updates the
+// sensor's producer entry, publishes on the bus and, for a primary copy,
+// hands what came in to the replication forwarder. The batch is
+// borrowed: recs, or the wire frame f with recs what PublishFrame
+// decoded from it — nil when nobody needs records, and then the frame is
+// pure relay: the bus hands sealed subscribers the frame itself, and
+// the producer entry stashes a reference so the last-event cache can be
+// filled on the first Query instead of on every frame. Decoded records
+// share their frame's string arena and field slab, so the cache keeps
+// Compact copies of them, never the records themselves.
+//
+// replica marks pushed copies from the sensor's primary: no
+// registration hooks, no forwarding. trace lets the telemetry tracer
+// sample the batch: a sampled one (one in -trace-sample) is stamped with
+// the trace attribute and its ingest timed. Timing rides the sampling
+// gate — two time.Now calls per batch would alone bust the <=5%
+// instrumentation budget the bench smoke enforces. The stamp must not
+// mutate the borrowed batch, so a sampled batch pays for a slice copy
+// plus one record clone; the forwarder and a frame's sealed subscribers
+// see the batch unstamped, as it arrived.
+func (g *Gateway) ingest(sensorName string, recs []ulm.Record, f *Frame, replica, trace bool) {
+	in := recs
+	var tr *telemetry.Tracer
 	var tStart time.Time
 	var tid uint64
-	traced := false
-	if tr != nil && tr.Sample() {
-		tStart = time.Now()
-		tid = tr.NewID()
-		traced = true
-		recs2 := make([]ulm.Record, len(recs))
-		copy(recs2, recs)
-		recs2[0] = recs2[0].Clone()
-		telemetry.StampTrace(&recs2[0], tid, 0)
-		recs = recs2
+	if trace && len(recs) > 0 {
+		if t := g.tracer.Load(); t != nil && t.Sample() {
+			tr, tStart, tid = t, time.Now(), t.NewID()
+			recs = slices.Clone(recs)
+			recs[0] = recs[0].Clone()
+			telemetry.StampTrace(&recs[0], tid, 0)
+		}
 	}
-	// What the last-event cache keeps of the batch, worked out before
-	// the shard lock is taken.
-	lasts := recs
-	if fromFrame {
+	switch {
+	case len(recs) == 0: // a frame nobody decoded: the other entries pass records
+		g.noteIngest(sensorName, "", f.Count, nil, f, replica)
+	case f != nil:
 		var buf [4]ulm.Record // on the stack up to four event runs
-		lasts = compactLasts(buf[:0], recs)
+		g.noteIngest(sensorName, recs[0].Host, len(recs), compactLasts(buf[:0], recs), nil, replica)
+	default:
+		g.noteIngest(sensorName, recs[0].Host, len(recs), recs, nil, replica)
 	}
+	if f != nil {
+		g.bus.PublishSealed(sensorName, f, recs)
+	} else {
+		g.bus.PublishBatch(sensorName, recs)
+	}
+	if tr != nil {
+		d := time.Since(tStart)
+		tr.Observe("ingest", d)
+		tr.Event(tid, 0, sensorName, "ingest", d)
+	}
+	// Replica copies are terminal: forwarding them again would loop.
+	if fw := g.forwarder(); fw != nil && !replica {
+		if f != nil {
+			in = nil
+		}
+		fw.Forward(sensorName, in, f)
+	}
+}
+
+// noteIngest is the one producer update: n records of sensorName came
+// in. The sensor registers implicitly (with host — parsed from the
+// conventional sensor@host topic for a frame nobody decoded — unless it
+// registered explicitly), lasts goes into the last-event cache, and
+// stash, that undecoded frame, replaces the pending frame by reference,
+// never a copy or a decode; anything decoded is newer than a frame
+// still pending. A replica copy updates the same state but fires
+// no registration hooks and marks a revived entry mirrored.
+func (g *Gateway) noteIngest(sensorName, host string, n int, lasts []ulm.Record, stash *Frame, replica bool) {
 	ps := g.pshard(sensorName)
 	ps.mu.Lock()
-	p := ps.producers[sensorName]
-	if p == nil {
-		p = &producer{last: make(map[string]ulm.Record)}
-		ps.producers[sensorName] = p
-	}
+	p := ps.upsert(sensorName)
 	revived := !p.live
 	if revived {
+		// Implicit (re-)registration. Explicitly registered metadata
+		// wins deterministically: a sensor that Registered and was
+		// unregistered mid-churn comes back with its Type/Interval
+		// intact, not degraded to a host guess.
 		p.live = true
 		if !p.explicit {
-			p.meta.Host = strings.Clone(recs[0].Host)
+			if stash != nil {
+				host = topicHost(sensorName) // nobody decoded a record to ask
+			}
+			p.meta.Host = strings.Clone(host)
 		}
 	}
-	if replica {
-		if revived {
-			p.mirrored = true
-		}
-	} else {
-		p.mirrored = false
+	if !replica {
+		p.mirrored = false // a primary ingest: this gateway owns the sensor
+	} else if revived {
+		p.mirrored = true
 	}
-	p.published += uint64(len(recs))
+	p.published += uint64(n)
 	for i := range lasts {
 		p.last[lasts[i].Event] = lasts[i]
 	}
-	p.takeFrame().Release() // decoded records are newer than any pending frame
+	p.takeFrame().Release()
+	if stash != nil {
+		p.lastFrame = stash.Retain()
+	}
 	p.gen++
 	ps.ver.Add(1)
 	fire := revived && !replica
@@ -720,15 +724,6 @@ func (g *Gateway) publishBatch(sensorName string, recs []ulm.Record, fromFrame, 
 	ps.mu.Unlock()
 	if fire {
 		g.fireRegistration(sensorName, meta, true, seq)
-	}
-	if !fromFrame {
-		g.feedFrameSubs(sensorName, recs)
-	}
-	g.bus.PublishBatch(sensorName, recs)
-	if traced {
-		d := time.Since(tStart)
-		tr.Observe("ingest", d)
-		tr.Event(tid, 0, sensorName, "ingest", d)
 	}
 }
 
@@ -747,17 +742,41 @@ func compactLasts(dst, recs []ulm.Record) []ulm.Record {
 	return dst
 }
 
-// decodePending decodes a relayed frame taken out of noteRelayed's
-// stash into what the last-event cache keeps of it, and releases it.
-// Callers run it outside the shard lock — the frame can be megabytes.
-func (g *Gateway) decodePending(pending *Frame) []ulm.Record {
+// liveProducer returns sensorName's producer entry with any pending
+// relayed frame folded into its last-event cache, or nil when the
+// sensor is not live here. Called with ps.mu held and returns with it
+// held, but a pending frame — it can be megabytes — is decoded with the
+// lock dropped, so publishes to the shard's other sensors never stall
+// behind it, and folded in only if nothing overtook the cache meanwhile
+// (gen unchanged).
+func (g *Gateway) liveProducer(ps *producerShard, sensorName string) *producer {
+	p := ps.producers[sensorName]
+	if p == nil || !p.live {
+		return nil
+	}
+	pending := p.takeFrame()
+	if pending == nil {
+		return p
+	}
+	gen := p.gen
+	ps.mu.Unlock()
 	recs, err := pending.Records(nil)
 	pending.Release()
 	if err != nil {
 		g.frameDecodeErrs.Add(1)
+	}
+	recs = compactLasts(nil, recs)
+	ps.mu.Lock()
+	if p = ps.producers[sensorName]; p == nil || !p.live {
 		return nil
 	}
-	return compactLasts(nil, recs)
+	if p.gen == gen {
+		for i := range recs {
+			p.last[recs[i].Event] = recs[i]
+		}
+		ps.ver.Add(1)
+	}
+	return p
 }
 
 // consumerTopic is the sensor whose consumer count a subscription
@@ -859,16 +878,12 @@ func (g *Gateway) addConsumer(sensorName string, delta int) {
 	}
 	ps := g.pshard(sensorName)
 	ps.mu.Lock()
-	p := ps.producers[sensorName]
-	if p == nil {
-		if delta <= 0 {
-			ps.mu.Unlock()
-			g.noteConsumerClamp(sensorName)
-			return
-		}
-		p = &producer{last: make(map[string]ulm.Record)}
-		ps.producers[sensorName] = p
+	if ps.producers[sensorName] == nil && delta <= 0 {
+		ps.mu.Unlock()
+		g.noteConsumerClamp(sensorName)
+		return
 	}
+	p := ps.upsert(sensorName)
 	p.consumers += delta
 	clamped := p.consumers < 0
 	if clamped {
@@ -916,8 +931,10 @@ func (g *Gateway) Query(principal, sensorName, event string) (ulm.Record, bool, 
 	ps := g.pshard(sensorName)
 	g.readShardLocks.Add(1)
 	ps.mu.Lock()
-	p, ok := ps.producers[sensorName]
-	if !ok || !p.live {
+	// A relay hop defers the last-event decode to the first query that
+	// wants it: liveProducer folds it in.
+	p := g.liveProducer(ps, sensorName)
+	if p == nil {
 		ps.mu.Unlock()
 		// The producer entry is gone (a restart dropped it, or this
 		// gateway never saw the sensor live) — the attached archive, if
@@ -926,24 +943,6 @@ func (g *Gateway) Query(principal, sensorName, event string) (ulm.Record, bool, 
 			return rec, true, nil
 		}
 		return ulm.Record{}, false, fmt.Errorf("gateway: unknown sensor %q", sensorName)
-	}
-	// A relay hop defers the last-event decode to the first query that
-	// wants it. The frame can be megabytes, so decode it outside the
-	// shard lock — publishes to every sensor on this shard would
-	// otherwise stall behind it — and fold the result in only if the
-	// cache wasn't overtaken (gen unchanged) while unlocked.
-	if pending := p.takeFrame(); pending != nil {
-		gen := p.gen
-		ps.mu.Unlock()
-		recs := g.decodePending(pending)
-		g.readShardLocks.Add(1)
-		ps.mu.Lock()
-		if p.gen == gen {
-			for i := range recs {
-				p.last[recs[i].Event] = recs[i]
-			}
-			ps.ver.Add(1)
-		}
 	}
 	rec, ok := p.last[event]
 	ps.mu.Unlock()
@@ -999,29 +998,10 @@ func (g *Gateway) SeedAggregate(sensor, state string) {
 func (g *Gateway) Handoff(sensorName string) (st HandoffState, ok bool) {
 	ps := g.pshard(sensorName)
 	ps.mu.Lock()
-	p, found := ps.producers[sensorName]
-	if !found || !p.live {
+	p := g.liveProducer(ps, sensorName) // a pending relayed frame is materialized first
+	if p == nil {
 		ps.mu.Unlock()
 		return HandoffState{}, false
-	}
-	// Materialize a pending relayed frame first, with the same
-	// decode-outside-the-lock dance as Query (the frame can be large).
-	if pending := p.takeFrame(); pending != nil {
-		gen := p.gen
-		ps.mu.Unlock()
-		frecs := g.decodePending(pending)
-		ps.mu.Lock()
-		p, found = ps.producers[sensorName]
-		if !found || !p.live {
-			ps.mu.Unlock()
-			return HandoffState{}, false
-		}
-		if p.gen == gen {
-			for i := range frecs {
-				p.last[frecs[i].Event] = frecs[i]
-			}
-			ps.ver.Add(1)
-		}
 	}
 	st.Meta = p.meta
 	st.Recs = make([]ulm.Record, 0, len(p.last))
@@ -1070,8 +1050,6 @@ func (g *Gateway) authorize(principal, sensorName, action string) error {
 type Subscription struct {
 	g   *Gateway
 	req Request
-	// sub is the bus-plane subscription; nil for frame-plane
-	// subscriptions, which never touch the bus.
 	sub *bus.Subscription
 
 	// wireDrops counts records the transport layer dropped after the
@@ -1081,16 +1059,9 @@ type Subscription struct {
 	wireDrops atomic.Uint64
 	onDrop    func(n int)
 
-	// fDelivered counts records offered to a frame-plane subscription
-	// (cooked and raw alike); frameDone makes Cancel idempotent in the
-	// absence of a bus subscription to anchor it.
-	fDelivered atomic.Uint64
-	frameDone  atomic.Bool
-
 	// q is the bounded queue a queued subscription delivers into; nil
 	// for callback subscriptions. onCancel tears down what Cancel must
-	// beyond the bus subscription (frame-plane membership, a callback
-	// goroutine).
+	// beyond the bus subscription (a callback goroutine).
 	q        *subQueue
 	onCancel func()
 }
@@ -1110,13 +1081,7 @@ func (s *Subscription) ChanBacklog() int {
 func (s *Subscription) Request() Request { return s.req }
 
 // Counts returns how many records were delivered and suppressed.
-// Frame-plane subscriptions never suppress (they cannot filter).
-func (s *Subscription) Counts() (delivered, suppressed uint64) {
-	if s.sub == nil {
-		return s.fDelivered.Load(), 0
-	}
-	return s.sub.Counts()
-}
+func (s *Subscription) Counts() (delivered, suppressed uint64) { return s.sub.Counts() }
 
 // WireDrops returns how many delivered records the transport dropped
 // on a slow consumer connection, alongside Counts: delivered includes
@@ -1125,11 +1090,7 @@ func (s *Subscription) WireDrops() uint64 { return s.wireDrops.Load() }
 
 // Cancel closes the subscription.
 func (s *Subscription) Cancel() {
-	if s.sub != nil {
-		if !s.sub.Cancel() {
-			return
-		}
-	} else if !s.frameDone.CompareAndSwap(false, true) {
+	if !s.sub.Cancel() {
 		return
 	}
 	if s.onCancel != nil {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"jamm/internal/auth"
+	"jamm/internal/bus"
 	"jamm/internal/ulm"
 )
 
@@ -141,10 +142,10 @@ const chanBatchMax = 64
 // bounded queue (the subscription's q) instead of a callback,
 // decoupling the gateway's publish path from a slow consumer transport.
 // frames says the consumer forwards relayed frames as raw bytes: its
-// pass-through requests ride the zero-copy frame plane, where a binary
-// frame from upstream arrives untouched and locally published records
-// arrive cooked. Everything else rides the bus and arrives cooked, the
-// records copied out of the bus's scratch so the consumer owns them.
+// pass-through requests subscribe sealed, so a binary frame from
+// upstream arrives untouched and locally published records arrive
+// cooked. Everything else arrives cooked, the records copied out of the
+// bus's scratch so the consumer owns them.
 // depth bounds the buffered records (<= 0 selects 256); what it refuses
 // is counted per record on the subscription (WireDrops) and reported to
 // onDrop, which may be nil.
@@ -155,14 +156,19 @@ func (g *Gateway) subscribeQueued(req Request, depth int, frames bool, onDrop fu
 	if depth <= 0 {
 		depth = 256
 	}
-	// s is complete before the bus or hub insert, so deliveries racing
-	// this function's return are queued and counted like any other.
+	// s is complete before the bus insert, so deliveries racing this
+	// function's return are queued and counted like any other.
 	s := &Subscription{g: g, req: req, q: newSubQueue(depth), onDrop: onDrop}
 	if frames && PassThrough(req) {
-		s.onCancel = func() { g.hub.remove(s) }
-		g.hub.add(s)
+		s.sub = g.bus.SubscribeSealed(req.Sensor, func(topic string, recs []ulm.Record, sealed bus.Sealed) {
+			if sealed != nil {
+				s.offer(frameItem{f: sealed.(*Frame)})
+			} else {
+				s.offerBatch(topic, recs)
+			}
+		})
 	} else {
-		s.sub = g.subscribeBatchTopics(req, func(topic string, recs []ulm.Record) { s.offerBatch(topic, recs) })
+		s.sub = g.subscribeBatchTopics(req, s.offerBatch)
 	}
 	g.addConsumer(consumerTopic(req), 1)
 	return s, nil
@@ -178,37 +184,31 @@ func (s *Subscription) shed(n int) {
 }
 
 // offer admits one borrowed delivery into the subscription's queue or
-// sheds it, reporting which.
-func (s *Subscription) offer(it frameItem) bool {
+// sheds it.
+func (s *Subscription) offer(it frameItem) {
 	if !s.q.push(it) {
 		s.shed(it.records())
-		return false
 	}
-	return true
 }
 
 // offerBatch offers a borrowed batch in chunks the budget can admit, so
-// a batch bigger than the remaining budget sheds only its tail, and
-// returns how many records were admitted.
-func (s *Subscription) offerBatch(topic string, recs []ulm.Record) (admitted int) {
+// a batch bigger than the remaining budget sheds only its tail.
+func (s *Subscription) offerBatch(topic string, recs []ulm.Record) {
 	chunk := min(chanBatchMax, s.q.budget)
 	for len(recs) > 0 {
 		n := min(chunk, len(recs))
-		if s.offer(frameItem{tb: TopicBatch{Sensor: topic, Recs: recs[:n]}}) {
-			admitted += n
-		}
+		s.offer(frameItem{tb: TopicBatch{Sensor: topic, Recs: recs[:n]}})
 		recs = recs[n:]
 	}
-	return admitted
 }
 
-// SubscribeFramesFunc opens a frame-plane subscription for in-process
+// SubscribeFramesFunc opens a sealed subscription for in-process
 // relays outside this package (a forwarding daemon feeding a sharded
 // site): raw relayed frames reach onFrame (borrowed — Retain or Clone
 // to keep), cooked batches of locally published records reach onBatch
 // (slice borrowed — copy to retain). Both run on one dedicated goroutine, in
 // delivery order. Only pass-through requests qualify — anything needing
-// per-record filtering must ride the record plane. depth and onDrop are
+// per-record filtering must subscribe for records. depth and onDrop are
 // subscribeQueued's. Cancel the returned subscription to stop it.
 func (g *Gateway) SubscribeFramesFunc(req Request, depth int, onDrop func(n int), onFrame func(f *Frame), onBatch func(sensor string, recs []ulm.Record)) (*Subscription, error) {
 	if !PassThrough(req) {
@@ -219,11 +219,7 @@ func (g *Gateway) SubscribeFramesFunc(req Request, depth int, onDrop func(n int)
 		return nil, err
 	}
 	quit := make(chan struct{})
-	unhook := sub.onCancel
-	sub.onCancel = func() {
-		unhook()
-		close(quit)
-	}
+	sub.onCancel = func() { close(quit) }
 	go func() {
 		var burst []frameItem
 		for {

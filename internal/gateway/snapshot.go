@@ -236,11 +236,11 @@ func (sc *snapshotCache) shardFor(g *Gateway, i int, now time.Time) *shardSnap {
 
 // refreshShard rebuilds shard i's snapshot. An idle shard (mutation
 // counter unchanged since capture) revalidates by republishing the old
-// sections under a new timestamp — no lock, no copy. Otherwise the
-// shard lock is taken once and every live producer's rows and
-// last-event cache are copied out; pending relayed frames are decoded
-// outside the lock first (the same decode-outside dance as Query, so a
-// multi-megabyte frame never stalls publishers) and folded in.
+// sections under a new timestamp — no lock, no copy. Otherwise pending
+// relayed frames are folded into their sensors' caches first (decoded
+// outside the lock, see liveProducer, so a multi-megabyte frame never
+// stalls publishers), then the shard lock is taken once more and every
+// live producer's row and last-event cache are copied out.
 func (sc *snapshotCache) refreshShard(g *Gateway, i int, now time.Time) *shardSnap {
 	sc.refreshes.Add(1)
 	ps := &g.pshards[i]
@@ -250,54 +250,23 @@ func (sc *snapshotCache) refreshShard(g *Gateway, i int, now time.Time) *shardSn
 		return snap
 	}
 
-	// Materialize pending relayed frames so the snapshot reflects them:
-	// stash and clear under the lock, decode outside it, fold back in
-	// only where no newer publish overtook the decode (gen unchanged).
-	type stash struct {
-		sensor string
-		frame  *Frame
-		gen    uint64
-	}
-	var pending []stash
+	var pending []string
 	ps.mu.Lock()
 	for name, p := range ps.producers {
 		if p.live && p.lastFrame != nil {
-			pending = append(pending, stash{name, p.takeFrame(), p.gen})
+			pending = append(pending, name)
 		}
 	}
-	ps.mu.Unlock()
-	decoded := make([][]ulm.Record, len(pending))
-	for j := range pending {
-		decoded[j] = g.decodePending(pending[j].frame)
+	for _, name := range pending {
+		g.liveProducer(ps, name)
 	}
-
-	snap := &shardSnap{asOf: now}
-	ps.mu.Lock()
-	for j := range pending {
-		p := ps.producers[pending[j].sensor]
-		if p == nil || p.gen != pending[j].gen {
-			continue // overtaken while unlocked; newer records already cached
-		}
-		for _, rec := range decoded[j] {
-			p.last[rec.Event] = rec
-		}
-		ps.ver.Add(1)
-	}
-	snap.ver = ps.ver.Load()
+	snap := &shardSnap{asOf: now, ver: ps.ver.Load()}
 	snap.last = make(map[string]map[string]ulm.Record, len(ps.producers))
 	for name, p := range ps.producers {
 		if !p.live {
 			continue
 		}
-		snap.sensors = append(snap.sensors, SensorInfo{
-			Name:      name,
-			Host:      p.meta.Host,
-			Type:      p.meta.Type,
-			Interval:  p.meta.Interval,
-			Consumers: p.consumers,
-			Published: p.published,
-			Mirrored:  p.mirrored,
-		})
+		snap.sensors = append(snap.sensors, p.info(name))
 		events := make(map[string]ulm.Record, len(p.last))
 		for event, rec := range p.last {
 			events[event] = rec

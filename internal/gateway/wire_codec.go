@@ -49,7 +49,7 @@ type wireCodec interface {
 
 // frameSplicer is what only the binary framing can do: move a batch
 // that already exists as frame bytes without decoding it. A codec that
-// implements it has its pass-through subscriptions ride the frame plane
+// implements it has its pass-through subscriptions take frames sealed
 // (its eventWriter is a frameRelay), its history answers splice stored
 // archive frames, and its pubBatch is a frameBatch.
 type frameSplicer interface {
