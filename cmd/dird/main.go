@@ -14,8 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -77,18 +75,12 @@ func main() {
 		health.AddCheck("wire", func() error {
 			return directory.NewClient(*name+"/ops", tcp.Addr()).Ping()
 		})
-		opsSrv := &http.Server{Handler: telemetry.NewOpsHandler(telemetry.NewRegistry(), health, nil)}
-		ln, err := net.Listen("tcp", *opsAddr)
+		opsSrv, err := telemetry.ServeOps(*opsAddr, telemetry.NewRegistry(), health, nil)
 		if err != nil {
-			log.Fatalf("dird: ops listen: %v", err)
+			log.Fatalf("dird: %v", err)
 		}
 		defer opsSrv.Close()
-		fmt.Printf("dird: ops endpoint on http://%s/healthz\n", ln.Addr())
-		go func() {
-			if err := opsSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				log.Printf("dird: ops server: %v", err)
-			}
-		}()
+		fmt.Printf("dird: ops endpoint on http://%s/healthz\n", opsSrv.Addr)
 	}
 
 	sig := make(chan os.Signal, 1)

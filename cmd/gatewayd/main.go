@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -90,16 +89,9 @@ func main() {
 	flag.Var(&dirs, "dir", "sensor directory server address for ownership advertisement (repeatable for failover)")
 	flag.Parse()
 
-	var clientProto gateway.Proto
-	switch *wireProto {
-	case "auto":
-		clientProto = gateway.ProtoAuto
-	case "json":
-		clientProto = gateway.ProtoJSON
-	case "v2":
-		clientProto = gateway.ProtoV2
-	default:
-		log.Fatalf("gatewayd: bad -wire-proto %q (want auto, json, or v2)", *wireProto)
+	clientProto, err := gateway.ParseProto(*wireProto)
+	if err != nil {
+		log.Fatalf("gatewayd: -wire-proto: %v", err)
 	}
 
 	gw := gateway.New(*name, nil)
@@ -306,17 +298,10 @@ func main() {
 				return nil
 			})
 		}
-		opsSrv = &http.Server{Addr: *opsAddr, Handler: telemetry.NewOpsHandler(reg, health, tlog)}
-		ln, err := net.Listen("tcp", *opsAddr)
-		if err != nil {
-			log.Fatalf("gatewayd: ops listen: %v", err)
+		if opsSrv, err = telemetry.ServeOps(*opsAddr, reg, health, tlog); err != nil {
+			log.Fatalf("gatewayd: %v", err)
 		}
-		fmt.Printf("gatewayd: ops endpoint on http://%s/metrics\n", ln.Addr())
-		go func() {
-			if err := opsSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				log.Printf("gatewayd: ops server: %v", err)
-			}
-		}()
+		fmt.Printf("gatewayd: ops endpoint on http://%s/metrics\n", opsSrv.Addr)
 	}
 
 	// Metrics republisher: the registry folded into _sys/<name>/metrics

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -46,7 +45,6 @@ import (
 	"jamm/internal/simnet"
 	"jamm/internal/telemetry"
 	"jamm/internal/ulm"
-	"jamm/internal/webui"
 )
 
 func main() {
@@ -62,7 +60,6 @@ func main() {
 	flag.Var(&peers, "peer", "remote gateway address whose topics are mirrored into the embedded gateway (repeatable)")
 	async := flag.Int("async", 0, "async event-plane queue depth per shard for the embedded gateway (0 = synchronous)")
 	demo := flag.Bool("demo-workload", false, "run a synthetic CPU workload and periodic port-21 transfers")
-	httpAddr := flag.String("http", "", "serve the browser UI (tables/charts of §5.0) on this address, e.g. 127.0.0.1:8800")
 	wireProto := flag.String("wire-proto", "auto", "wire protocol policy: auto (negotiate binary v2), json (pin the embedded gateway and all outbound links to JSON-per-line), v2 (outbound links refuse to degrade)")
 	opsAddr := flag.String("ops-addr", "", "ops HTTP listen address serving /metrics, /healthz, /readyz, /trace, and /debug/pprof (empty = disabled)")
 	traceSample := flag.Int("trace-sample", 1024, "stamp a JAMM.TRACE attribute on one in every N published batches for end-to-end hop tracing (0 = off)")
@@ -72,16 +69,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var clientProto gateway.Proto
-	switch *wireProto {
-	case "auto":
-		clientProto = gateway.ProtoAuto
-	case "json":
-		clientProto = gateway.ProtoJSON
-	case "v2":
-		clientProto = gateway.ProtoV2
-	default:
-		log.Fatalf("jammd: bad -wire-proto %q (want auto, json, or v2)", *wireProto)
+	clientProto, err := gateway.ParseProto(*wireProto)
+	if err != nil {
+		log.Fatalf("jammd: -wire-proto: %v", err)
 	}
 
 	opts := core.Options{Seed: time.Now().UnixNano(), Epoch: time.Now().UTC()}
@@ -301,38 +291,18 @@ func main() {
 	}
 	defer ctlSrv.Close()
 
-	if *httpAddr != "" {
-		ui, err := webui.New(site.Gateway, rig.Manager, 5000)
-		if err != nil {
-			log.Fatalf("jammd: webui: %v", err)
-		}
-		defer ui.Close()
-		go func() {
-			if err := http.ListenAndServe(*httpAddr, ui.Handler()); err != nil {
-				log.Printf("jammd: webui: %v", err)
-			}
-		}()
-		fmt.Printf("jammd: browser UI on http://%s/\n", *httpAddr)
-	}
-
 	if *opsAddr != "" {
 		health := telemetry.NewHealth()
 		if *dirAddr != "" {
 			dc := directory.NewClient("jammd/"+*hostName+"/ops", *dirAddr)
 			health.AddCheck("directory", func() error { return dc.Ping() })
 		}
-		opsSrv := &http.Server{Handler: telemetry.NewOpsHandler(treg, health, tlog)}
-		ln, err := net.Listen("tcp", *opsAddr)
+		opsSrv, err := telemetry.ServeOps(*opsAddr, treg, health, tlog)
 		if err != nil {
-			log.Fatalf("jammd: ops listen: %v", err)
+			log.Fatalf("jammd: %v", err)
 		}
 		defer opsSrv.Close()
-		fmt.Printf("jammd: ops endpoint on http://%s/metrics\n", ln.Addr())
-		go func() {
-			if err := opsSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				log.Printf("jammd: ops server: %v", err)
-			}
-		}()
+		fmt.Printf("jammd: ops endpoint on http://%s/metrics\n", opsSrv.Addr)
 	}
 
 	fmt.Printf("jammd: host %s gateway %s control %s\n", *hostName, gwSrv.Addr(), ctlSrv.Addr())

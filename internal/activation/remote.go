@@ -7,6 +7,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"jamm/internal/transport"
 )
 
 // The remote transport: invocation requests and responses are gob
@@ -25,77 +27,36 @@ type rpcResponse struct {
 	Err    string
 }
 
-// Server exposes a Registry over the network.
+// Server exposes a Registry over the network. The embedded transport
+// shell owns the listener and the connections (Addr, Close).
 type Server struct {
+	*transport.Server
 	reg *Registry
-	ln  net.Listener
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
 }
 
 // Serve starts serving reg on addr ("127.0.0.1:0" for ephemeral). A
 // non-nil tlsCfg enables TLS.
 func Serve(reg *Registry, addr string, tlsCfg *tls.Config) (*Server, error) {
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	var ln net.Listener
+	s := &Server{reg: reg}
 	var err error
-	if tlsCfg != nil {
-		ln, err = tls.Listen("tcp", addr, tlsCfg)
-	} else {
-		ln, err = net.Listen("tcp", addr)
-	}
-	if err != nil {
+	if s.Server, err = transport.Serve(addr, tlsCfg, s.serveConn); err != nil {
 		return nil, err
 	}
-	s := &Server{reg: reg, ln: ln, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
 }
 
-// Addr returns the listening address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
+	// A peer that connects and sends nothing is dropped when the
+	// first-read deadline fails the decode; one that has spoken may idle.
+	transport.AwaitFirst(conn)
 	for {
 		var req rpcRequest
 		if err := dec.Decode(&req); err != nil {
 			return
 		}
+		transport.GotFirst(conn)
 		result, err := s.reg.Invoke(req.Service, req.Method, req.Args)
 		resp := rpcResponse{Result: result}
 		if err != nil {
@@ -105,23 +66,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// Close stops the listener and all connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
 }
 
 // Client is a remote stub for services in one remote registry. It is
@@ -155,14 +99,7 @@ func (c *Client) connectLocked() error {
 	if c.conn != nil {
 		return nil
 	}
-	d := net.Dialer{Timeout: c.timeout}
-	var conn net.Conn
-	var err error
-	if c.tlsCfg != nil {
-		conn, err = tls.DialWithDialer(&d, "tcp", c.addr, c.tlsCfg)
-	} else {
-		conn, err = d.Dial("tcp", c.addr)
-	}
+	conn, err := transport.Dial(c.addr, c.timeout, c.tlsCfg)
 	if err != nil {
 		return err
 	}

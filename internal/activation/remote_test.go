@@ -2,12 +2,14 @@ package activation
 
 import (
 	"crypto/tls"
+	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"jamm/internal/auth"
+	"jamm/internal/transport"
 )
 
 func newTestServer(t *testing.T) (*Server, *Registry) {
@@ -161,5 +163,57 @@ func TestRemoteOverTLS(t *testing.T) {
 	defer bare.Close()
 	if _, err := bare.Invoke("echo", "m", nil); err == nil {
 		t.Fatal("certificate-less client accepted")
+	}
+}
+
+// A peer that connects and sends nothing is hung up on once the
+// first-read window closes; a client that has invoked once may idle
+// past it and invoke again on the same connection.
+func TestRemoteSilentPeerDropped(t *testing.T) {
+	old := transport.FirstReadTimeout
+	transport.FirstReadTimeout = 50 * time.Millisecond
+	// Restored after newTestServer's cleanup has stopped the server.
+	t.Cleanup(func() { transport.FirstReadTimeout = old })
+	srv, _ := newTestServer(t)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	_, err = conn.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+		t.Fatalf("silent connection not dropped after the first-read window (read: %v)", err)
+	}
+
+	cli := Dial(srv.Addr(), nil)
+	defer cli.Close()
+	if _, err := cli.Invoke("echo", "a", Args{"x": "1"}); err != nil {
+		t.Fatal(err)
+	}
+	first := cli.conn
+	time.Sleep(3 * transport.FirstReadTimeout)
+	if got, err := cli.Invoke("echo", "b", Args{"x": "2"}); err != nil || got != "b:2" {
+		t.Fatalf("invoke after idling = %q, %v", got, err)
+	}
+	if cli.conn != first {
+		t.Fatal("the idle connection was dropped and redialled")
+	}
+}
+
+// Close does not wait out a connected peer that has said nothing.
+func TestRemoteCloseWithSilentPeer(t *testing.T) {
+	srv, _ := newTestServer(t)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	done := make(chan struct{})
+	go func() { srv.Close(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hangs on a connected, silent peer")
 	}
 }

@@ -54,6 +54,39 @@ func (s *q) admitCounted(v int) {
 	}
 }
 
+// boundQ stands in for the site's shared record queue (internal/boundq):
+// a generic type whose exported Push reports acceptance. Wire
+// subscriptions and replica links both shed through this shape.
+type boundQ[T any] struct {
+	items  []T
+	budget int
+}
+
+func (b *boundQ[T]) Push(it T) bool {
+	if len(b.items) >= b.budget {
+		return false
+	}
+	b.items = append(b.items, it)
+	return true
+}
+
+type link struct {
+	q    *boundQ[int]
+	shed int
+}
+
+func (l *link) forwardUncounted(v int) {
+	if !l.q.Push(v) { // want `refused Push admit discards its records without incrementing a drop counter`
+		_ = v
+	}
+}
+
+func (l *link) forwardCounted(v int) {
+	if !l.q.Push(v) {
+		l.shed++
+	}
+}
+
 // sendAnnotated's shed is accounted by the caller's aggregate counter:
 // the annotation names it, so the path stays silent.
 func (s *q) sendAnnotated(v int) {

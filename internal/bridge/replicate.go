@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"jamm/internal/boundq"
 	"jamm/internal/gateway"
 	"jamm/internal/ring"
 	"jamm/internal/telemetry"
@@ -17,8 +18,9 @@ import (
 // summaries, archive, subscribers) tracks the primary's. Delivery is
 // asynchronous — Forward runs on the publishing goroutine and must not
 // block, so records queue per replica link under a bounded record
-// budget and a drained/bounced link reconnects with backoff while the
-// queue absorbs (or, at the budget, sheds and counts) the traffic.
+// budget (internal/boundq, the queue wire subscriptions use) and a
+// drained/bounced link reconnects with backoff while the queue absorbs
+// (or, at the budget, sheds and counts) the traffic.
 // Where both ends speak wire v2, a frame-plane ingest replicates as
 // the frame itself: the sealed bytes are spliced into the replica
 // link's output buffer with only the replica flag patched — the
@@ -154,7 +156,9 @@ func (r *Replicator) Forward(sensor string, recs []ulm.Record, f *gateway.Frame)
 	}
 	for _, addr := range targets {
 		if l := r.link(addr); l != nil {
-			l.enqueue(it)
+			if !l.q.Push(it) {
+				r.shed.Add(uint64(it.n))
+			}
 		}
 	}
 }
@@ -168,7 +172,7 @@ func (r *Replicator) link(addr string) *replicaLink {
 	if l, ok := r.links[addr]; ok {
 		return l
 	}
-	l := &replicaLink{r: r, addr: addr, wake: make(chan struct{}, 1), done: make(chan struct{})}
+	l := &replicaLink{r: r, addr: addr, q: boundq.New[repItem](r.opts.QueueRecords), done: make(chan struct{})}
 	r.links[addr] = l
 	l.wg.Add(1)
 	go l.run()
@@ -190,8 +194,8 @@ func (r *Replicator) Close() {
 }
 
 // repItem is one queued replication unit: a deep-copied record batch
-// or a retained wire frame, which the link releases once it is sent or
-// shed.
+// the links share, or a wire frame each link retains when its queue
+// admits it and releases once it is sent or shed.
 type repItem struct {
 	sensor string
 	recs   []ulm.Record
@@ -199,57 +203,30 @@ type repItem struct {
 	n      int // record count, for the queue budget
 }
 
-// replicaLink is the pipe to one replica gateway: a bounded queue
-// drained by a goroutine that owns the (re)connecting publisher. The
-// record budget bounds what a slow or dead replica pins: the frames it
-// admits, at most twice their bytes (see gateway.Frame).
-type replicaLink struct {
-	r    *Replicator
-	addr string
+// Records and Own make repItem a boundq.Item.
+func (it repItem) Records() int { return it.n }
 
-	mu     sync.Mutex
-	queue  []repItem
-	queued int // records pending, against QueueRecords
-
-	wake      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-}
-
-// enqueue admits one borrowed item, retaining its frame, or sheds it.
-// An empty queue admits anything: a frame bigger than the whole budget
-// overshoots it by that one item — and nothing else gets in while it
-// sits — instead of being shed forever.
-func (l *replicaLink) enqueue(it repItem) {
-	l.mu.Lock()
-	if l.queued > 0 && l.queued+it.n > l.r.opts.QueueRecords {
-		l.mu.Unlock()
-		l.r.shed.Add(uint64(it.n))
-		return
-	}
+func (it repItem) Own() repItem {
 	if it.f != nil {
 		it.f = it.f.Retain()
 	}
-	l.queue = append(l.queue, it)
-	l.queued += it.n
-	l.mu.Unlock()
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
+	return it
 }
 
-// drain takes everything queued in exchange for spare, the previous
-// take: zeroed, it becomes the array the next enqueues fill.
-func (l *replicaLink) drain(spare []repItem) []repItem {
-	clear(spare)
-	l.mu.Lock()
-	items := l.queue
-	l.queue = spare[:0]
-	l.queued = 0
-	l.mu.Unlock()
-	return items
+// replicaLink is the pipe to one replica gateway: the site's bounded
+// record queue (internal/boundq, shared with wire subscriptions)
+// drained by a goroutine that owns the (re)connecting publisher. The
+// QueueRecords budget bounds what a slow or dead replica pins: the
+// frames it admits, at most twice their bytes (see gateway.Frame); an
+// empty queue admits even a frame bigger than the whole budget.
+type replicaLink struct {
+	r    *Replicator
+	addr string
+	q    *boundq.Queue[repItem]
+
+	done      chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 }
 
 // shedAll counts items as replication loss and releases their frames.
@@ -282,26 +259,25 @@ func (l *replicaLink) run() {
 	var items []repItem
 	backoff := l.r.opts.MinBackoff
 	defer func() {
+		// Final drain: ship what's queued if the link is up; a down link
+		// sheds it, counted. The closed queue admits nothing behind it.
+		items = l.q.Close()
 		if pub != nil {
+			l.send(pub, items)
 			pub.Close()
+		} else {
+			l.shedAll(items)
 		}
 	}()
 	for {
 		select {
 		case <-l.done:
-			// Final drain: ship what's queued if the link is up; a down
-			// link sheds it, counted.
-			items = l.drain(items)
-			if pub != nil {
-				l.send(pub, items)
-			} else {
-				l.shedAll(items)
-			}
 			return
-		case <-l.wake:
+		case <-l.q.Ready():
 		}
 		for {
-			items = l.drain(items)
+			l.q.Settle() // the previous take was sent or shed
+			items = l.q.PopAll(items)
 			if len(items) == 0 {
 				break
 			}

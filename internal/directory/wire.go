@@ -9,8 +9,9 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
+
+	"jamm/internal/transport"
 )
 
 // Wire protocol: newline-delimited JSON over TCP (optionally TLS). One
@@ -49,99 +50,41 @@ func parseScope(s string) (Scope, error) {
 	return 0, fmt.Errorf("directory: bad scope %q", s)
 }
 
-// TCPServer serves a directory Server over the wire protocol.
+// TCPServer serves a directory Server over the wire protocol. The
+// embedded transport shell owns the listener and the connections (Addr,
+// Close).
 type TCPServer struct {
+	*transport.Server
 	srv *Server
-	ln  net.Listener
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-
-	// principalFor derives the authenticated principal for a
-	// connection; with TLS it is the peer certificate's CommonName.
-	principalFor func(net.Conn, string) string
 }
 
 // ServeTCP starts serving srv on addr ("127.0.0.1:0" for ephemeral).
-// If tlsCfg is non-nil the listener requires TLS; authenticated peer
-// certificates override the request principal.
+// If tlsCfg is non-nil the listener requires TLS; an authenticated peer
+// certificate's subject DN overrides the request principal.
 func ServeTCP(srv *Server, addr string, tlsCfg *tls.Config) (*TCPServer, error) {
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	var ln net.Listener
+	t := &TCPServer{srv: srv}
 	var err error
-	if tlsCfg != nil {
-		ln, err = tls.Listen("tcp", addr, tlsCfg)
-	} else {
-		ln, err = net.Listen("tcp", addr)
-	}
-	if err != nil {
+	if t.Server, err = transport.Serve(addr, tlsCfg, t.serveConn); err != nil {
 		return nil, err
 	}
-	t := &TCPServer{
-		srv:   srv,
-		ln:    ln,
-		conns: make(map[net.Conn]struct{}),
-		principalFor: func(c net.Conn, claimed string) string {
-			if tc, ok := c.(*tls.Conn); ok {
-				if err := tc.Handshake(); err == nil {
-					if certs := tc.ConnectionState().PeerCertificates; len(certs) > 0 {
-						return certs[0].Subject.CommonName
-					}
-				}
-			}
-			return claimed
-		},
-	}
-	t.wg.Add(1)
-	go t.acceptLoop()
 	return t, nil
 }
 
-// Addr returns the listening address.
-func (t *TCPServer) Addr() string { return t.ln.Addr().String() }
-
-func (t *TCPServer) acceptLoop() {
-	defer t.wg.Done()
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return
-		}
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			conn.Close()
-			return
-		}
-		t.conns[conn] = struct{}{}
-		t.mu.Unlock()
-		t.wg.Add(1)
-		go t.serveConn(conn)
-	}
-}
-
 func (t *TCPServer) serveConn(conn net.Conn) {
-	defer t.wg.Done()
-	defer func() {
-		conn.Close()
-		t.mu.Lock()
-		delete(t.conns, conn)
-		t.mu.Unlock()
-	}()
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	enc := json.NewEncoder(conn)
+	// A peer that connects and sends nothing is dropped when the
+	// first-read deadline fails the scan; one that has spoken may idle.
+	transport.AwaitFirst(conn)
 	for sc.Scan() {
+		transport.GotFirst(conn)
 		var req wireRequest
 		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
 			enc.Encode(wireResponse{Error: "bad request: " + err.Error()}) //nolint:errcheck
 			return
 		}
-		principal := t.principalFor(conn, req.Principal)
+		principal := transport.PeerPrincipal(conn, req.Principal)
 		if req.Op == "watch" {
 			t.serveWatch(conn, enc, principal, req)
 			return // watch owns the connection until it closes
@@ -236,23 +179,6 @@ func (t *TCPServer) serveWatch(conn net.Conn, enc *json.Encoder, principal strin
 	}
 }
 
-// Close stops the listener and closes open connections.
-func (t *TCPServer) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	for c := range t.conns {
-		c.Close()
-	}
-	t.mu.Unlock()
-	err := t.ln.Close()
-	t.wg.Wait()
-	return err
-}
-
 // Client talks to one or more directory servers with failover: the
 // paper notes replication is critical because "failure of the sensor
 // directory server could take down the entire system". Operations try
@@ -269,14 +195,6 @@ type Client struct {
 // NewClient returns a client over the given server addresses.
 func NewClient(principal string, addresses ...string) *Client {
 	return &Client{Addresses: addresses, Principal: principal, Timeout: 5 * time.Second, FollowReferrals: true}
-}
-
-func (c *Client) dial(addr string) (net.Conn, error) {
-	d := net.Dialer{Timeout: c.Timeout}
-	if c.TLS != nil {
-		return tls.DialWithDialer(&d, "tcp", addr, c.TLS)
-	}
-	return d.Dial("tcp", addr)
 }
 
 // roundTrip runs one request against the first reachable server.
@@ -298,7 +216,7 @@ func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
 }
 
 func (c *Client) roundTripAddr(addr string, req wireRequest) (wireResponse, error) {
-	conn, err := c.dial(addr)
+	conn, err := transport.Dial(addr, c.Timeout, c.TLS)
 	if err != nil {
 		return wireResponse{}, err
 	}
@@ -388,7 +306,7 @@ func (c *Client) Watch(base DN, filter string) (<-chan Change, func(), error) {
 	req := wireRequest{Op: "watch", Principal: c.Principal, Base: base, Filter: filter}
 	var lastErr error
 	for _, addr := range c.Addresses {
-		cn, err := c.dial(addr)
+		cn, err := transport.Dial(addr, c.Timeout, c.TLS)
 		if err != nil {
 			lastErr = err
 			continue

@@ -1,8 +1,14 @@
 package directory
 
 import (
+	"net"
+	"sync"
 	"testing"
 	"time"
+
+	"jamm/internal/auth"
+	"jamm/internal/gateway"
+	"jamm/internal/transport"
 )
 
 func startWire(t *testing.T) (*Server, *TCPServer) {
@@ -171,5 +177,118 @@ func TestWireReplicaFailoverReads(t *testing.T) {
 	got, err := c.Search("o=jamm", ScopeSubtree, "")
 	if err != nil || len(got) != 1 {
 		t.Fatalf("read after primary death = %v, %v", got, err)
+	}
+}
+
+// recordingAuthz is a gateway Authorizer that remembers who asked.
+type recordingAuthz struct {
+	auth.Authorizer
+	mu       sync.Mutex
+	subjects []string
+}
+
+func (r *recordingAuthz) Authorize(subject, resource, action string) error {
+	r.mu.Lock()
+	r.subjects = append(r.subjects, subject)
+	r.mu.Unlock()
+	return nil
+}
+
+// One certificate is one principal: the gateway's Authorizer and the
+// directory's AccessFunc see the same string for the same TLS client —
+// the full subject DN — so a DN-keyed policy or gridmap written for one
+// matches at the other.
+func TestWireTLSPrincipalMatchesGateway(t *testing.T) {
+	ca, err := auth.NewCA("Site CA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverCert, err := ca.IssueServer("127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientCert, err := ca.IssueClient("Jason Lee", []string{"DSD"}, []string{"LBNL"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientTLS := ca.ClientTLS(clientCert, "127.0.0.1")
+
+	gw := gateway.New("gw", nil)
+	gw.Register("cpu", gateway.Meta{Host: "h1"})
+	authz := &recordingAuthz{Authorizer: auth.AllowAll}
+	gw.SetAuthorizer(authz)
+	gwSrv, err := gateway.ServeTCP(gw, "", ca.ServerTLS(serverCert, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gwSrv.Close()
+	gc := gateway.NewClient("someone else", gwSrv.Addr())
+	gc.TLS = clientTLS
+	if _, _, err := gc.Query("cpu", "E"); err != nil {
+		t.Fatalf("gateway query: %v", err)
+	}
+
+	var atDirectory []string
+	srv := NewServer("dir", NewMutableBackend())
+	srv.SetAccess(func(principal string, op Op, dn DN) error {
+		atDirectory = append(atDirectory, principal) // one request at a time
+		return nil
+	})
+	dirSrv, err := ServeTCP(srv, "", ca.ServerTLS(serverCert, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dirSrv.Close()
+	dc := NewClient("someone else", dirSrv.Addr())
+	dc.TLS = clientTLS
+	if err := dc.Add(sensorEntry("h1", "cpu")); err != nil {
+		t.Fatalf("directory add: %v", err)
+	}
+
+	authz.mu.Lock()
+	defer authz.mu.Unlock()
+	if len(authz.subjects) == 0 || len(atDirectory) == 0 {
+		t.Fatalf("authorization hooks not consulted: gateway %v, directory %v", authz.subjects, atDirectory)
+	}
+	want := auth.SubjectDN(clientCert.Leaf)
+	if authz.subjects[0] != want || atDirectory[0] != want {
+		t.Fatalf("one certificate, two principals: gateway saw %q, directory saw %q, want %q", authz.subjects[0], atDirectory[0], want)
+	}
+}
+
+// A peer that connects and sends nothing is hung up on once the
+// first-read window closes.
+func TestWireSilentPeerDropped(t *testing.T) {
+	old := transport.FirstReadTimeout
+	transport.FirstReadTimeout = 50 * time.Millisecond
+	// Restored after startWire's cleanup has stopped the server.
+	t.Cleanup(func() { transport.FirstReadTimeout = old })
+	_, ts := startWire(t)
+	conn, err := net.Dial("tcp", ts.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	_, err = conn.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+		t.Fatalf("silent connection not dropped after the first-read window (read: %v)", err)
+	}
+}
+
+// Close does not wait out a connected peer that has said nothing.
+func TestWireCloseWithSilentPeer(t *testing.T) {
+	_, ts := startWire(t)
+	conn, err := net.Dial("tcp", ts.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	done := make(chan struct{})
+	go func() { ts.Close(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hangs on a connected, silent peer")
 	}
 }

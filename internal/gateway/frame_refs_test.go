@@ -287,8 +287,7 @@ func TestSubscriberBurstOneWrite(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	cc := &countConn{Conn: server}
-	srv.wg.Add(1)
-	go srv.serveConn(cc)
+	go srv.serveConn(cc) // ends when the deferred client.Close hangs up
 
 	rc := &rawConn{t: t, conn: client, fr: newFrameReader(client)}
 	rc.hello(2)

@@ -1059,10 +1059,10 @@ type Subscription struct {
 	wireDrops atomic.Uint64
 	onDrop    func(n int)
 
-	// q is the bounded queue a queued subscription delivers into; nil
-	// for callback subscriptions. onCancel tears down what Cancel must
-	// beyond the bus subscription (a callback goroutine).
-	q        *subQueue
+	// q is the bounded queue a queued subscription delivers into; unset
+	// (nil Queue) for callback subscriptions. onCancel tears down what
+	// Cancel must beyond the bus subscription (a callback goroutine).
+	q        subQueue
 	onCancel func()
 }
 
@@ -1071,10 +1071,10 @@ type Subscription struct {
 // for callback subscriptions) — the drain signal a graceful shutdown
 // polls.
 func (s *Subscription) ChanBacklog() int {
-	if s.q == nil {
+	if s.q.Queue == nil {
 		return 0
 	}
-	return s.q.backlog()
+	return s.q.Backlog()
 }
 
 // Request returns the subscription's request.
@@ -1096,8 +1096,11 @@ func (s *Subscription) Cancel() {
 	if s.onCancel != nil {
 		s.onCancel()
 	}
-	if s.q != nil {
-		s.q.close()
+	if s.q.Queue != nil {
+		// Queued frames hold references nobody will take out now.
+		for _, it := range s.q.Close() {
+			it.f.Release()
+		}
 	}
 	s.g.addConsumer(consumerTopic(s.req), -1)
 }

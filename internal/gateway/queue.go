@@ -2,9 +2,9 @@ package gateway
 
 import (
 	"fmt"
-	"sync"
 
 	"jamm/internal/auth"
+	"jamm/internal/boundq"
 	"jamm/internal/bus"
 	"jamm/internal/ulm"
 )
@@ -17,121 +17,40 @@ type frameItem struct {
 	tb TopicBatch
 }
 
-// records returns the item's record count.
-func (it frameItem) records() int {
+// Records returns the item's record count.
+func (it frameItem) Records() int {
 	if it.f != nil {
 		return it.f.Count
 	}
 	return len(it.tb.Recs)
 }
 
-// subQueue is the one bounded buffer between the publish path and a
-// queued subscription's consumer — a wire connection's writer or
-// SubscribeFramesFunc's callback goroutine, which takes what is queued
-// directly. The publish path pushes under a mutex and never blocks. What
-// the budget bounds is buffered RECORDS, not items: a slow consumer pins
-// bounded memory no matter how traffic is framed (at most twice the
-// bytes of the frames admitted, see frameBuf), and anything the budget
-// refuses is shed — counted per record by the caller, never silently.
-type subQueue struct {
-	mu     sync.Mutex
-	items  []frameItem
-	recs   int // records queued, counted against budget
-	taken  int // records taken and not yet settled: in the consumer's hands
-	budget int
-	closed bool
-	// ready holds a token whenever items may be queued, so a consumer
-	// selecting on it beside its timer and shutdown signals never misses
-	// an item.
-	ready chan struct{}
-}
-
-func newSubQueue(budget int) *subQueue {
-	return &subQueue{budget: budget, ready: make(chan struct{}, 1)}
-}
-
-// push admits one delivery, reporting whether the record budget allowed
-// it. The item is borrowed: on admit its frame is retained — a
-// reference, not a copy — its records copied. An empty queue admits
-// unconditionally — a relayed frame may legally carry more records than
-// the whole budget (maxBatchRecords vs the wire depth of 256), and a
-// strict check would shed every such frame forever instead of applying
-// slow-consumer backpressure. The overshoot is bounded at one item:
-// while it sits queued, recs exceeds the budget and nothing else is
-// admitted. What reaches a closed queue, from a publish under way when
-// its subscription was cancelled, is discarded.
-func (q *subQueue) push(it frameItem) bool {
-	n := it.records()
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return true
-	}
-	if q.recs > 0 && q.recs+n > q.budget {
-		q.mu.Unlock()
-		return false
-	}
+// Own makes a borrowed item the queue's: its frame retained — a
+// reference, not a copy — its records copied.
+func (it frameItem) Own() frameItem {
 	if it.f != nil {
 		it.f = it.f.Retain()
 	} else {
-		recs := make([]ulm.Record, n)
+		recs := make([]ulm.Record, len(it.tb.Recs))
 		copy(recs, it.tb.Recs)
 		it.tb.Recs = recs
 	}
-	q.items = append(q.items, it)
-	q.recs += n
-	q.mu.Unlock()
-	select {
-	case q.ready <- struct{}{}:
-	default:
-	}
-	return true
+	return it
 }
 
-// popAll takes everything queued, oldest first; the frames' references
-// are now the consumer's to release. It trades for spare, the previous
-// take: zeroed, so a drained queue pins no frame or record, it becomes
-// the array the next pushes fill, and the two swap from then on without
-// allocating. The records move from the budget to the consumer's hands
-// in the same critical section, so backlog never reads zero while a
-// taken record is unwritten.
-func (q *subQueue) popAll(spare []frameItem) []frameItem {
-	clear(spare)
-	q.mu.Lock()
-	items := q.items
-	q.items = spare[:0]
-	q.taken += q.recs
-	q.recs = 0
-	q.mu.Unlock()
-	return items
-}
+// subQueue is the one bounded buffer between the publish path and a
+// queued subscription's consumer — a wire connection's writer or
+// SubscribeFramesFunc's callback goroutine, which takes what is queued
+// directly: the site's record-budgeted queue (internal/boundq, shared
+// with the replica links) holding frameItems. A slow consumer pins at
+// most twice the bytes of the frames admitted (see frameBuf); what the
+// budget refuses is shed, counted per record by Subscription.offer.
+type subQueue struct{ *boundq.Queue[frameItem] }
 
-// settle records that everything taken so far has left the consumer's
-// hands (written out, or counted as lost).
-func (q *subQueue) settle() {
-	q.mu.Lock()
-	q.taken = 0
-	q.mu.Unlock()
-}
-
-// close releases what is still queued when the subscription is
-// cancelled, and admits nothing more.
-func (q *subQueue) close() {
-	q.mu.Lock()
-	items := q.items
-	q.items, q.recs, q.closed = nil, 0, true
-	q.mu.Unlock()
-	for i := range items {
-		items[i].f.Release()
-	}
-}
-
-// backlog returns the records queued or in the consumer's hands.
-func (q *subQueue) backlog() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.recs + q.taken
-}
+// popAll and settle are the consumer's two calls, in this package's
+// spelling.
+func (q subQueue) popAll(spare []frameItem) []frameItem { return q.PopAll(spare) }
+func (q subQueue) settle()                              { q.Settle() }
 
 // chanBatchMax caps the records of one cooked queue item: oversized
 // batches are split so a small record budget can still admit the head
@@ -158,7 +77,7 @@ func (g *Gateway) subscribeQueued(req Request, depth int, frames bool, onDrop fu
 	}
 	// s is complete before the bus insert, so deliveries racing this
 	// function's return are queued and counted like any other.
-	s := &Subscription{g: g, req: req, q: newSubQueue(depth), onDrop: onDrop}
+	s := &Subscription{g: g, req: req, q: subQueue{boundq.New[frameItem](depth)}, onDrop: onDrop}
 	if frames && PassThrough(req) {
 		s.sub = g.bus.SubscribeSealed(req.Sensor, func(topic string, recs []ulm.Record, sealed bus.Sealed) {
 			if sealed != nil {
@@ -186,15 +105,15 @@ func (s *Subscription) shed(n int) {
 // offer admits one borrowed delivery into the subscription's queue or
 // sheds it.
 func (s *Subscription) offer(it frameItem) {
-	if !s.q.push(it) {
-		s.shed(it.records())
+	if !s.q.Push(it) {
+		s.shed(it.Records())
 	}
 }
 
 // offerBatch offers a borrowed batch in chunks the budget can admit, so
 // a batch bigger than the remaining budget sheds only its tail.
 func (s *Subscription) offerBatch(topic string, recs []ulm.Record) {
-	chunk := min(chanBatchMax, s.q.budget)
+	chunk := min(chanBatchMax, s.q.Budget())
 	for len(recs) > 0 {
 		n := min(chunk, len(recs))
 		s.offer(frameItem{tb: TopicBatch{Sensor: topic, Recs: recs[:n]}})
@@ -224,7 +143,7 @@ func (g *Gateway) SubscribeFramesFunc(req Request, depth int, onDrop func(n int)
 		var burst []frameItem
 		for {
 			select {
-			case <-sub.q.ready:
+			case <-sub.q.Ready():
 				burst = sub.q.popAll(burst)
 				for i := range burst {
 					if it := &burst[i]; it.f != nil {

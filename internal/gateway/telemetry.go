@@ -48,9 +48,9 @@ func (t *TCPServer) MetricsSource() telemetry.Source {
 		e.Counter("jamm_wire_bad_frames_total", "Malformed v2 binary frames.", ws.BadFrames)
 		e.Counter("jamm_wire_handshake_timeouts_total", "Connections dropped for sending nothing in the negotiation window.", ws.HandshakeTimeouts)
 		t.mu.Lock()
-		conns, subs := len(t.conns), len(t.subs)
+		subs := len(t.subs)
 		t.mu.Unlock()
-		e.Gauge("jamm_wire_connections", "Open wire connections.", float64(conns))
+		e.Gauge("jamm_wire_connections", "Open wire connections.", float64(t.Conns()))
 		e.Gauge("jamm_wire_subscriber_connections", "Open streaming subscriber connections.", float64(subs))
 	})
 }

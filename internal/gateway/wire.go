@@ -14,6 +14,7 @@ import (
 
 	"jamm/internal/auth"
 	"jamm/internal/histstore"
+	"jamm/internal/transport"
 	"jamm/internal/ulm"
 )
 
@@ -98,6 +99,12 @@ import (
 // subscribe pump (queue, control reader, retune, coalescing timer,
 // drain accounting) and the history server. wire_client.go does the
 // same for Stream, HistoryStream and Publisher.
+//
+// What is not the wire's at all lives below it, shared with every other
+// server of the site: listening, accepting, tracking and closing
+// connections, the first-read deadline, the dial and the TLS peer's
+// principal are internal/transport; the subscription's bounded queue is
+// internal/boundq (queue.go).
 
 // Format names for event payloads.
 const (
@@ -108,12 +115,6 @@ const (
 
 // wireVersionMax is the highest protocol version this build speaks.
 const wireVersionMax = 2
-
-// wireHandshakeTimeout bounds the server's first read on a new
-// connection — a peer that connects and sends nothing must not hold a
-// server goroutine (and its connection slot) forever. A variable so
-// tests can shrink it.
-var wireHandshakeTimeout = 30 * time.Second
 
 // wireEvent is one event inside a batched frame: the sensor (bus
 // topic) it was published under plus the encoded payload.
@@ -289,10 +290,12 @@ const defaultBatchWait = 2 * time.Millisecond
 // shutdown never races an arbitrarily long flush timer.
 const maxBatchWait = time.Second
 
-// TCPServer exposes a Gateway over the wire protocol.
+// TCPServer exposes a Gateway over the wire protocol. The embedded
+// transport shell owns the listener and the connections (Addr,
+// StopAccepting, Close); serveConn is what runs on each.
 type TCPServer struct {
+	*transport.Server
 	gw *Gateway
-	ln net.Listener
 
 	// hist is the persistent history plane the op=history verb serves;
 	// nil until SetHistory attaches one.
@@ -309,13 +312,9 @@ type TCPServer struct {
 	badFrames         atomic.Uint64
 	handshakeTimeouts atomic.Uint64
 
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
+	mu sync.Mutex
 	// subs holds every open wire subscription, for DrainSubscribers.
-	subs    map[*Subscription]struct{}
-	stopped bool // listener closed (StopAccepting or Close)
-	closed  bool
-	wg      sync.WaitGroup
+	subs map[*Subscription]struct{}
 }
 
 // ServeTCP serves gw on addr ("127.0.0.1:0" for ephemeral). A non-nil
@@ -323,28 +322,14 @@ type TCPServer struct {
 // overrides the request principal, so remote identity is the
 // certificate, not a client claim.
 func ServeTCP(gw *Gateway, addr string, tlsCfg *tls.Config) (*TCPServer, error) {
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	var ln net.Listener
+	t := &TCPServer{gw: gw, subs: make(map[*Subscription]struct{})}
+	t.maxVersion.Store(wireVersionMax)
 	var err error
-	if tlsCfg != nil {
-		ln, err = tls.Listen("tcp", addr, tlsCfg)
-	} else {
-		ln, err = net.Listen("tcp", addr)
-	}
-	if err != nil {
+	if t.Server, err = transport.Serve(addr, tlsCfg, t.serveConn); err != nil {
 		return nil, err
 	}
-	t := &TCPServer{gw: gw, ln: ln, conns: make(map[net.Conn]struct{}), subs: make(map[*Subscription]struct{})}
-	t.maxVersion.Store(wireVersionMax)
-	t.wg.Add(1)
-	go t.acceptLoop()
 	return t, nil
 }
-
-// Addr returns the listening address.
-func (t *TCPServer) Addr() string { return t.ln.Addr().String() }
 
 // WireStats returns a snapshot of the server's wire-loss counters.
 func (t *TCPServer) WireStats() WireStats {
@@ -380,37 +365,6 @@ func (t *TCPServer) SetHistory(h *histstore.Store) { t.hist.Store(h) }
 // History returns the attached persistent archive, or nil.
 func (t *TCPServer) History() *histstore.Store { return t.hist.Load() }
 
-func (t *TCPServer) acceptLoop() {
-	defer t.wg.Done()
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return
-		}
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			conn.Close()
-			return
-		}
-		t.conns[conn] = struct{}{}
-		t.mu.Unlock()
-		t.wg.Add(1)
-		go t.serveConn(conn)
-	}
-}
-
-func peerPrincipal(conn net.Conn, claimed string) string {
-	if tc, ok := conn.(*tls.Conn); ok {
-		if err := tc.Handshake(); err == nil {
-			if dn := auth.PeerDN(tc.ConnectionState()); dn != "" {
-				return dn
-			}
-		}
-	}
-	return claimed
-}
-
 // serverConn is one accepted connection: its framing and its garbage
 // accounting.
 type serverConn struct {
@@ -431,22 +385,13 @@ type serverConn struct {
 
 // serveConn is the connection loop of both framings.
 func (t *TCPServer) serveConn(conn net.Conn) {
-	defer t.wg.Done()
-	defer func() {
-		conn.Close()
-		t.mu.Lock()
-		delete(t.conns, conn)
-		t.mu.Unlock()
-	}()
 	c := &serverConn{t: t, conn: conn, cdc: newLineCodec(conn, conn, maxLineBytes), bad: &t.badLines}
 	// The first read — the version-negotiation window — is bounded: a
 	// peer that connects and sends nothing must not hold this goroutine
 	// forever. Once the peer has said anything (hello, any op, garbage)
 	// the connection is idle-tolerant.
 	awaitingFirst := true
-	if wireHandshakeTimeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(wireHandshakeTimeout)) //nolint:errcheck
-	}
+	transport.AwaitFirst(conn)
 	var req wireRequest
 	for {
 		req = wireRequest{}
@@ -454,11 +399,11 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 		if awaitingFirst {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				t.handshakeTimeouts.Add(1)
-				log.Printf("gateway: wire: dropping %s: nothing received within the %s negotiation window", conn.RemoteAddr(), wireHandshakeTimeout)
+				log.Printf("gateway: wire: dropping %s: nothing received within the %s negotiation window", conn.RemoteAddr(), transport.FirstReadTimeout)
 				return
 			}
 			awaitingFirst = false
-			conn.SetReadDeadline(time.Time{}) //nolint:errcheck
+			transport.GotFirst(conn)
 		}
 		if err != nil {
 			if !c.readFault(err) {
@@ -482,7 +427,7 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 			continue
 		}
 		c.badStreak = 0
-		req.Principal = peerPrincipal(conn, req.Principal)
+		req.Principal = transport.PeerPrincipal(conn, req.Principal)
 		switch {
 		case req.Op == "hello" && c.cdc.version() == 1:
 			// Version negotiation: answer with the highest mutually
@@ -856,7 +801,7 @@ func (c *serverConn) serveSubscribe(req wireRequest) {
 	var burst []frameItem
 	for {
 		select {
-		case <-sub.q.ready:
+		case <-sub.q.Ready():
 			// Everything queued by now — typically one upstream flush —
 			// goes out together: the writer holds finished frames until
 			// commit. The pump never waits for more.
@@ -902,24 +847,11 @@ func (c *serverConn) serveSubscribe(req wireRequest) {
 	}
 }
 
-// StopAccepting closes the listener so no new connections arrive while
-// existing subscriber connections stay open — the first phase of a
-// drained shutdown: StopAccepting, Flush the gateway, DrainSubscribers,
-// then Close.
-func (t *TCPServer) StopAccepting() {
-	t.mu.Lock()
-	already := t.stopped
-	t.stopped = true
-	t.mu.Unlock()
-	if !already {
-		t.ln.Close()
-	}
-}
-
 // DrainSubscribers waits until every open subscription's in-flight
 // records — queued, or dequeued into a frame not yet written — have
 // been written out, or until timeout. It reports whether the drain
-// completed. Call after StopAccepting and Flush.
+// completed. A drained shutdown is StopAccepting, Flush the gateway,
+// DrainSubscribers, then Close.
 func (t *TCPServer) DrainSubscribers(timeout time.Duration) bool {
 	idle := func() bool {
 		t.mu.Lock()
@@ -937,26 +869,4 @@ func (t *TCPServer) DrainSubscribers(timeout time.Duration) bool {
 		}
 	}
 	return idle()
-}
-
-// Close stops the listener and closes open connections.
-func (t *TCPServer) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	already := t.stopped
-	t.stopped = true
-	for c := range t.conns {
-		c.Close()
-	}
-	t.mu.Unlock()
-	var err error
-	if !already {
-		err = t.ln.Close()
-	}
-	t.wg.Wait()
-	return err
 }

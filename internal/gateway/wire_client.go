@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"jamm/internal/histstore"
+	"jamm/internal/transport"
 	"jamm/internal/ulm"
 )
 
@@ -36,6 +37,19 @@ const (
 	ProtoV2
 )
 
+// ParseProto parses a wire protocol policy name ("auto", "json", "v2").
+func ParseProto(s string) (Proto, error) {
+	switch s {
+	case "auto":
+		return ProtoAuto, nil
+	case "json":
+		return ProtoJSON, nil
+	case "v2":
+		return ProtoV2, nil
+	}
+	return 0, fmt.Errorf("gateway: unknown wire protocol %q (want auto, json, or v2)", s)
+}
+
 // Client talks to one gateway server.
 type Client struct {
 	Addr      string
@@ -54,14 +68,6 @@ func NewClient(principal, addr string) *Client {
 	return &Client{Addr: addr, Principal: principal, Timeout: 5 * time.Second}
 }
 
-func (c *Client) dial() (net.Conn, error) {
-	d := net.Dialer{Timeout: c.Timeout}
-	if c.TLS != nil {
-		return tls.DialWithDialer(&d, "tcp", c.Addr, c.TLS)
-	}
-	return d.Dial("tcp", c.Addr)
-}
-
 // dialCodec dials and, when the client's policy and the payload format
 // allow binary framing, performs the version handshake. It returns the
 // connection and the codec of the framing both sides now speak, which
@@ -70,7 +76,7 @@ func (c *Client) dial() (net.Conn, error) {
 // handshake line: publishers never read again and JSON streams buffer
 // in their codec.
 func (c *Client) dialCodec(format string) (net.Conn, wireCodec, error) {
-	conn, err := c.dial()
+	conn, err := transport.Dial(c.Addr, c.Timeout, c.TLS)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -110,7 +116,7 @@ func (c *Client) dialCodec(format string) (net.Conn, wireCodec, error) {
 }
 
 func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
-	conn, err := c.dial()
+	conn, err := transport.Dial(c.Addr, c.Timeout, c.TLS)
 	if err != nil {
 		return wireResponse{}, err
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"jamm/internal/transport"
 	"jamm/internal/ulm"
 )
 
@@ -248,9 +249,10 @@ func TestWireV2BadFrameStreakClosesConnection(t *testing.T) {
 // dropped once the negotiation window closes, and counted — connections
 // cannot park in the pre-handshake state forever.
 func TestWireV2HandshakeTimeout(t *testing.T) {
-	old := wireHandshakeTimeout
-	wireHandshakeTimeout = 50 * time.Millisecond
-	defer func() { wireHandshakeTimeout = old }()
+	old := transport.FirstReadTimeout
+	transport.FirstReadTimeout = 50 * time.Millisecond
+	// Restored after startServer's cleanup has stopped the server.
+	t.Cleanup(func() { transport.FirstReadTimeout = old })
 
 	_, srv := startServer(t)
 	conn, err := net.Dial("tcp", srv.Addr())

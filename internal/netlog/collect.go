@@ -5,8 +5,8 @@ import (
 	"io"
 	"net"
 	"os"
-	"sync"
 
+	"jamm/internal/transport"
 	"jamm/internal/ulm"
 )
 
@@ -51,85 +51,27 @@ func MergeReaders(w io.Writer, readers ...io.Reader) error {
 
 // Collector is a TCP server that receives ULM text streams from remote
 // Loggers (the "log to a remote host" destination) and hands each
-// record to a sink.
+// record to a sink. The embedded transport shell owns the listener and
+// the connections: Addr, and Close, which stops accepting, closes live
+// connections and waits for their handlers.
 type Collector struct {
-	ln   net.Listener
-	sink func(ulm.Record)
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	*transport.Server
 }
 
 // NewCollector starts a collector on addr ("" or ":0" for an ephemeral
 // port). The sink is called from connection goroutines and must be
 // concurrency-safe.
 func NewCollector(addr string, sink func(ulm.Record)) (*Collector, error) {
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
+	// No first-read deadline here, on purpose: a logger may connect long
+	// before it has its first event to send.
+	srv, err := transport.Serve(addr, nil, func(conn net.Conn) {
+		sc := ulm.NewScanner(conn)
+		for sc.Scan() {
+			sink(sc.Record())
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	c := &Collector{ln: ln, sink: sink, conns: make(map[net.Conn]struct{})}
-	c.wg.Add(1)
-	go c.acceptLoop()
-	return c, nil
-}
-
-// Addr returns the listening address.
-func (c *Collector) Addr() string { return c.ln.Addr().String() }
-
-func (c *Collector) acceptLoop() {
-	defer c.wg.Done()
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			conn.Close()
-			return
-		}
-		c.conns[conn] = struct{}{}
-		c.mu.Unlock()
-		c.wg.Add(1)
-		go c.serve(conn)
-	}
-}
-
-func (c *Collector) serve(conn net.Conn) {
-	defer c.wg.Done()
-	defer func() {
-		conn.Close()
-		c.mu.Lock()
-		delete(c.conns, conn)
-		c.mu.Unlock()
-	}()
-	sc := ulm.NewScanner(conn)
-	for sc.Scan() {
-		c.sink(sc.Record())
-	}
-}
-
-// Close stops accepting, closes live connections, and waits for
-// handlers to finish.
-func (c *Collector) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	for conn := range c.conns {
-		conn.Close()
-	}
-	c.mu.Unlock()
-	err := c.ln.Close()
-	c.wg.Wait()
-	return err
+	return &Collector{srv}, nil
 }

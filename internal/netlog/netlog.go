@@ -17,11 +17,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"sync"
 	"time"
 
+	"jamm/internal/transport"
 	"jamm/internal/ulm"
 )
 
@@ -117,7 +117,7 @@ func (l *Logger) OpenFile(path string) error {
 // DialTCP streams records to a NetLogger collector at addr (§4.4
 // "logging to ... a remote host").
 func (l *Logger) DialTCP(addr string) error {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := transport.Dial(addr, 5*time.Second, nil)
 	if err != nil {
 		return err
 	}

@@ -3,10 +3,13 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
 	"sync"
+
+	"jamm/internal/transport"
 )
 
 // Health aggregates named readiness checks for /readyz. Liveness
@@ -108,4 +111,22 @@ func NewOpsHandler(reg *Registry, health *Health, tlog *TraceLog) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
 	return mux
+}
+
+// ServeOps serves the ops endpoint (NewOpsHandler) on addr, on its own
+// listener so operator traffic never competes with the wire protocol.
+// The returned server's Addr is the address actually bound; Close stops
+// it.
+func ServeOps(addr string, reg *Registry, health *Health, tlog *TraceLog) (*http.Server, error) {
+	ln, err := transport.Listen(addr, nil)
+	if err != nil {
+		return nil, fmt.Errorf("ops listen: %w", err)
+	}
+	srv := &http.Server{Addr: ln.Addr().String(), Handler: NewOpsHandler(reg, health, tlog)}
+	go func() {
+		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+			log.Printf("telemetry: ops server: %v", err)
+		}
+	}()
+	return srv, nil
 }
