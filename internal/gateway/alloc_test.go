@@ -1,6 +1,10 @@
 package gateway
 
 import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"jamm/internal/ulm"
@@ -54,4 +58,132 @@ func TestPublishFilteredSubscriberZeroAllocs(t *testing.T) {
 	assertNoAllocs(t, "on-change suppressed publish", func() {
 		g.Publish("cpu@h", r) // same value every time: all suppressed
 	})
+}
+
+// TestLineSubscriberWriteZeroAllocs: a warmed JSON-lines subscriber
+// write path — payload rendered, escaped into the line, the burst
+// written — allocates nothing per record in either text format, at
+// batched and at single-record frames.
+func TestLineSubscriberWriteZeroAllocs(t *testing.T) {
+	g := New("gw", nil)
+	sub, err := g.subscribeQueued(Request{}, 0, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	recs := fatRun(64, 12)
+	for _, format := range []string{FormatULM, FormatXML} {
+		var cdc wireCodec = newLineCodec(nopConn{}, nil, maxLineBytes)
+		w := cdc.events(format, sub)
+		assertNoAllocs(t, format+": two batched lines and a partial", func() {
+			if wrote, err := w.add("cpu@h1", recs, 24); err != nil || !wrote || w.pending() != 16 {
+				t.Fatalf("wrote %v, pending %d, err %v", wrote, w.pending(), err)
+			}
+			if err := w.commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		assertNoAllocs(t, format+": single-record lines", func() {
+			if wrote, err := w.add("cpu@h1", recs[:4], 1); err != nil || !wrote || w.pending() != 0 {
+				t.Fatalf("wrote %v, pending %d, err %v", wrote, w.pending(), err)
+			}
+			if err := w.commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// eventLine is the line a JSON-lines subscriber of format is sent for
+// recs.
+func eventLine(t testing.TB, format string, recs []ulm.Record) []byte {
+	t.Helper()
+	var w lineWriter
+	w.buf = append(w.buf, `{"ok":true,"recs":[`...)
+	for i := range recs {
+		if i > 0 {
+			w.buf = append(w.buf, ',')
+		}
+		w.event(format, "cpu@h1", &recs[i])
+	}
+	return append(w.buf, "]}\n"...)
+}
+
+// TestLineStreamDecodeAllocsPerLine: a client reading event lines pays
+// for the records it hands over — one string arena and one field slab —
+// and nothing else, however many records a line holds.
+func TestLineStreamDecodeAllocsPerLine(t *testing.T) {
+	for _, format := range []string{FormatULM, FormatXML} {
+		for _, n := range []int{1, 8, 64} {
+			cdc := newLineCodec(nopConn{}, &replayReader{data: eventLine(t, format, fatRun(n, 4))}, 0)
+			var in inboundEvents
+			var resp wireResponse
+			got := 0
+			deliver := func(_ string, recs []ulm.Record) error { got = len(recs); return nil }
+			fail := func(err error) error { return err }
+			f := func() {
+				resp = wireResponse{events: &in}
+				if _, err := cdc.read(&resp); err != nil || !resp.OK {
+					t.Fatalf("read: %+v, %v", resp, err)
+				}
+				if m, err := in.runs(format, fail, deliver); err != nil || m != n || got != n {
+					t.Fatalf("%d records delivered (%d in one run), want %d: %v", m, got, n, err)
+				}
+			}
+			f() // the line buffer and the decoder's scratch grow to size
+			f()
+			if avg := testing.AllocsPerRun(200, f); avg > 3 {
+				t.Errorf("%s, %d records a line: %.2f allocs per line, want <= 3", format, n, avg)
+			}
+			if in.fallbacks != 0 || in.batch.Fallbacks() != 0 {
+				t.Errorf("%s: %d lines through encoding/json, %d payloads through encoding/xml", format, in.fallbacks, in.batch.Fallbacks())
+			}
+		}
+	}
+}
+
+// TestTextBatchCompactReleasesLine: the records of one event line share
+// an arena and a slab, so keeping one keeps the line; keeping its
+// Compact copy keeps only itself.
+func TestTextBatchCompactReleasesLine(t *testing.T) {
+	recs := fatRun(512, 2)
+	for i := range recs {
+		recs[i].Fields[1].Value = strings.Repeat(string(rune('a'+i%26)), 2048) + fmt.Sprint(i)
+	}
+	line := eventLine(t, FormatULM, recs)
+	recs = nil
+	const arena = 512 * 2048
+	decode := func(keep func(ulm.Record) ulm.Record) (kept ulm.Record) {
+		var in inboundEvents
+		var resp wireResponse
+		if !in.scan(bytes.TrimSpace(line), &resp) {
+			t.Fatal("the event scanner refused an event line")
+		}
+		n, err := in.runs(FormatULM, func(err error) error { return err }, func(_ string, recs []ulm.Record) error {
+			kept = keep(recs[100])
+			return nil
+		})
+		if n != 512 || err != nil {
+			t.Fatalf("%d records, %v", n, err)
+		}
+		return kept
+	}
+	base := retainedHeap()
+	kept := decode(func(r ulm.Record) ulm.Record { return r })
+	if held := int64(retainedHeap() - base); held < arena {
+		t.Fatalf("a kept record of the line holds %d bytes; expected it to pin the %d-byte arena (test has no teeth)", held, arena)
+	}
+	runtime.KeepAlive(kept)
+	compact := decode(func(r ulm.Record) ulm.Record { return r.Compact() })
+	if held := int64(retainedHeap() - base); held > arena/16 {
+		t.Fatalf("a Compact record still holds %d bytes of its line", held)
+	}
+	runtime.KeepAlive(compact)
+	runtime.KeepAlive(line)
 }

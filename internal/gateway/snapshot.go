@@ -161,6 +161,9 @@ type snapshotCache struct {
 
 	sums       atomic.Pointer[summarySnap]
 	sumRefresh atomic.Bool
+	// sumScratch is the buffer every summarized series' sample window is
+	// copied through; whoever holds the sumRefresh election owns it.
+	sumScratch []sample
 	hits       atomic.Uint64
 	misses     atomic.Uint64
 	refreshes  atomic.Uint64
@@ -358,7 +361,7 @@ func (sc *snapshotCache) summary(g *Gateway, key summaryKey) (pts []SummaryPoint
 // copied under its lock (pointers only), then each series' statistics
 // are computed outside it. No dirty tracking — the rebuild cost is
 // proportional to the summarized-series count, which is configuration,
-// not traffic.
+// not traffic. The caller holds the sumRefresh election.
 func (sc *snapshotCache) refreshSummaries(g *Gateway, now time.Time) *summarySnap {
 	sc.refreshes.Add(1)
 	g.sumMu.Lock()
@@ -369,7 +372,7 @@ func (sc *snapshotCache) refreshSummaries(g *Gateway, now time.Time) *summarySna
 	g.sumMu.Unlock()
 	snap := &summarySnap{asOf: now, points: make(map[summaryKey][]SummaryPoint, len(entries))}
 	for key, e := range entries {
-		snap.points[key] = e.st.points(now)
+		snap.points[key], sc.sumScratch = e.st.points(now, sc.sumScratch)
 	}
 	sc.sums.Store(snap)
 	return snap

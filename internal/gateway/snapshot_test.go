@@ -2,10 +2,14 @@ package gateway
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
+
+	"jamm/internal/ulm"
 )
 
 // TestSnapshotWaitFreeReads is the tentpole contract check: with the
@@ -277,5 +281,42 @@ func TestSnapshotCoherenceUnderChurn(t *testing.T) {
 		if got := mustVal(t, rec); got != want {
 			t.Fatalf("s%d converged to %g, want %g", i, got, want)
 		}
+	}
+}
+
+// TestSummarySnapshotRefreshSteadyAllocs: once warm, a refresh of the
+// summary snapshot allocates what it publishes — a few words per
+// series — and nothing per sample: every series' window is copied
+// through the refresher's one scratch buffer.
+func TestSummarySnapshotRefreshSteadyAllocs(t *testing.T) {
+	const series, samples = 8, 4096
+	now := epoch
+	g := New("gw1", func() time.Time { return now })
+	recs := make([]ulm.Record, samples)
+	for i := range recs {
+		recs[i] = mkRec("E", 0, float64(i))
+	}
+	for s := 0; s < series; s++ {
+		name := fmt.Sprintf("s%d", s)
+		g.EnableSummary(name, "E", "VAL", time.Hour)
+		g.PublishBatch(name, recs)
+	}
+	g.EnableSnapshots(SnapshotOptions{MaxStale: time.Hour})
+	sc := g.snaps.Load()
+	if pts := sc.refreshSummaries(g, now).points[summaryKey{"s0", "E", "VAL"}]; len(pts) != 1 || pts[0].Count != samples {
+		t.Fatalf("warm-up refresh: %+v", pts)
+	}
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		sc.refreshSummaries(g, now)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / rounds
+	allocs := (after.Mallocs - before.Mallocs) / rounds
+	windows := uint64(series * samples * int(unsafe.Sizeof(sample{})))
+	if bytes > series*1024 || allocs > series*4+8 {
+		t.Fatalf("a refresh of %d series allocates %d bytes in %d objects; their sample windows hold %d bytes", series, bytes, allocs, windows)
 	}
 }

@@ -103,7 +103,8 @@ func (g *Gateway) Summary(principal, sensorName, event, field string) ([]Summary
 	if !ok {
 		return nil, fmt.Errorf("gateway: no summary for %s/%s/%s", sensorName, event, field)
 	}
-	return e.st.points(g.now()), nil
+	pts, _ := e.st.points(g.now(), nil)
+	return pts, nil
 }
 
 // addBatch folds one published batch into the window: scan for
@@ -140,18 +141,23 @@ func (st *summaryState) trimLocked(now time.Time) {
 }
 
 // points computes the window statistics. The state lock covers only a
-// memcpy of the sample window (sized outside it, re-growing on the
-// rare race with a concurrent publish); the windows × samples scan and
-// the result allocation run unlocked, so a publish folding into the
-// same series is never stalled behind a consumer's statistics pass.
-func (st *summaryState) points(now time.Time) []SummaryPoint {
+// memcpy of the sample window into scratch (grown outside the lock,
+// re-growing on the rare race with a concurrent publish); the windows ×
+// samples scan and the result allocation run unlocked, so a publish
+// folding into the same series is never stalled behind a consumer's
+// statistics pass. scratch comes back, as long as it had to be, for the
+// caller's next call: a refresher that keeps it copies every window it
+// summarizes through one buffer instead of allocating each anew.
+func (st *summaryState) points(now time.Time, scratch []sample) ([]SummaryPoint, []sample) {
 	windows := st.windows // immutable after construction
 	st.mu.Lock()
 	n := len(st.samples)
 	st.mu.Unlock()
-	samples := make([]sample, 0, n+16)
+	if cap(scratch) < n {
+		scratch = make([]sample, 0, n+n/4+16)
+	}
 	st.mu.Lock()
-	samples = append(samples, st.samples...)
+	samples := append(scratch[:0], st.samples...)
 	st.mu.Unlock()
 	out := make([]SummaryPoint, 0, len(windows))
 	for _, w := range windows {
@@ -175,7 +181,7 @@ func (st *summaryState) points(now time.Time) []SummaryPoint {
 		}
 		out = append(out, pt)
 	}
-	return out
+	return out, samples
 }
 
 // SummarySample is one drained sample of a summarized series, in

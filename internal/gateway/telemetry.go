@@ -44,7 +44,6 @@ func (t *TCPServer) MetricsSource() telemetry.Source {
 		e.Counter("jamm_wire_bad_records_total", "op=publish records that failed payload decode.", ws.BadRecords)
 		e.Counter("jamm_wire_bad_lines_total", "Request lines that failed JSON parsing.", ws.BadLines)
 		e.Counter("jamm_wire_sub_drops_total", "Records dropped on slow subscriber connections.", ws.SubDrops)
-		e.Counter("jamm_wire_hist_drops_total", "Archived records a history response could not carry.", ws.HistDrops)
 		e.Counter("jamm_wire_bad_frames_total", "Malformed v2 binary frames.", ws.BadFrames)
 		e.Counter("jamm_wire_handshake_timeouts_total", "Connections dropped for sending nothing in the negotiation window.", ws.HandshakeTimeouts)
 		t.mu.Lock()

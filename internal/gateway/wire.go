@@ -3,7 +3,6 @@ package gateway
 import (
 	"bufio"
 	"crypto/tls"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"log"
@@ -88,10 +87,12 @@ import (
 // single-record frames at a window of 1, mix sensors in one
 // {"recs":[...]} frame and piggyback the subscription's cumulative
 // slow-consumer drop counter ("drops") on every frame, so a mirror
-// downstream can see loss it never received. Binary framing sends one
-// frame per run of one sensor, forwards a relayed frame's bytes
-// untouched, puts everything a subscription has queued on the socket
-// with one gathered write (timed as the telemetry "wire" stage),
+// downstream can see loss it never received; event lines are appended
+// and scanned, never marshalled (wire_json.go), and like binary frames
+// everything a subscription has queued leaves in one write. Binary
+// framing sends one frame per run of one sensor, forwards a relayed
+// frame's bytes untouched, puts everything a subscription has queued on
+// the socket with one gathered write (timed as the telemetry "wire" stage),
 // splices stored archive frames into history answers undecoded, and
 // reports drops on change in a control frame so relayed bytes need no
 // rewrite. The connection loop below owns the rest, once: negotiation,
@@ -117,7 +118,10 @@ const (
 const wireVersionMax = 2
 
 // wireEvent is one event inside a batched frame: the sensor (bus
-// topic) it was published under plus the encoded payload.
+// topic) it was published under plus the encoded payload. It is the
+// schema — what a request line unmarshals into, what a handoff answer
+// marshals from; the event path writes and reads the same bytes without
+// it (wire_json.go).
 type wireEvent struct {
 	Sensor string `json:"sensor,omitempty"`
 	Rec    string `json:"rec"`
@@ -188,42 +192,12 @@ type wireResponse struct {
 	// Coverage answers an op=coverage request: the gateway archive's
 	// per-segment time spans for the requested sensor.
 	Coverage []histstore.Span `json:"coverage,omitempty"`
-}
 
-func encodeRecord(format string, rec ulm.Record) (string, error) {
-	switch format {
-	case FormatULM, "":
-		return rec.String(), nil
-	case FormatXML:
-		b, err := ulm.ToXML(&rec)
-		if err != nil {
-			return "", err
-		}
-		return string(b), nil
-	case FormatBinary:
-		return base64.StdEncoding.EncodeToString(ulm.AppendBinary(nil, &rec)), nil
-	}
-	return "", fmt.Errorf("gateway: unknown format %q", format)
-}
-
-func decodeRecord(format, payload string) (ulm.Record, error) {
-	switch format {
-	case FormatULM, "":
-		return ulm.Parse(payload)
-	case FormatXML:
-		return ulm.FromXML([]byte(payload))
-	case FormatBinary:
-		raw, err := base64.StdEncoding.DecodeString(payload)
-		if err != nil {
-			return ulm.Record{}, err
-		}
-		var rec ulm.Record
-		if _, err := ulm.DecodeBinary(raw, &rec); err != nil {
-			return ulm.Record{}, err
-		}
-		return rec, nil
-	}
-	return ulm.Record{}, fmt.Errorf("gateway: unknown format %q", format)
+	// events, set by a reader that takes event messages (a Stream, a
+	// HistoryStream), is where the JSON-lines framing leaves a message's
+	// events — scanned, not unmarshalled into Rec and Recs — for the
+	// reader to decode as one batch.
+	events *inboundEvents
 }
 
 // WireStats counts wire-path loss and traffic at one TCP server. Every
@@ -239,9 +213,6 @@ type WireStats struct {
 	// (the per-subscription counters, summed over all subscriptions
 	// past and present).
 	SubDrops uint64
-	// HistDrops counts archived records a history response could not
-	// carry (payload encode failure in the requested format).
-	HistDrops uint64
 	// BadFrames counts malformed v2 binary frames (failed CRC, bad
 	// payload parse, undecodable record bodies) — the binary analogue
 	// of BadLines.
@@ -253,7 +224,7 @@ type WireStats struct {
 
 // Drops returns the total loss counter the server answers pings with.
 func (w WireStats) Drops() uint64 {
-	return w.BadRecords + w.BadLines + w.SubDrops + w.HistDrops + w.BadFrames
+	return w.BadRecords + w.BadLines + w.SubDrops + w.BadFrames
 }
 
 // wireSubChanDepth is the per-subscription buffer (in records) between
@@ -308,7 +279,6 @@ type TCPServer struct {
 	badRecords        atomic.Uint64
 	badLines          atomic.Uint64
 	subDrops          atomic.Uint64
-	histDrops         atomic.Uint64
 	badFrames         atomic.Uint64
 	handshakeTimeouts atomic.Uint64
 
@@ -337,7 +307,6 @@ func (t *TCPServer) WireStats() WireStats {
 		BadRecords:        t.badRecords.Load(),
 		BadLines:          t.badLines.Load(),
 		SubDrops:          t.subDrops.Load(),
-		HistDrops:         t.histDrops.Load(),
 		BadFrames:         t.badFrames.Load(),
 		HandshakeTimeouts: t.handshakeTimeouts.Load(),
 	}
@@ -381,6 +350,8 @@ type serverConn struct {
 	// stream (the peer never reads) or a subscription (the write side
 	// belongs to the event pump).
 	oneWay bool
+	// in decodes the payloads of JSON-lines publish requests.
+	in inboundEvents
 }
 
 // serveConn is the connection loop of both framings.
@@ -509,61 +480,52 @@ func (c *serverConn) noteBad(err error, answer bool) bool {
 }
 
 // publish feeds an op=publish request — single-record or batched —
-// into the gateway, counting undecodable records. A batched request is
-// ingested as whole per-sensor batches (PublishBatch per run of
-// consecutive same-sensor records), so a coalesced publisher pays one
-// gateway fan-out per run instead of one per record.
+// into the gateway, counting undecodable records. The request's
+// payloads are decoded as one batch and ingested as whole per-sensor
+// batches (PublishBatch per run of consecutive same-sensor records), so
+// a coalesced publisher pays one gateway fan-out per run instead of one
+// per record.
 func (c *serverConn) publish(req wireRequest) {
 	gw := c.t.gw
-	noteBad := func(err error) {
+	c.in.reset()
+	if len(req.Recs) == 0 {
+		c.in.addEvent(req.Sensor, req.Rec)
+	}
+	for _, ev := range req.Recs {
+		sensor := ev.Sensor
+		if sensor == "" {
+			sensor = req.Sensor
+		}
+		c.in.addEvent(sensor, ev.Rec)
+	}
+	noteBad := func(err error) error {
 		c.t.badRecords.Add(1)
 		if !c.loggedBadRecord {
 			c.loggedBadRecord = true
 			log.Printf("gateway: wire: undecodable %s record from %s: %v (counting further ones silently)", req.Format, c.conn.RemoteAddr(), err)
 		}
+		return nil
 	}
-	if len(req.Recs) == 0 {
-		rec, err := decodeRecord(req.Format, req.Rec)
-		if err != nil {
-			noteBad(err)
-			return
-		}
-		if req.Replica {
-			gw.PublishReplicaBatch(req.Sensor, []ulm.Record{rec})
-		} else {
-			gw.Publish(req.Sensor, rec)
-		}
-		return
-	}
-	var batch []ulm.Record
-	runSensor := ""
-	flush := func() {
-		if len(batch) > 0 {
-			if req.Replica {
-				gw.PublishReplicaBatch(runSensor, batch)
-			} else {
-				gw.PublishBatch(runSensor, batch)
+	c.in.runs(req.Format, noteBad, func(sensor string, recs []ulm.Record) error { //nolint:errcheck // neither callback fails
+		// The records of a request share one arena and one slab, and the
+		// gateway's last-event cache keeps what it is given: the ones it
+		// will still hold after the batch — the last of each run of an
+		// event — go in as copies that keep nothing else alive.
+		for i := range recs {
+			if len(req.Recs) > 1 && (i+1 == len(recs) || recs[i+1].Event != recs[i].Event) {
+				recs[i] = recs[i].Compact()
 			}
-			batch = batch[:0]
 		}
-	}
-	for _, ev := range req.Recs {
-		rec, err := decodeRecord(req.Format, ev.Rec)
-		if err != nil {
-			noteBad(err)
-			continue
+		switch {
+		case req.Replica:
+			gw.PublishReplicaBatch(sensor, recs)
+		case len(req.Recs) == 0:
+			gw.Publish(sensor, recs[0])
+		default:
+			gw.PublishBatch(sensor, recs)
 		}
-		sensor := ev.Sensor
-		if sensor == "" {
-			sensor = req.Sensor
-		}
-		if sensor != runSensor {
-			flush()
-			runSensor = sensor
-		}
-		batch = append(batch, rec)
-	}
-	flush()
+		return nil
+	})
 }
 
 func (t *TCPServer) handle(req wireRequest) wireResponse {
@@ -577,7 +539,7 @@ func (t *TCPServer) handle(req wireRequest) wireResponse {
 		}
 		resp := wireResponse{OK: true, Found: found}
 		if found {
-			payload, err := encodeRecord(req.Format, rec)
+			payload, err := payloadString(req.Format, &rec)
 			if err != nil {
 				return wireResponse{Error: err.Error()}
 			}
@@ -607,10 +569,10 @@ func (t *TCPServer) handle(req wireRequest) wireResponse {
 		resp := wireResponse{OK: true, Found: true, Sensor: req.Sensor, Meta: &st.Meta,
 			Summaries: st.Summaries, Agg: st.Agg}
 		for i := range st.Recs {
-			payload, err := encodeRecord(req.Format, st.Recs[i])
+			payload, err := payloadString(req.Format, &st.Recs[i])
 			if err != nil {
-				// The state is already drained; a payload the format
-				// cannot carry must fail loudly, not vanish.
+				// The state is already drained; a format that does not
+				// exist must fail loudly, not vanish.
 				return wireResponse{Error: err.Error()}
 			}
 			resp.Recs = append(resp.Recs, wireEvent{Sensor: req.Sensor, Rec: payload})
@@ -688,11 +650,8 @@ func (c *serverConn) serveHistory(req wireRequest) bool {
 	}
 	batchMax := clampBatchMax(req.BatchMax, 256)
 	n := 0
-	// A record the format cannot carry is counted loss, never a dead
-	// stream.
-	lost := func() { t.histDrops.Add(1) }
 	cooked := func(sensor string, recs []ulm.Record) error {
-		m, err := c.cdc.writeBatch(req.Format, sensor, recs, lost)
+		m, err := c.cdc.writeBatch(req.Format, sensor, recs)
 		n += m
 		return err
 	}
@@ -816,9 +775,9 @@ func (c *serverConn) serveSubscribe(req wireRequest) {
 					relay.relay(it)
 				} else if wrote, err = w.add(it.tb.Sensor, it.tb.Recs, int(batchMax.Load())); err != nil {
 					// The window is re-read per delivered batch so a retune
-					// takes effect on the next frames. Only a framing that
-					// writes as it adds can fail here, and the queue of one
-					// that does holds no frames to release.
+					// takes effect on the next frames. Neither framing writes
+					// as it adds — finished frames wait for commit — so
+					// neither fails here.
 					return
 				}
 				if wrote && armed {

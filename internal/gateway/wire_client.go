@@ -165,7 +165,7 @@ func (c *Client) Query(sensor, event string) (ulm.Record, bool, error) {
 	if !resp.Found {
 		return ulm.Record{}, false, nil
 	}
-	rec, err := decodeRecord(FormatULM, resp.Rec)
+	rec, err := ulm.Parse(resp.Rec)
 	return rec, err == nil, err
 }
 
@@ -206,7 +206,7 @@ func (c *Client) Handoff(sensor string) (st HandoffState, found bool, err error)
 	st.Summaries = resp.Summaries
 	st.Agg = resp.Agg
 	for _, ev := range resp.Recs {
-		rec, derr := decodeRecord(FormatULM, ev.Rec)
+		rec, derr := ulm.Parse(ev.Rec)
 		if derr != nil {
 			return st, true, derr
 		}
@@ -237,52 +237,6 @@ func (c *Client) Coverage(sensor string) ([]histstore.Span, error) {
 		return nil, err
 	}
 	return resp.Coverage, nil
-}
-
-// eachRun decodes the events of a JSON-lines event message and hands fn
-// each run of consecutive same-sensor records as one batch, built in
-// recs (returned for reuse). bad decides what a payload that fails to
-// decode means: a nil result skips the record and the rest of the
-// message still delivers, an error abandons the message. The count is
-// of records delivered.
-func eachRun(format string, resp *wireResponse, recs []ulm.Record, bad func(error) error, fn func(sensor string, recs []ulm.Record) error) ([]ulm.Record, int, error) {
-	n, runSensor := 0, ""
-	recs = recs[:0]
-	flush := func() error {
-		if len(recs) == 0 {
-			return nil
-		}
-		n += len(recs)
-		err := fn(runSensor, recs)
-		recs = recs[:0]
-		return err
-	}
-	take := func(sensor, payload string) error {
-		rec, err := decodeRecord(format, payload)
-		if err != nil {
-			return bad(err)
-		}
-		if sensor != runSensor {
-			if err := flush(); err != nil {
-				return err
-			}
-			runSensor = sensor
-		}
-		recs = append(recs, rec)
-		return nil
-	}
-	for _, ev := range resp.Recs {
-		if err := take(ev.Sensor, ev.Rec); err != nil {
-			return recs, n, err
-		}
-	}
-	if resp.Rec != "" {
-		if err := take(resp.Sensor, resp.Rec); err != nil {
-			return recs, n, err
-		}
-	}
-	err := flush()
-	return recs, n, err
 }
 
 // HistoryRequest describes a historical query against a gateway's
@@ -320,15 +274,22 @@ func (hr HistoryRequest) wire(principal string) wireRequest {
 // in archive order as per-sensor batches on the calling goroutine —
 // the bounded-memory form for large ranges. The batch slice is only
 // valid during the callback, and its records share storage
-// (ulm.DecodeBinaryBatch): keep rec.Compact() or Clone(), not the
-// record. It returns how many records the server's stream carried. fn
-// returning an error abandons the stream.
+// (ulm.DecodeBinaryBatch, ulm.TextBatch): keep rec.Compact() or
+// Clone(), not the record. It returns how many records the server's
+// stream carried. fn returning an error abandons the stream.
 func (c *Client) HistoryStream(hr HistoryRequest, fn func(sensor string, recs []ulm.Record) error) (int, error) {
 	conn, cdc, err := c.dialCodec(hr.Format)
 	if err != nil {
 		return 0, err
 	}
 	defer conn.Close()
+	var in inboundEvents
+	return c.history(conn, cdc, &in, hr, fn)
+}
+
+// history is HistoryStream on an open connection; in decodes the events
+// of a JSON-lines answer.
+func (c *Client) history(conn net.Conn, cdc wireCodec, in *inboundEvents, hr HistoryRequest, fn func(sensor string, recs []ulm.Record) error) (int, error) {
 	if c.Timeout > 0 {
 		// The deadline covers the dial and each frame gap, not the
 		// whole stream: it is pushed forward as frames arrive.
@@ -345,7 +306,7 @@ func (c *Client) HistoryStream(hr HistoryRequest, fn func(sensor string, recs []
 		if c.Timeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(c.Timeout)) //nolint:errcheck
 		}
-		resp = wireResponse{}
+		resp = wireResponse{events: in}
 		f, err := cdc.read(&resp)
 		switch {
 		case err != nil:
@@ -363,8 +324,7 @@ func (c *Client) HistoryStream(hr HistoryRequest, fn func(sensor string, recs []
 		case resp.Eof:
 			return resp.N, nil
 		default:
-			var m int
-			recs, m, err = eachRun(hr.Format, &resp, recs, fatal, fn)
+			m, err := in.runs(hr.Format, fatal, fn)
 			n += m
 			if err != nil {
 				return n, err
@@ -444,11 +404,15 @@ func (c *Client) NewBatchPublisher(format string, maxRecs int, maxWait time.Dura
 	if err != nil {
 		return nil, err
 	}
+	if err := cdc.checkFormat(format); err != nil {
+		conn.Close()
+		return nil, err
+	}
 	return &Publisher{conn: conn, ver: cdc.version(), format: format, batch: cdc.newBatch(format, maxRecs <= 1), maxRecs: maxRecs, maxWait: maxWait}, nil
 }
 
-// Publish sends one sensor record; errors indicate a bad payload or a
-// dead connection. In batch mode the record may be buffered; a write
+// Publish sends one sensor record; an error indicates a dead
+// connection. In batch mode the record may be buffered; a write
 // error surfaces on the Publish/Flush/Close that performs the write
 // and sticks to the publisher afterwards.
 func (p *Publisher) Publish(sensor string, rec ulm.Record) error {
@@ -461,8 +425,7 @@ func (p *Publisher) Publish(sensor string, rec ulm.Record) error {
 // order. On a batching publisher the records join the buffered frame
 // (flushed at the record/byte caps as usual); on a single-frame
 // publisher (maxRecs <= 1) each record goes out as its own
-// wire-compatible frame. An unencodable record aborts the call before
-// any of the batch is buffered; a write error surfaces like Publish's.
+// wire-compatible frame. A write error surfaces like Publish's.
 //
 // written reports how many of this batch's records were carried by
 // frames whose write succeeded during the call (len(recs) on a nil
@@ -473,15 +436,6 @@ func (p *Publisher) Publish(sensor string, rec ulm.Record) error {
 func (p *Publisher) PublishBatch(sensor string, recs []ulm.Record) (written int, err error) {
 	if len(recs) == 0 {
 		return 0, nil
-	}
-	if len(recs) > 1 && p.format == FormatXML {
-		// The one payload format whose encode can fail: try the whole
-		// batch before any of it is buffered.
-		for i := range recs {
-			if _, err := ulm.ToXML(&recs[i]); err != nil {
-				return 0, err
-			}
-		}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -645,6 +599,9 @@ type StreamOptions struct {
 type Stream struct {
 	conn net.Conn
 	cdc  wireCodec
+	// in decodes the events of a JSON-lines stream; the reader
+	// goroutine's.
+	in inboundEvents
 
 	drops      atomic.Uint64 // cumulative remote slow-consumer drops
 	decodeErrs atomic.Uint64 // messages or payloads that failed local decode
@@ -733,8 +690,8 @@ func (c *Client) Subscribe(req Request, format string, fn func(ulm.Record)) (sto
 // a received wire frame as one slice together with the sensor (bus
 // topic) they were published under, on the stream's reader goroutine.
 // The slice is only valid for the duration of the call, and its records
-// share storage (ulm.DecodeBinaryBatch): keep rec.Compact() or Clone(),
-// not the record. This is the ingest form batch consumers (bridges
+// share storage (ulm.DecodeBinaryBatch, ulm.TextBatch): keep
+// rec.Compact() or Clone(), not the record. This is the ingest form batch consumers (bridges
 // republishing into a local bus, batch archivers) ride.
 func (c *Client) SubscribeBatchStream(req Request, opts StreamOptions, fn func(sensor string, recs []ulm.Record)) (*Stream, error) {
 	return c.openStream(req, opts, opts.Format, nil, fn)
@@ -823,7 +780,7 @@ func (s *Stream) readLoop(format string, onFrame func(*Frame), onBatch func(stri
 	var resp wireResponse
 	var recs []ulm.Record
 	for {
-		resp = wireResponse{}
+		resp = wireResponse{events: &s.in}
 		f, err := s.cdc.read(&resp)
 		switch {
 		case err != nil:
@@ -849,7 +806,7 @@ func (s *Stream) readLoop(format string, onFrame func(*Frame), onBatch func(stri
 				fail(errors.New(resp.Error))
 				return
 			}
-			recs, _, _ = eachRun(format, &resp, recs, skip, deliver)
+			s.in.runs(format, skip, deliver) //nolint:errcheck // neither callback fails
 		}
 	}
 }

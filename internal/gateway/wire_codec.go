@@ -18,6 +18,8 @@ type wireCodec interface {
 	// *wireResponse on the client, zeroed by the caller — and read
 	// returns a nil frame; a record-batch frame, which only the binary
 	// framing has, is returned instead, borrowed until the next read.
+	// JSON lines carry events in control messages: a client that takes
+	// them sets the response's events, and finds them there.
 	// Errors come in three classes. A *badMessage (returned bare, never
 	// wrapped) was consumed whole: the stream is still in sync and
 	// skipping it is safe. errFrameTooBig and bufio.ErrTooLong mean no
@@ -31,12 +33,10 @@ type wireCodec interface {
 	// payload format.
 	checkFormat(format string) error
 	// events returns the writer sub's event stream goes out through.
-	// Records the payload format cannot carry are shed on sub.
 	events(format string, sub *Subscription) eventWriter
 	// writeBatch writes one history batch as one event frame and returns
-	// how many records it carried; lost hears of each record the payload
-	// format could not.
-	writeBatch(format, sensor string, recs []ulm.Record, lost func()) (int, error)
+	// how many records it carried.
+	writeBatch(format, sensor string, recs []ulm.Record) (int, error)
 
 	// eventFormat is the payload format a client names in a subscribe
 	// request — and decodes event messages with — when the caller asked
@@ -60,7 +60,7 @@ type frameSplicer interface {
 }
 
 // eventWriter builds and writes a subscription's outbound event frames.
-// A framing may hold finished frames back until commit, which the pump
+// Both framings hold finished frames back until commit, which the pump
 // calls once it has handed over everything that was queued: that is
 // what lets a burst leave in one write.
 type eventWriter interface {

@@ -2,28 +2,51 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net"
-	"time"
+	"strconv"
+	"unicode/utf8"
 
 	"jamm/internal/ulm"
 )
 
-// lineCodec is the JSON-lines framing: one JSON object per line in
-// either direction, event payloads inside it as strings in the
-// requested format.
+// The JSON-lines framing: one JSON object per line in either direction,
+// event payloads inside it as strings in the requested format.
+//
+// Control messages — requests, acks, one-shot answers — go through
+// encoding/json. The record path does not. Outbound, an event line
+// (a subscription's, a history answer's, a Publisher's request) is
+// appended to a buffer its writer owns and reuses: the envelope, then
+// per record the sensor and the payload (ulm.AppendText, ulm.AppendXML,
+// or base64 of ulm.AppendBinary) escaped exactly as json.Encoder would
+// escape them, so the bytes on the wire are the ones reflection
+// produced. A subscription's finished lines are held until the pump's
+// commit and leave with one Write per burst. Inbound, a reader that
+// expects events (a Stream, a HistoryStream) has its lines read by
+// inboundEvents.scan, which knows the keys an event message has and
+// hands any line with another key in it to json.Unmarshal; the payloads are
+// unescaped into one reused buffer and decoded by a ulm.TextBatch, so
+// all records of a line are materialised from one string arena and one
+// field slab. A server's publish ingest decodes payloads the same way
+// behind json.Unmarshal of the request line.
+
+// lineCodec is the JSON-lines framing of one connection.
 type lineCodec struct {
-	// A server reads through sc: lines are capped, and one that is not
-	// JSON is consumed whole and can be skipped. A client reads through
-	// dec: it trusts its server, takes objects of any size, and ends the
-	// stream at the first thing that is not one.
-	sc  *bufio.Scanner
-	dec *json.Decoder
-	enc *json.Encoder
-	// hist is writeBatch's frame, reused across a history answer.
-	hist []wireEvent
+	conn net.Conn
+	// Both ends read line by line. A server's lines are capped, and one
+	// that is not JSON is consumed whole and can be skipped. A client
+	// trusts its server: it takes lines of any size, and ends the stream
+	// at the first that is not a JSON object.
+	sc     *bufio.Scanner
+	server bool
+	enc    *json.Encoder
+	// hist is writeBatch's line, reused across a history answer.
+	hist lineWriter
 }
 
 // newLineCodec frames conn as JSON lines, reading from r (conn itself,
@@ -32,12 +55,11 @@ type lineCodec struct {
 // small and grows on demand: most connections are one-shot
 // query/summary/list calls or a hello line (clients dial per call).
 func newLineCodec(conn net.Conn, r io.Reader, maxLine int) *lineCodec {
-	c := &lineCodec{enc: json.NewEncoder(conn)}
-	if maxLine > 0 {
-		c.sc = bufio.NewScanner(r)
+	c := &lineCodec{conn: conn, enc: json.NewEncoder(conn), sc: bufio.NewScanner(r), server: maxLine > 0}
+	if c.server {
 		c.sc.Buffer(nil, maxLine)
 	} else {
-		c.dec = json.NewDecoder(r)
+		c.sc.Buffer(make([]byte, 0, 512), math.MaxInt)
 	}
 	return c
 }
@@ -45,143 +67,730 @@ func newLineCodec(conn net.Conn, r io.Reader, maxLine int) *lineCodec {
 func (c *lineCodec) version() int { return 1 }
 
 func (c *lineCodec) read(ctl any) (*Frame, error) {
-	if c.dec != nil {
-		return nil, c.dec.Decode(ctl)
-	}
-	if !c.sc.Scan() {
-		if err := c.sc.Err(); err != nil {
-			return nil, err
+	var line []byte
+	// Between a server's lines a client lets blank ones pass.
+	for more := true; more; more = !c.server && len(bytes.TrimSpace(line)) == 0 {
+		if !c.sc.Scan() {
+			if err := c.sc.Err(); err != nil {
+				return nil, err
+			}
+			return nil, io.EOF
 		}
-		return nil, io.EOF
+		line = c.sc.Bytes()
 	}
-	if err := json.Unmarshal(c.sc.Bytes(), ctl); err != nil {
-		return nil, &badMessage{err: err, answer: true}
+	if c.server {
+		if err := json.Unmarshal(line, ctl); err != nil {
+			return nil, &badMessage{err: err, answer: true}
+		}
+		return nil, nil
+	}
+	// A reader that takes events set resp.events: its event lines are
+	// scanned in place.
+	resp, _ := ctl.(*wireResponse)
+	if resp != nil && resp.events != nil && resp.events.scan(line, resp) {
+		return nil, nil
+	}
+	if err := json.Unmarshal(line, ctl); err != nil {
+		return nil, err
+	}
+	if resp != nil && resp.events != nil {
+		resp.events.take(resp)
 	}
 	return nil, nil
 }
 
 func (c *lineCodec) write(ctl any) error { return c.enc.Encode(ctl) }
 
-func (c *lineCodec) checkFormat(format string) error {
-	_, err := encodeRecord(format, ulm.Record{Date: time.Unix(0, 0), Host: "x", Prog: "x", Lvl: "x"})
-	return err
+// checkFormat reports whether format names a payload format.
+func checkFormat(format string) error {
+	switch format {
+	case "", FormatULM, FormatXML, FormatBinary:
+		return nil
+	}
+	return fmt.Errorf("gateway: unknown format %q", format)
 }
+
+func (c *lineCodec) checkFormat(format string) error { return checkFormat(format) }
 
 func (c *lineCodec) eventFormat(format string) string { return format }
 
+// lineWriter builds outbound event lines in buf; tmp is where a payload
+// is rendered before it is escaped into the line.
+type lineWriter struct {
+	buf, tmp []byte
+}
+
+// payload appends rec's payload in format — one checkFormat passed — as
+// a JSON string.
+func (w *lineWriter) payload(format string, rec *ulm.Record) {
+	switch format {
+	case FormatXML:
+		w.tmp = ulm.AppendXML(w.tmp[:0], rec)
+	case FormatBinary:
+		w.tmp = ulm.AppendBinary(w.tmp[:0], rec)
+		w.buf = append(w.buf, '"')
+		w.buf = base64.StdEncoding.AppendEncode(w.buf, w.tmp)
+		w.buf = append(w.buf, '"')
+		return
+	default:
+		w.tmp = ulm.AppendText(w.tmp[:0], rec)
+	}
+	w.buf = appendJSONString(w.buf, w.tmp)
+}
+
+// event appends one element of a "recs" array: the record's sensor, if
+// it has one, and its payload.
+func (w *lineWriter) event(format, sensor string, rec *ulm.Record) {
+	if sensor != "" {
+		w.buf = append(w.buf, `{"sensor":`...)
+		w.buf = appendJSONString(w.buf, sensor)
+		w.buf = append(w.buf, `,"rec":`...)
+	} else {
+		w.buf = append(w.buf, `{"rec":`...)
+	}
+	w.payload(format, rec)
+	w.buf = append(w.buf, '}')
+}
+
+// payloadString renders the payload of a one-record answer (query,
+// handoff), which encoding/json then carries.
+func payloadString(format string, rec *ulm.Record) (string, error) {
+	switch format {
+	case "", FormatULM:
+		return rec.String(), nil
+	case FormatXML:
+		return string(ulm.AppendXML(nil, rec)), nil
+	case FormatBinary:
+		return base64.StdEncoding.EncodeToString(ulm.AppendBinary(nil, rec)), nil
+	}
+	return "", checkFormat(format)
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends src as a JSON string the way json.Encoder
+// writes one: HTML-safe ('<', '>' and '&' as \u00XX), U+2028 and U+2029
+// escaped, a byte that is not UTF-8 as \ufffd.
+func appendJSONString[Bytes []byte | string](dst []byte, src Bytes) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(src); {
+		b := src[i]
+		if b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, src[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(string(src[i:min(len(src), i+utf8.UTFMax)]))
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, src[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, src[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, src[start:]...)
+	return append(dst, '"')
+}
+
 // lineEvents writes event frames as JSON lines: the records of a frame
-// carry their sensor each, so one frame mixes sensors.
+// carry their sensor each, so one frame mixes sensors. Finished lines
+// collect at the front of out.buf, the open "recs" line behind them,
+// and commit writes the finished ones out together.
 type lineEvents struct {
 	c      *lineCodec
 	format string
-	// drops, when set, is the cumulative slow-consumer drop counter
+	// drops is the subscription's cumulative slow-consumer drop counter,
 	// piggybacked on every frame so the subscriber can observe loss it
 	// never received.
 	drops func() uint64
-	lost  func()
-	batch []wireEvent
+	out   lineWriter
+	// done is the length of the finished lines in out.buf; n is the
+	// number of records in the open line behind them.
+	done, n int
 }
 
 func (c *lineCodec) events(format string, sub *Subscription) eventWriter {
-	return &lineEvents{c: c, format: format, drops: sub.WireDrops, lost: func() { sub.shed(1) }}
+	return &lineEvents{c: c, format: format, drops: sub.WireDrops}
 }
 
-func (c *lineCodec) writeBatch(format, sensor string, recs []ulm.Record, lost func()) (int, error) {
-	w := lineEvents{c: c, format: format, lost: lost, batch: c.hist[:0]}
-	w.add(sensor, recs, math.MaxInt) //nolint:errcheck // the window never fills: nothing is written
-	c.hist = w.batch
-	return len(w.batch), w.flush()
+func (c *lineCodec) writeBatch(format, sensor string, recs []ulm.Record) (int, error) {
+	if len(recs) == 0 {
+		return 0, nil
+	}
+	w := &c.hist
+	w.buf = append(w.buf[:0], `{"ok":true,"recs":[`...)
+	for i := range recs {
+		if i > 0 {
+			w.buf = append(w.buf, ',')
+		}
+		w.event(format, sensor, &recs[i])
+	}
+	w.buf = append(w.buf, "]}\n"...)
+	_, err := c.conn.Write(w.buf)
+	return len(recs), err
 }
 
 func (w *lineEvents) add(sensor string, recs []ulm.Record, bm int) (wrote bool, err error) {
+	out := &w.out
 	for i := range recs {
-		payload, err := encodeRecord(w.format, recs[i])
-		if err != nil {
-			// A record this format cannot carry (e.g. an XML-hostile byte
-			// in a field) is a wire drop like any other: counted, per
-			// record, and the stream — and the rest of the batch — lives.
-			w.lost()
-			continue
-		}
-		if bm == 1 && len(w.batch) == 0 {
+		if bm == 1 && w.n == 0 {
 			// Single-record frames: the wire-compatible format.
-			if err := w.emit(wireResponse{OK: true, Sensor: sensor, Rec: payload}); err != nil {
-				return true, err
+			out.buf = append(out.buf, `{"ok":true`...)
+			if sensor != "" {
+				out.buf = append(out.buf, `,"sensor":`...)
+				out.buf = appendJSONString(out.buf, sensor)
 			}
+			out.buf = append(out.buf, `,"rec":`...)
+			out.payload(w.format, &recs[i])
+			w.finish()
 			wrote = true
 			continue
 		}
-		w.batch = append(w.batch, wireEvent{Sensor: sensor, Rec: payload})
-		if len(w.batch) >= bm {
-			if err := w.flush(); err != nil {
-				return true, err
-			}
+		if w.n == 0 {
+			out.buf = append(out.buf, `{"ok":true,"recs":[`...)
+		} else {
+			out.buf = append(out.buf, ',')
+		}
+		out.event(w.format, sensor, &recs[i])
+		if w.n++; w.n >= bm {
+			w.flush() //nolint:errcheck // finishes the line in the buffer: nothing is written
 			wrote = true
 		}
 	}
 	return wrote, nil
 }
 
-func (w *lineEvents) pending() int { return len(w.batch) }
+func (w *lineEvents) pending() int { return w.n }
 
 func (w *lineEvents) flush() error {
-	if len(w.batch) == 0 {
+	if w.n > 0 {
+		w.out.buf = append(w.out.buf, ']')
+		w.n = 0
+		w.finish()
+	}
+	return nil
+}
+
+// finish closes the line being built — with the drop counter, once it
+// is not zero — and counts it among the finished.
+func (w *lineEvents) finish() {
+	if d := w.drops(); d > 0 {
+		w.out.buf = append(w.out.buf, `,"drops":`...)
+		w.out.buf = strconv.AppendUint(w.out.buf, d, 10)
+	}
+	w.out.buf = append(w.out.buf, "}\n"...)
+	w.done = len(w.out.buf)
+}
+
+// commit writes the finished lines with one Write and moves the open
+// line to the front of the buffer.
+func (w *lineEvents) commit() error {
+	if w.done == 0 {
 		return nil
 	}
-	err := w.emit(wireResponse{OK: true, Recs: w.batch})
-	w.batch = nil
+	_, err := w.c.conn.Write(w.out.buf[:w.done])
+	w.out.buf = w.out.buf[:copy(w.out.buf, w.out.buf[w.done:])]
+	w.done = 0
 	return err
 }
 
-// commit has nothing to do: lines are written as they finish.
-func (w *lineEvents) commit() error { return nil }
-
-func (w *lineEvents) emit(resp wireResponse) error {
-	if w.drops != nil {
-		resp.Drops = w.drops()
-	}
-	return w.c.enc.Encode(resp)
-}
-
-// linePubBatch buffers a Publisher's records as encoded payloads and
-// sends them as one {"recs":[...]} request, or as one {"rec":...}
-// request each.
+// linePubBatch builds a Publisher's request lines: one {"recs":[...]}
+// request for everything buffered, or one {"rec":...} request each.
 type linePubBatch struct {
 	c               *lineCodec
 	format          string
 	single, replica bool
-	buf             []wireEvent
+	out             lineWriter
+	// n is the number of records in the open "recs" request.
+	n int
 }
 
 func (c *lineCodec) newBatch(format string, single bool) pubBatch {
 	return &linePubBatch{c: c, format: format, single: single}
 }
 
-func (b *linePubBatch) add(sensor string, rec ulm.Record) (int, error) {
-	payload, err := encodeRecord(b.format, rec)
-	if err != nil {
-		return 0, err
+// head opens a publish request; tail closes it with what a wireRequest
+// marshals behind its records.
+func (b *linePubBatch) head(key string) {
+	b.out.buf = append(b.out.buf, `{"op":"publish"`...)
+	if b.format != "" {
+		b.out.buf = append(b.out.buf, `,"format":`...)
+		b.out.buf = appendJSONString(b.out.buf, b.format)
 	}
-	b.buf = append(b.buf, wireEvent{Sensor: sensor, Rec: payload})
-	return len(sensor) + len(payload), nil
+	b.out.buf = append(b.out.buf, key...)
+}
+
+func (b *linePubBatch) tail(sensor string) {
+	if b.replica {
+		b.out.buf = append(b.out.buf, `,"replica":true`...)
+	}
+	if sensor != "" {
+		b.out.buf = append(b.out.buf, `,"sensor":`...)
+		b.out.buf = appendJSONString(b.out.buf, sensor)
+	}
+	b.out.buf = append(b.out.buf, `,"mode":0}`+"\n"...)
+}
+
+func (b *linePubBatch) add(sensor string, rec ulm.Record) (int, error) {
+	pre := len(b.out.buf)
+	switch {
+	case b.single:
+		b.head(`,"rec":`)
+		b.out.payload(b.format, &rec)
+		b.tail(sensor)
+		return len(b.out.buf) - pre, nil
+	case b.n == 0:
+		b.head(`,"recs":[`)
+	default:
+		b.out.buf = append(b.out.buf, ',')
+	}
+	b.out.event(b.format, sensor, &rec)
+	b.n++
+	return len(b.out.buf) - pre, nil
 }
 
 func (b *linePubBatch) markReplica() { b.replica = true }
 
 func (b *linePubBatch) flush() error {
-	buf := b.buf
-	b.buf = nil
-	if len(buf) == 0 {
+	if len(b.out.buf) == 0 {
 		return nil
 	}
-	if !b.single {
-		return b.c.enc.Encode(wireRequest{Op: "publish", Format: b.format, Recs: buf, Replica: b.replica})
+	if b.n > 0 {
+		b.out.buf = append(b.out.buf, ']')
+		b.tail("")
+		b.n = 0
 	}
-	for _, ev := range buf {
-		req := wireRequest{Op: "publish", Format: b.format, Rec: ev.Rec, Replica: b.replica, Request: Request{Sensor: ev.Sensor}}
-		if err := b.c.enc.Encode(req); err != nil {
-			return err
+	_, err := b.c.conn.Write(b.out.buf)
+	b.out.buf = b.out.buf[:0]
+	return err
+}
+
+// inboundEvents is the events of one inbound JSON-lines message and the
+// state that decodes them, reused from message to message: a client's
+// reader sets it in the wireResponse it reads into, a server's publish
+// ingest fills it from the request. text holds each event's sensor and
+// payload, unescaped; runs decodes the payloads as one batch.
+type inboundEvents struct {
+	text    []byte
+	evs     []eventSpan
+	names   sensorNames
+	batch   ulm.TextBatch
+	raw     []byte // a binary payload out of its base64
+	sensors []string
+	recs    []ulm.Record
+	// fallbacks counts the lines scan handed to json.Unmarshal.
+	fallbacks uint64
+}
+
+// eventSpan locates one event in inboundEvents.text: its sensor at
+// [s0, s1), its payload at [p0, p1).
+type eventSpan struct{ s0, s1, p0, p1 int }
+
+func (in *inboundEvents) reset() { in.text, in.evs = in.text[:0], in.evs[:0] }
+
+// addEvent appends one event that was read as strings.
+func (in *inboundEvents) addEvent(sensor, payload string) {
+	s0 := len(in.text)
+	in.text = append(in.text, sensor...)
+	p0 := len(in.text)
+	in.text = append(in.text, payload...)
+	in.evs = append(in.evs, eventSpan{s0, p0, p0, len(in.text)})
+}
+
+// take fills in from a message json.Unmarshal read: the line had a key
+// scan does not know.
+func (in *inboundEvents) take(resp *wireResponse) {
+	in.fallbacks++
+	in.reset()
+	for _, ev := range resp.Recs {
+		in.addEvent(ev.Sensor, ev.Rec)
+	}
+	if resp.Rec != "" {
+		in.addEvent(resp.Sensor, resp.Rec)
+	}
+}
+
+// runs decodes the events' payloads and hands fn each run of
+// consecutive same-sensor records as one batch. The records of a
+// message share one string arena and one field slab and the slice is
+// reused: fn keeps rec.Compact(), not the record. bad decides what a
+// payload that fails to decode means: a nil result skips the record and
+// the rest of the message still delivers, an error abandons the
+// message. The count is of records delivered.
+func (in *inboundEvents) runs(format string, bad func(error) error, fn func(sensor string, recs []ulm.Record) error) (int, error) {
+	if len(in.evs) == 0 {
+		return 0, nil
+	}
+	in.sensors = in.sensors[:0]
+	for _, ev := range in.evs {
+		payload := in.text[ev.p0:ev.p1]
+		var err error
+		switch format {
+		case FormatULM, "":
+			err = in.batch.AddText(payload)
+		case FormatXML:
+			err = in.batch.AddXML(payload)
+		case FormatBinary:
+			if in.raw, err = base64.StdEncoding.AppendDecode(in.raw[:0], payload); err == nil {
+				err = in.batch.AddBinary(in.raw)
+			}
+		default:
+			err = checkFormat(format)
+		}
+		if err != nil {
+			if err = bad(err); err != nil {
+				in.batch.Reset()
+				return 0, err
+			}
+			continue
+		}
+		in.sensors = append(in.sensors, in.names.intern(in.text[ev.s0:ev.s1]))
+	}
+	in.recs = in.batch.Records(in.recs[:0], 0)
+	n := 0
+	var err error
+	for i, j := 0, 0; i < len(in.recs) && err == nil; i = j {
+		for j = i + 1; j < len(in.recs) && in.sensors[j] == in.sensors[i]; j++ {
+		}
+		n += j - i
+		err = fn(in.sensors[i], in.recs[i:j])
+	}
+	clear(in.recs) // nothing of the message stays behind in the reused slice
+	return n, err
+}
+
+// Keys of an event message, as bits of the set scan has seen.
+const (
+	keyOK = 1 << iota
+	keyError
+	keySensor
+	keyRec
+	keyRecs
+	keyDrops
+	keyEOF
+	keyN
+)
+
+// scan reads line as an event message — an object of the keys ok,
+// error, sensor, rec, recs, drops, eof and n, each at most once, "recs"
+// an array of {"sensor":...,"rec":...} objects — into resp and in, and
+// reports whether it was one. Whatever else the line is — another key
+// (a one-shot answer), a null, an escape or a number encoding/json
+// would have to judge — it is json.Unmarshal's to read: scan accepts
+// nothing that would read differently there.
+func (in *inboundEvents) scan(line []byte, resp *wireResponse) bool {
+	in.reset()
+	p := lineParser{d: line}
+	if !p.open('{') {
+		return false
+	}
+	seen := 0
+	var single eventSpan
+	for first := true; !p.close('}', first); first = false {
+		key, ok := p.key()
+		if !ok {
+			return false
+		}
+		bit := 0
+		switch string(key) {
+		case "ok":
+			bit = keyOK
+			resp.OK, ok = p.bool()
+		case "error":
+			bit = keyError
+			var s0 int
+			if s0, ok = len(in.text), p.str(&in.text); ok {
+				resp.Error = string(in.text[s0:])
+				in.text = in.text[:s0]
+			}
+		case "sensor", "rec":
+			bit, ok = in.eventMember(&p, key, &single)
+		case "recs":
+			bit = keyRecs
+			ok = in.scanRecs(&p)
+		case "drops":
+			bit = keyDrops
+			resp.Drops, ok = p.uint(19)
+		case "eof":
+			bit = keyEOF
+			resp.Eof, ok = p.bool()
+		case "n":
+			bit = keyN
+			var n uint64
+			n, ok = p.uint(18)
+			resp.N = int(n)
+		default:
+			return false
+		}
+		if !ok || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+	}
+	if seen&keyRec != 0 {
+		// An empty "rec" is no event, and which of "rec" and "recs" goes
+		// first is encoding/json's to say.
+		if seen&keyRecs != 0 || single.p1 == single.p0 {
+			return false
+		}
+		in.evs = append(in.evs, single)
+	}
+	return p.end()
+}
+
+// eventMember reads the value of an event's "sensor" or "rec" member
+// into in.text and notes in ev where it lies.
+func (in *inboundEvents) eventMember(p *lineParser, key []byte, ev *eventSpan) (bit int, ok bool) {
+	start := len(in.text)
+	ok = p.str(&in.text)
+	switch string(key) {
+	case "sensor":
+		ev.s0, ev.s1 = start, len(in.text)
+		return keySensor, ok
+	case "rec":
+		ev.p0, ev.p1 = start, len(in.text)
+		return keyRec, ok
+	}
+	return 0, false
+}
+
+// scanRecs reads the "recs" array.
+func (in *inboundEvents) scanRecs(p *lineParser) bool {
+	if !p.open('[') {
+		return false
+	}
+	for first := true; !p.close(']', first); first = false {
+		if !p.open('{') {
+			return false
+		}
+		var ev eventSpan
+		seen := 0
+		for first := true; !p.close('}', first); first = false {
+			key, ok := p.key()
+			if !ok {
+				return false
+			}
+			bit, ok := in.eventMember(p, key, &ev)
+			if !ok || seen&bit != 0 {
+				return false
+			}
+			seen |= bit
+		}
+		if p.failed || seen&keyRec == 0 {
+			return false
+		}
+		in.evs = append(in.evs, ev)
+	}
+	return !p.failed
+}
+
+// lineParser walks the JSON tokens of one line. Every method skips the
+// white space before its token; failed is set once the line has left
+// the grammar, and everything fails from there.
+type lineParser struct {
+	d      []byte
+	i      int
+	failed bool
+}
+
+func (p *lineParser) space() {
+	for p.i < len(p.d) && (p.d[p.i] == ' ' || p.d[p.i] == '\t' || p.d[p.i] == '\r' || p.d[p.i] == '\n') {
+		p.i++
+	}
+}
+
+func (p *lineParser) fail() bool {
+	p.failed = true
+	return false
+}
+
+// open consumes the opening bracket c.
+func (p *lineParser) open(c byte) bool {
+	if p.space(); p.failed || p.i >= len(p.d) || p.d[p.i] != c {
+		return p.fail()
+	}
+	p.i++
+	return true
+}
+
+// close steps a loop over the members of an object or array: it
+// consumes the closing bracket c and reports true, or consumes the
+// comma that must separate members — none before the first — and
+// reports false. A line that has neither where it must fails, which
+// also ends the loop.
+func (p *lineParser) close(c byte, first bool) bool {
+	if p.space(); p.failed || p.i >= len(p.d) {
+		p.failed = true
+		return true
+	}
+	switch {
+	case p.d[p.i] == c:
+		p.i++
+		return true
+	case first:
+		return false
+	case p.d[p.i] == ',':
+		p.i++
+		return false
+	}
+	p.failed = true
+	return true
+}
+
+// end reports whether nothing but white space is left.
+func (p *lineParser) end() bool {
+	p.space()
+	return !p.failed && p.i == len(p.d)
+}
+
+// key consumes a member's key — one with no escapes in it, as every key
+// scan knows is written — and the colon behind it.
+func (p *lineParser) key() ([]byte, bool) {
+	if p.space(); p.failed || p.i >= len(p.d) || p.d[p.i] != '"' {
+		return nil, p.fail()
+	}
+	start := p.i + 1
+	for p.i = start; p.i < len(p.d) && p.d[p.i] >= 'a' && p.d[p.i] <= 'z'; p.i++ {
+	}
+	if p.i+1 >= len(p.d) || p.d[p.i] != '"' {
+		return nil, p.fail()
+	}
+	key := p.d[start:p.i]
+	p.i++
+	if p.space(); p.i >= len(p.d) || p.d[p.i] != ':' {
+		return nil, p.fail()
+	}
+	p.i++
+	return key, true
+}
+
+func (p *lineParser) bool() (v, ok bool) {
+	p.space()
+	switch rest := p.d[p.i:]; {
+	case len(rest) >= 4 && string(rest[:4]) == "true":
+		p.i += 4
+		return true, true
+	case len(rest) >= 5 && string(rest[:5]) == "false":
+		p.i += 5
+		return false, true
+	}
+	return false, p.fail()
+}
+
+// uint consumes a non-negative integer of at most digits digits.
+func (p *lineParser) uint(digits int) (uint64, bool) {
+	p.space()
+	start := p.i
+	var n uint64
+	for ; p.i < len(p.d) && p.d[p.i] >= '0' && p.d[p.i] <= '9'; p.i++ {
+		n = n*10 + uint64(p.d[p.i]-'0')
+	}
+	if k := p.i - start; k == 0 || k > digits || k > 1 && p.d[start] == '0' {
+		return 0, p.fail()
+	}
+	return n, true
+}
+
+// str consumes a string and appends what it stands for to dst. A byte
+// that is not UTF-8 (encoding/json reads U+FFFD there), a control
+// character and a surrogate escape are not this parser's.
+func (p *lineParser) str(dst *[]byte) bool {
+	if p.space(); p.i >= len(p.d) || p.d[p.i] != '"' {
+		return p.fail()
+	}
+	d, out := p.d, *dst
+	i := p.i + 1
+	start := i
+	for i < len(d) {
+		c := d[i]
+		switch {
+		case c == '"':
+			*dst = append(out, d[start:i]...)
+			p.i = i + 1
+			return true
+		case c == '\\':
+			out = append(out, d[start:i]...)
+			if i+1 >= len(d) {
+				return p.fail()
+			}
+			switch e := d[i+1]; e {
+			case '"', '\\', '/':
+				out = append(out, e)
+			case 'b':
+				out = append(out, '\b')
+			case 'f':
+				out = append(out, '\f')
+			case 'n':
+				out = append(out, '\n')
+			case 'r':
+				out = append(out, '\r')
+			case 't':
+				out = append(out, '\t')
+			case 'u':
+				if i+6 > len(d) {
+					return p.fail()
+				}
+				var r rune
+				for _, h := range d[i+2 : i+6] {
+					switch {
+					case h >= '0' && h <= '9':
+						r = r<<4 | rune(h-'0')
+					case h >= 'a' && h <= 'f':
+						r = r<<4 | rune(h-'a'+10)
+					case h >= 'A' && h <= 'F':
+						r = r<<4 | rune(h-'A'+10)
+					default:
+						return p.fail()
+					}
+				}
+				if r >= 0xD800 && r < 0xE000 {
+					return p.fail()
+				}
+				out = utf8.AppendRune(out, r)
+				i += 4
+			default:
+				return p.fail()
+			}
+			i += 2
+			start = i
+		case c < ' ':
+			return p.fail()
+		case c < utf8.RuneSelf:
+			i++
+		default:
+			r, size := utf8.DecodeRune(d[i:])
+			if r == utf8.RuneError && size == 1 {
+				return p.fail()
+			}
+			i += size
 		}
 	}
-	return nil
+	return p.fail()
 }

@@ -2,11 +2,13 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -248,23 +250,23 @@ func TestWirePublisher(t *testing.T) {
 	}
 }
 
-func TestDecodeRecordErrors(t *testing.T) {
-	if _, err := decodeRecord(FormatULM, "not a record"); err == nil {
-		t.Fatal("bad ULM accepted")
+func TestDecodePayloadErrors(t *testing.T) {
+	for _, tc := range []struct{ format, payload, what string }{
+		{FormatULM, "not a record", "bad ULM"},
+		{FormatXML, "<broken", "bad XML"},
+		{FormatBinary, "!!!not-base64!!!", "bad base64"},
+		{FormatBinary, "AAAA", "bad binary payload"},
+		{"cuneiform", "x", "unknown format"},
+	} {
+		var in inboundEvents
+		in.addEvent("s", tc.payload)
+		failed := 0
+		n, err := in.runs(tc.format, func(error) error { failed++; return nil }, func(string, []ulm.Record) error { return nil })
+		if n != 0 || err != nil || failed != 1 {
+			t.Errorf("%s: %d records delivered, %d refused, %v", tc.what, n, failed, err)
+		}
 	}
-	if _, err := decodeRecord(FormatXML, "<broken"); err == nil {
-		t.Fatal("bad XML accepted")
-	}
-	if _, err := decodeRecord(FormatBinary, "!!!not-base64!!!"); err == nil {
-		t.Fatal("bad base64 accepted")
-	}
-	if _, err := decodeRecord(FormatBinary, "AAAA"); err == nil {
-		t.Fatal("bad binary payload accepted")
-	}
-	if _, err := decodeRecord("cuneiform", "x"); err == nil {
-		t.Fatal("unknown format accepted")
-	}
-	if _, err := encodeRecord("cuneiform", ulm.Record{}); err == nil {
+	if _, err := payloadString("cuneiform", &ulm.Record{}); err == nil {
 		t.Fatal("unknown encode format accepted")
 	}
 }
@@ -319,7 +321,8 @@ func TestWireMalformedLineKeepsConnection(t *testing.T) {
 		t.Fatalf("expected error response, got %+v", resp)
 	}
 	// The connection survives: a valid publish on the same stream lands.
-	payload, err := encodeRecord(FormatULM, mkRec("E", time.Second, 7))
+	rec := mkRec("E", time.Second, 7)
+	payload, err := payloadString(FormatULM, &rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +359,8 @@ func TestWireBadRecordCountedNotSilent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := encodeRecord(FormatULM, mkRec("E", time.Second, 9))
+	goodRec := mkRec("E", time.Second, 9)
+	good, err := payloadString(FormatULM, &goodRec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -737,5 +741,112 @@ func TestSetBatchMaxStalledPeerDoesNotBlockErr(t *testing.T) {
 	case <-errDone:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Err() blocked behind a stalled SetBatchMax control write")
+	}
+}
+
+// Sixteen batches queued for a JSON-lines subscriber leave in one write
+// call, as sixteen lines in order, with the partial behind them held
+// for its timer.
+func TestLineBurstOneWrite(t *testing.T) {
+	g := New("gw", nil)
+	srv, err := ServeTCP(g, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, server := net.Pipe()
+	defer client.Close()
+	cc := &countConn{Conn: server}
+	go srv.serveConn(cc) // ends when the deferred client.Close hangs up
+
+	rc := &rawConn{t: t, conn: client, fr: newFrameReader(client)}
+	// The pipe is synchronous: the pump cannot get past its subscribe ack
+	// until the test reads it, so everything published before that is
+	// queued when the pump first looks.
+	rc.sendLine(`{"op":"subscribe","format":"xml","batch_max":4,"batch_wait_ms":1000}`)
+	waitUntil(t, "the subscription", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.subs) == 1
+	})
+	for i := 0; i < 16; i++ {
+		g.PublishBatch("cpu", transcriptBatch("LOAD", 4*i, 4))
+	}
+	g.Publish("mem", mkRec("FREE", 0, -1)) // the partial
+	rc.readLine()                          // the ack
+	var in inboundEvents
+	next := 0
+	for i := 0; i < 16; i++ {
+		rc.conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		line, err := rc.fr.br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		var resp wireResponse
+		if !in.scan(bytes.TrimSpace(line), &resp) {
+			t.Fatalf("line %d is not an event line: %s", i, line)
+		}
+		n, err := in.runs(FormatXML, func(err error) error { return err }, func(sensor string, recs []ulm.Record) error {
+			for _, r := range recs {
+				if v, _ := r.Float("VAL"); sensor != "cpu" || v != float64(next) {
+					t.Fatalf("line %d carries %s VAL %v, want cpu VAL %d: out of order", i, sensor, v, next)
+				}
+				next++
+			}
+			return nil
+		})
+		if n != 4 || err != nil {
+			t.Fatalf("line %d: %d records, %v", i, n, err)
+		}
+	}
+	cc.mu.Lock()
+	writes := len(cc.writes)
+	cc.mu.Unlock()
+	if writes != 2 { // subscribe ack, the burst
+		t.Fatalf("%d write calls, want 2: the burst of 16 lines must leave in one", writes)
+	}
+}
+
+// TestEventLineFallbackNotTaken: a subscription and a history replay in
+// either text format are read by the scanners alone — no line goes
+// through encoding/json, no payload through encoding/xml.
+func TestEventLineFallbackNotTaken(t *testing.T) {
+	g, srv, _ := startHistoryServer(t, t.TempDir())
+	recs := fatRun(40, 3)
+	recs[7].Fields[1].Value = `quotes " and <markup> & more`
+	g.PublishBatch("cpu@h1", recs)
+	c := NewClient("", srv.Addr())
+	c.Protocol = ProtoJSON
+	for _, format := range []string{FormatULM, FormatXML} {
+		for _, batchMax := range []int{1, 16} {
+			var got atomic.Int64
+			st, err := c.SubscribeBatchStream(Request{}, StreamOptions{Format: format, BatchMax: batchMax}, func(_ string, recs []ulm.Record) {
+				got.Add(int64(len(recs)))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.PublishBatch("cpu@h1", recs)
+			waitUntil(t, "the subscription's records", func() bool { return got.Load() == int64(len(recs)) })
+			st.Close()
+			<-st.Done()
+			if st.in.fallbacks != 0 || st.in.batch.Fallbacks() != 0 || st.DecodeErrors() != 0 {
+				t.Errorf("subscribe %s/%d: %d lines through encoding/json, %d payloads through encoding/xml, %d decode errors",
+					format, batchMax, st.in.fallbacks, st.in.batch.Fallbacks(), st.DecodeErrors())
+			}
+		}
+		conn, cdc, err := c.dialCodec(format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var in inboundEvents
+		n, err := c.history(conn, cdc, &in, HistoryRequest{Format: format, BatchMax: 16}, func(string, []ulm.Record) error { return nil })
+		conn.Close()
+		if err != nil || n < len(recs) {
+			t.Fatalf("history %s: %d records, %v", format, n, err)
+		}
+		if in.fallbacks != 0 || in.batch.Fallbacks() != 0 {
+			t.Errorf("history %s: %d lines through encoding/json, %d payloads through encoding/xml", format, in.fallbacks, in.batch.Fallbacks())
+		}
 	}
 }

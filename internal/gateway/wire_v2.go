@@ -18,7 +18,7 @@ import (
 // V2Format reports whether a payload format can ride v2 framing. V2
 // batch frames always carry ULM-binary record bodies, so the format
 // only matters as a compat signal: XML subscribers keep the JSON path,
-// where the format-specific encode (and its drop accounting) lives.
+// where the format-specific encode lives.
 func V2Format(format string) bool {
 	return format == "" || format == FormatULM || format == FormatBinary
 }
@@ -43,12 +43,29 @@ type frameReader struct {
 	// allocates its Sensor string only the first time the name appears.
 	hdr     [wireFrameHdr]byte
 	frame   Frame
-	sensors map[string]string
+	sensors sensorNames
 }
+
+// sensorNames interns the sensor names a connection's reader has seen:
+// a message allocates its sensor string only the first time the name
+// appears.
+type sensorNames map[string]string
 
 // maxInternedSensors bounds a reader's sensor-name table; a connection
 // naming more sensors than this starts the table over.
 const maxInternedSensors = 4096
+
+func (t *sensorNames) intern(name []byte) string {
+	s, ok := (*t)[string(name)]
+	if !ok {
+		if *t == nil || len(*t) >= maxInternedSensors {
+			*t = make(sensorNames)
+		}
+		s = string(name)
+		(*t)[s] = s
+	}
+	return s
+}
 
 // newFrameReader wraps r in a frame reader with a 64 KiB read buffer
 // (bufio.NewReaderSize reuses r when it already is one that large).
@@ -89,15 +106,7 @@ func (fr *frameReader) batchFrame(buf []byte) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, ok := fr.sensors[string(sensor)]
-	if !ok {
-		if fr.sensors == nil || len(fr.sensors) >= maxInternedSensors {
-			fr.sensors = make(map[string]string)
-		}
-		name = string(sensor)
-		fr.sensors[name] = name
-	}
-	fr.frame.Sensor, fr.frame.Count, fr.frame.recOff = name, count, recOff
+	fr.frame.Sensor, fr.frame.Count, fr.frame.recOff = fr.sensors.intern(sensor), count, recOff
 	return &fr.frame, nil
 }
 
@@ -163,7 +172,7 @@ func (c *frameCodec) checkFormat(string) error { return nil }
 
 func (c *frameCodec) eventFormat(string) string { return "" }
 
-func (c *frameCodec) writeBatch(_, sensor string, recs []ulm.Record, _ func()) (int, error) {
+func (c *frameCodec) writeBatch(_, sensor string, recs []ulm.Record) (int, error) {
 	c.out = appendBatchFrame(c.out[:0], 0, sensor, recs)
 	_, err := c.conn.Write(c.out)
 	return len(recs), err

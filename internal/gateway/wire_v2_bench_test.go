@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -11,7 +10,7 @@ import (
 // BenchmarkWireCodec isolates the codec cost the v2 tentpole removes:
 // one 64-record batch through the full wire encode+decode round trip,
 // as the JSON protocol carries it (ULM text inside a JSON envelope,
-// per-record) versus a v2 binary frame (one prelude, ULM binary
+// written and scanned without reflection) versus a v2 binary frame (one prelude, ULM binary
 // records, one CRC). Transport excluded — this is the CPU the two
 // protocols spend per delivered batch.
 func BenchmarkWireCodec(b *testing.B) {
@@ -23,27 +22,24 @@ func BenchmarkWireCodec(b *testing.B) {
 
 	b.Run("json", func(b *testing.B) {
 		b.ReportAllocs()
+		var w lineWriter
+		var in inboundEvents
 		for i := 0; i < b.N; i++ {
-			resp := wireResponse{OK: true, Sensor: "cpu", Recs: make([]wireEvent, 0, batch)}
+			w.buf = append(w.buf[:0], `{"ok":true,"recs":[`...)
 			for j := range recs {
-				payload, err := encodeRecord(FormatULM, recs[j])
-				if err != nil {
-					b.Fatal(err)
+				if j > 0 {
+					w.buf = append(w.buf, ',')
 				}
-				resp.Recs = append(resp.Recs, wireEvent{Rec: payload})
+				w.event(FormatULM, "cpu", &recs[j])
 			}
-			line, err := json.Marshal(resp)
-			if err != nil {
-				b.Fatal(err)
-			}
+			w.buf = append(w.buf, "]}"...)
 			var got wireResponse
-			if err := json.Unmarshal(line, &got); err != nil {
-				b.Fatal(err)
+			if !in.scan(w.buf, &got) {
+				b.Fatal("the event scanner refused an event line")
 			}
-			for j := range got.Recs {
-				if _, err := decodeRecord(FormatULM, got.Recs[j].Rec); err != nil {
-					b.Fatal(err)
-				}
+			n, err := in.runs(FormatULM, func(err error) error { return err }, func(string, []ulm.Record) error { return nil })
+			if err != nil || n != batch {
+				b.Fatal(n, err)
 			}
 		}
 		b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "records/s")

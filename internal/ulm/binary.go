@@ -145,33 +145,121 @@ func DecodeBinary(data []byte, r *Record) ([]byte, error) {
 	return data[next:], nil
 }
 
-// batchScratch is DecodeBinaryBatch's pass-1 working memory, pooled so
-// a steady stream of batches allocates none of it.
+// batchScratch is the working memory of a batch decode — binary
+// (DecodeBinaryBatch) or text (TextBatch) alike. Pass 1 adds records:
+// each is validated by its format's scanner and its strings go into
+// arena, a string equal to the one in the same slot of the previous
+// record stored once. Pass 2, records, materialises them all from two
+// allocations.
 type batchScratch struct {
 	arena []byte     // the batch's distinct string bytes
 	refs  []strRef   // per record, per string slot: where it sits in arena
-	wire  []strRef   // the record being scanned: where each string sits in data
+	wire  []strRef   // the binary record being scanned: where each string sits in data
 	recs  []recShape // per record
+	// start and prev index refs: the slots of the record being added and
+	// of the one before it. mark is the arena's length when the record
+	// began, so a record that turns out malformed leaves nothing behind.
+	start, prev, mark int
 }
 
-// recShape is what pass 2 needs of a scanned record besides its refs.
+// recShape is what pass 2 needs of an added record besides its refs.
 type recShape struct {
-	usec  uint64
+	date  time.Time
 	slots int // strings in the record: headStrings + 2 × fields
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // maxPooledArena keeps one giant batch from pinning its working memory
-// in the pool forever.
+// forever, in the pool or in a long-lived TextBatch.
 const maxPooledArena = 1 << 20
 
-func (s *batchScratch) release() {
+func (s *batchScratch) reset() {
 	if cap(s.arena) > maxPooledArena {
+		*s = batchScratch{}
 		return
 	}
 	s.arena, s.refs, s.wire, s.recs = s.arena[:0], s.refs[:0], s.wire[:0], s.recs[:0]
-	batchPool.Put(s)
+	s.start, s.prev, s.mark = 0, 0, 0
+}
+
+func (s *batchScratch) release() {
+	if cap(s.arena) <= maxPooledArena {
+		s.reset()
+		batchPool.Put(s)
+	}
+}
+
+// begin opens the next record, its first heads slots set aside to be
+// filled in any order (setHead); put appends the slots behind them.
+func (s *batchScratch) begin(heads int) {
+	s.start, s.mark = len(s.refs), len(s.arena)
+	for i := 0; i < heads; i++ {
+		s.refs = append(s.refs, strRef{})
+	}
+}
+
+// intern returns where b sits in the arena as slot j of the open
+// record: with the same slot of the previous record when that holds the
+// same bytes, appended otherwise.
+func (s *batchScratch) intern(j int, b []byte) strRef {
+	if k := s.prev + j; k < s.start {
+		if p := s.refs[k]; bytes.Equal(s.arena[p.off:p.off+p.n], b) {
+			return p
+		}
+	}
+	s.arena = append(s.arena, b...)
+	return strRef{len(s.arena) - len(b), len(b)}
+}
+
+func (s *batchScratch) put(b []byte) {
+	s.refs = append(s.refs, s.intern(len(s.refs)-s.start, b))
+}
+
+func (s *batchScratch) setHead(i int, b []byte) {
+	s.refs[s.start+i] = s.intern(i, b)
+}
+
+// end closes the open record; abort drops it.
+func (s *batchScratch) end(date time.Time) {
+	s.recs = append(s.recs, recShape{date, len(s.refs) - s.start})
+	s.prev = s.start
+}
+
+func (s *batchScratch) abort() {
+	s.refs, s.arena = s.refs[:s.start], s.arena[:s.mark]
+}
+
+// records is pass 2: it appends every added record to dst, all of them
+// materialised from one string arena and one field slab, each record's
+// Fields a cap-clipped slice of the slab with spare unused slots behind
+// it.
+func (s *batchScratch) records(dst []Record, spare int) []Record {
+	count := len(s.recs)
+	arena := string(s.arena)
+	str := func(r strRef) string { return arena[r.off : r.off+r.n] }
+	var slab []Field
+	if n := (len(s.refs)-headStrings*count)/2 + spare*count; n > 0 {
+		slab = make([]Field, n)
+	}
+	dst = slices.Grow(dst, count)
+	refs := s.refs
+	for _, shape := range s.recs {
+		r := refs[:shape.slots]
+		refs = refs[shape.slots:]
+		nf := (shape.slots - headStrings) / 2
+		fields := slab[: nf : nf+spare]
+		slab = slab[nf+spare:]
+		for f := range fields {
+			fields[f] = Field{str(r[headStrings+2*f]), str(r[headStrings+2*f+1])}
+		}
+		dst = append(dst, Record{
+			Date: shape.date,
+			Host: str(r[0]), Prog: str(r[1]), Lvl: str(r[2]), Event: str(r[3]),
+			Fields: fields,
+		})
+	}
+	return dst
 }
 
 // DecodeBinaryBatch decodes count back-to-back records from the front
@@ -194,53 +282,30 @@ func (s *batchScratch) release() {
 func DecodeBinaryBatch(dst []Record, data []byte, count, spare int) ([]Record, []byte, error) {
 	s := batchPool.Get().(*batchScratch)
 	defer s.release()
-	pos, prev := 0, 0 // prev: index in s.refs of the previous record's slots
+	pos := 0
 	for i := 0; i < count; i++ {
-		var usec uint64
 		var err error
-		if usec, s.wire, pos, err = scanRecord(data, pos, s.wire[:0]); err != nil {
+		if pos, err = s.addBinary(data, pos); err != nil {
 			return dst, data, fmt.Errorf("ulm: batch record %d/%d: %w", i, count, err)
 		}
-		start := len(s.refs)
-		for j, w := range s.wire {
-			b := data[w.off : w.off+w.n]
-			if prev+j < start {
-				if p := s.refs[prev+j]; bytes.Equal(s.arena[p.off:p.off+p.n], b) {
-					s.refs = append(s.refs, p)
-					continue
-				}
-			}
-			s.refs = append(s.refs, strRef{len(s.arena), w.n})
-			s.arena = append(s.arena, b...)
-		}
-		s.recs = append(s.recs, recShape{usec, len(s.wire)})
-		prev = start
 	}
+	return s.records(dst, spare), data[pos:], nil
+}
 
-	arena := string(s.arena)
-	str := func(r strRef) string { return arena[r.off : r.off+r.n] }
-	var slab []Field
-	if n := (len(s.refs)-headStrings*count)/2 + spare*count; n > 0 {
-		slab = make([]Field, n)
+// addBinary adds the binary record at data[pos:] and returns the offset
+// just past it.
+func (s *batchScratch) addBinary(data []byte, pos int) (int, error) {
+	usec, wire, next, err := scanRecord(data, pos, s.wire[:0])
+	s.wire = wire
+	if err != nil {
+		return pos, err
 	}
-	dst = slices.Grow(dst, count)
-	refs := s.refs
-	for _, shape := range s.recs {
-		r := refs[:shape.slots]
-		refs = refs[shape.slots:]
-		nf := (shape.slots - headStrings) / 2
-		fields := slab[: nf : nf+spare]
-		slab = slab[nf+spare:]
-		for f := range fields {
-			fields[f] = Field{str(r[headStrings+2*f]), str(r[headStrings+2*f+1])}
-		}
-		dst = append(dst, Record{
-			Date: time.UnixMicro(int64(shape.usec)).UTC(),
-			Host: str(r[0]), Prog: str(r[1]), Lvl: str(r[2]), Event: str(r[3]),
-			Fields: fields,
-		})
+	s.begin(0)
+	for _, w := range wire {
+		s.put(data[w.off : w.off+w.n])
 	}
-	return dst, data[pos:], nil
+	s.end(time.UnixMicro(int64(usec)).UTC())
+	return next, nil
 }
 
 func appendString(dst []byte, s string) []byte {

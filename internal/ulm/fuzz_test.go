@@ -3,6 +3,7 @@ package ulm
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -152,5 +153,122 @@ func FuzzULMBatch(f *testing.F) {
 			}
 		}
 		copy(data, orig)
+	})
+}
+
+// fuzzRecord builds a record from fuzzed parts: fields is key, value,
+// key, value, ... separated by NUL bytes.
+func fuzzRecord(usec int64, host, prog, lvl, event, fields string) Record {
+	r := Record{Date: time.UnixMicro(usec).UTC(), Host: host, Prog: prog, Lvl: lvl, Event: event}
+	if fields != "" {
+		kv := strings.Split(fields, "\x00")
+		for i := 0; i+1 < len(kv); i += 2 {
+			r.Fields = append(r.Fields, Field{kv[i], kv[i+1]})
+		}
+	}
+	return r
+}
+
+// FuzzTextEncode is the differential test of the append encoders
+// against what they replaced: for an arbitrary record AppendText is the
+// old Record.String and AppendXML is encoding/xml's marshalling of the
+// record's schema, byte for byte.
+func FuzzTextEncode(f *testing.F) {
+	for _, r := range textShapes() {
+		var fields []string
+		for _, fl := range r.Fields {
+			fields = append(fields, fl.Key, fl.Value)
+		}
+		f.Add(r.Date.UnixMicro(), r.Host, r.Prog, r.Lvl, r.Event, strings.Join(fields, "\x00"))
+	}
+	for _, p := range transcriptPayloads(f) {
+		if r, err := refParse(string(p)); err == nil {
+			f.Add(r.Date.UnixMicro(), r.Host, r.Prog, r.Lvl, r.Event, "VAL\x00"+r.Fields[0].Value)
+		}
+	}
+	f.Fuzz(func(t *testing.T, usec int64, host, prog, lvl, event, fields string) {
+		r := fuzzRecord(usec, host, prog, lvl, event, fields)
+		if got, want := string(AppendText([]byte("x"), &r)), "x"+refString(r); got != want {
+			t.Fatalf("AppendText differs from the old String:\n got %q\nwant %q", got, want)
+		}
+		if got, want := r.String(), refString(r); got != want {
+			t.Fatalf("String differs from the old String:\n got %q\nwant %q", got, want)
+		}
+		want, err := refToXML(&r)
+		if err != nil {
+			t.Fatalf("encoding/xml refuses %+v: %v", r, err)
+		}
+		if got := AppendXML([]byte("x"), &r); string(got) != "x"+string(want) {
+			t.Fatalf("AppendXML differs from encoding/xml:\n got %q\nwant %q", got, want)
+		}
+	})
+}
+
+// FuzzTextDecode is the differential test of the text scanners against
+// what they replaced. For arbitrary bytes the ULM scanner accepts iff
+// the old Parse does, with the same record or the same error; the XML
+// scanner either hands the bytes to encoding/xml or agrees with it —
+// the same record, or both refuse.
+func FuzzTextDecode(f *testing.F) {
+	for _, r := range textShapes() {
+		f.Add(AppendText(nil, &r))
+		f.Add(AppendXML(nil, &r))
+	}
+	for _, p := range transcriptPayloads(f) {
+		f.Add(p)
+	}
+	for _, s := range []string{
+		"", " ", "DATE=20000330112320.9 HOST=h PROG=p LVL=l", "DATE=20000230112320.957943 HOST=h PROG=p LVL=l",
+		`DATE=20000330112320.957943 HOST=h PROG=p LVL=l X="a\"b\n" Y="c"Z=d`, `A="x`, `A="x\`, "=v", "k", "a b=c",
+		" DATE=00010101000000.000000 HOST=h PROG=p LVL=l ",
+		" <ulmEvent  lvl='l' prog = \"p\" host='&#x68;&#104;&lt;' date='20000330112320.957943'>\n<field name='k' >v&amp;&apos;&quot;&gt;</field >\n</ulmEvent > ",
+		`<ulmEvent date="20000330112320.957943" host="h" prog="p" lvl="l"><field>v</field><field name="a b">v</field></ulmEvent>`,
+		`<ulmEvent date="x" host="h" prog="p" lvl="l"></ulmEvent>`, `<ulmEvent host="h" host="i"></ulmEvent>`,
+		`<ulmEvent date="20000330112320.957943" host="&#xD800;" prog="&#0;" lvl="&#x110000;"></ulmEvent>`,
+		`<ulmEvent date="20000330112320.957943" host="h" prog="p" lvl="l"></ulmEvent>trailing`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		orig := append([]byte(nil), data...)
+		var b TextBatch
+		want, refErr := refParse(string(data))
+		err := b.AddText(data)
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("ULM scanner: %v, old Parse: %v", err, refErr)
+		}
+		if _, perr := Parse(string(data)); (perr == nil) != (refErr == nil) {
+			t.Fatalf("Parse: %v, old Parse: %v", perr, refErr)
+		}
+		if err == nil {
+			got := b.Records(nil, 0)
+			for i := range data {
+				data[i] ^= 0xff // the record aliases nothing of the line
+			}
+			if len(got) != 1 || !recordsEqual(got[0], want) || got[0].Date != want.Date {
+				t.Fatalf("ULM scanner differs from the old Parse:\n got %+v\nwant %+v", got, want)
+			}
+			copy(data, orig)
+		}
+		if len(b.s.recs) != 0 {
+			t.Fatalf("%d records left in the batch", len(b.s.recs))
+		}
+
+		err = b.AddXML(data)
+		if !bytes.Equal(data, orig) {
+			t.Fatal("AddXML wrote to its input")
+		}
+		if b.Fallbacks() != 0 {
+			return // encoding/xml decided
+		}
+		want, refErr = unmarshalXML(data)
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("XML scanner: %v, encoding/xml: %v", err, refErr)
+		}
+		if err == nil {
+			if got := b.Records(nil, 0); len(got) != 1 || !recordsEqual(got[0], want) || got[0].Date != want.Date {
+				t.Fatalf("XML scanner differs from encoding/xml:\n got %+v\nwant %+v", got, want)
+			}
+		}
 	})
 }

@@ -19,10 +19,12 @@
 // paper §7.0).
 //
 // Ownership: a Record is a plain value and its strings are immutable,
-// so records are freely copied and retained. Records decoded from one
-// frame by DecodeBinaryBatch share one string arena and one field slab;
+// so records are freely copied and retained. Records decoded as a
+// batch — one binary frame by DecodeBinaryBatch, the payloads of one
+// text line by a TextBatch — share one string arena and one field slab;
 // anything that keeps a record longer than its batch calls Compact, or
-// the one record keeps the whole batch's memory alive.
+// the one record keeps the whole batch's memory alive. Neither decoder
+// leaves a record aliasing the bytes it was decoded from.
 package ulm
 
 import (
@@ -141,8 +143,8 @@ func (r *Record) Clone() Record {
 // Compact returns a copy of the record that shares no memory with it:
 // one string holding all of its string bytes and one field slice of
 // exactly its length. It is what a long-lived holder (a last-event
-// cache) keeps of a record decoded by DecodeBinaryBatch, whose strings
-// and fields would otherwise pin the whole batch.
+// cache) keeps of a record decoded by DecodeBinaryBatch or a TextBatch,
+// whose strings and fields would otherwise pin the whole batch.
 func (r *Record) Compact() Record {
 	n := len(r.Host) + len(r.Prog) + len(r.Lvl) + len(r.Event)
 	for _, f := range r.Fields {
@@ -210,155 +212,8 @@ func validKey(k string) error {
 // String renders the record in ULM line format (without a trailing
 // newline).
 func (r Record) String() string {
-	var b strings.Builder
-	b.Grow(96 + 16*len(r.Fields))
-	b.WriteString("DATE=")
-	b.WriteString(r.Date.UTC().Format(DateLayout))
-	b.WriteString(" HOST=")
-	writeValue(&b, r.Host)
-	b.WriteString(" PROG=")
-	writeValue(&b, r.Prog)
-	b.WriteString(" LVL=")
-	writeValue(&b, r.Lvl)
-	if r.Event != "" {
-		b.WriteString(" NL.EVNT=")
-		writeValue(&b, r.Event)
-	}
-	for _, f := range r.Fields {
-		b.WriteByte(' ')
-		b.WriteString(f.Key)
-		b.WriteByte('=')
-		writeValue(&b, f.Value)
-	}
-	return b.String()
-}
-
-func needsQuoting(v string) bool {
-	if v == "" {
-		return true
-	}
-	return strings.ContainsAny(v, " \t\n\r\"=")
-}
-
-func writeValue(b *strings.Builder, v string) {
-	if !needsQuoting(v) {
-		b.WriteString(v)
-		return
-	}
-	b.WriteByte('"')
-	for i := 0; i < len(v); i++ {
-		switch c := v[i]; c {
-		case '"', '\\':
-			b.WriteByte('\\')
-			b.WriteByte(c)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	b.WriteByte('"')
-}
-
-// Parse parses a single ULM line. Unknown ordering of the required
-// fields is accepted; they are conventionally first but the format does
-// not demand it.
-func Parse(line string) (Record, error) {
-	var r Record
-	var sawDate bool
-	rest := strings.TrimSpace(line)
-	if rest == "" {
-		return r, errors.New("ulm: empty line")
-	}
-	for len(rest) > 0 {
-		key, value, remaining, err := parsePair(rest)
-		if err != nil {
-			return r, err
-		}
-		rest = remaining
-		switch key {
-		case "DATE":
-			t, err := ParseDate(value)
-			if err != nil {
-				return r, err
-			}
-			r.Date = t
-			sawDate = true
-		case "HOST":
-			r.Host = value
-		case "PROG":
-			r.Prog = value
-		case "LVL":
-			r.Lvl = value
-		case "NL.EVNT":
-			r.Event = value
-		default:
-			r.Fields = append(r.Fields, Field{key, value})
-		}
-	}
-	if !sawDate {
-		return r, fmt.Errorf("%w: DATE", ErrMissingField)
-	}
-	if err := r.Validate(); err != nil {
-		return r, err
-	}
-	return r, nil
-}
-
-// parsePair consumes one key=value token from the front of s.
-func parsePair(s string) (key, value, rest string, err error) {
-	eq := strings.IndexByte(s, '=')
-	if eq <= 0 {
-		return "", "", "", fmt.Errorf("ulm: malformed pair near %q", truncate(s))
-	}
-	key = s[:eq]
-	if err := validKey(key); err != nil {
-		return "", "", "", err
-	}
-	s = s[eq+1:]
-	if len(s) > 0 && s[0] == '"' {
-		var b strings.Builder
-		i := 1
-		for {
-			if i >= len(s) {
-				return "", "", "", fmt.Errorf("ulm: unterminated quote in value of %q", key)
-			}
-			c := s[i]
-			if c == '\\' {
-				if i+1 >= len(s) {
-					return "", "", "", fmt.Errorf("ulm: dangling escape in value of %q", key)
-				}
-				switch s[i+1] {
-				case 'n':
-					b.WriteByte('\n')
-				case 'r':
-					b.WriteByte('\r')
-				case 't':
-					b.WriteByte('\t')
-				default:
-					b.WriteByte(s[i+1])
-				}
-				i += 2
-				continue
-			}
-			if c == '"' {
-				i++
-				break
-			}
-			b.WriteByte(c)
-			i++
-		}
-		return key, b.String(), strings.TrimLeft(s[i:], " \t"), nil
-	}
-	end := strings.IndexAny(s, " \t")
-	if end < 0 {
-		return key, s, "", nil
-	}
-	return key, s[:end], strings.TrimLeft(s[end:], " \t"), nil
+	var buf [512]byte
+	return string(AppendText(buf[:0], &r))
 }
 
 func truncate(s string) string {

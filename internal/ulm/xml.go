@@ -66,13 +66,15 @@ func (r *Record) UnmarshalXML(d *xml.Decoder, start xml.StartElement) error {
 	return r.Validate()
 }
 
-// ToXML renders r as a standalone XML document fragment.
+// ToXML renders r as a standalone XML document fragment. The error is
+// always nil: every string is escaped into something XML can carry.
 func ToXML(r *Record) ([]byte, error) {
-	return xml.Marshal(*r)
+	return AppendXML(make([]byte, 0, 128+48*len(r.Fields)), r), nil
 }
 
-// FromXML parses a record from an XML fragment produced by ToXML.
-func FromXML(data []byte) (Record, error) {
+// unmarshalXML parses a record through encoding/xml: the path of every
+// document that is not of the shape AppendXML writes (TextBatch.AddXML).
+func unmarshalXML(data []byte) (Record, error) {
 	var r Record
 	err := xml.Unmarshal(data, &r)
 	return r, err
