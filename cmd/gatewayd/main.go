@@ -233,9 +233,7 @@ func main() {
 	for _, peer := range peers {
 		c := gateway.NewClient("gatewayd/"+*name, peer)
 		c.Protocol = clientProto
-		b := bridge.New(c, gw, bridge.Options{
-			BatchMax: *batch, BatchWait: 2 * time.Millisecond,
-		})
+		b := bridge.New(c, gw, bridge.Options{BatchMax: *batch})
 		b.SetTracer(tracer)
 		reg.Register(b.MetricsSource(peer))
 		bridges = append(bridges, b)
@@ -247,9 +245,7 @@ func main() {
 	for _, peer := range aggPeers {
 		c := gateway.NewClient("gatewayd/"+*name, peer)
 		c.Protocol = clientProto
-		b := bridge.NewAggregateMirror(c, gw.Bus(), bridge.Options{
-			BatchMax: *batch, BatchWait: 2 * time.Millisecond,
-		})
+		b := bridge.NewAggregateMirror(c, gw.Bus(), bridge.Options{BatchMax: *batch})
 		b.SetTracer(tracer)
 		reg.Register(b.MetricsSource(peer + "#agg"))
 		bridges = append(bridges, b)

@@ -174,7 +174,6 @@ func main() {
 				Ring:      ring.New(strings.Split(*ringFlag, ","), 0),
 				Principal: "jammd/" + *hostName,
 				BatchMax:  64,
-				BatchWait: 5 * time.Millisecond,
 				Protocol:  clientProto,
 			}
 			if *dirAddr != "" {
@@ -193,7 +192,7 @@ func main() {
 		} else {
 			fc := gateway.NewClient("jammd/"+*hostName, *forward)
 			fc.Protocol = clientProto
-			pub, err := fc.NewBatchPublisher(gateway.FormatULM, 64, 5*time.Millisecond)
+			pub, err := fc.NewBatchPublisher(gateway.FormatULM, 64, gateway.FlushWhenIdle)
 			if err != nil {
 				log.Fatalf("jammd: forward: %v", err)
 			}
@@ -249,9 +248,7 @@ func main() {
 	for _, peer := range peers {
 		c := gateway.NewClient("jammd/"+*hostName, peer)
 		c.Protocol = clientProto
-		m := bridge.New(c, site.Gateway, bridge.Options{
-			BatchMax: 64, BatchWait: 2 * time.Millisecond,
-		})
+		m := bridge.New(c, site.Gateway, bridge.Options{BatchMax: 64})
 		m.SetTracer(tracer)
 		treg.Register(m.MetricsSource(peer))
 		mirrors = append(mirrors, m)

@@ -54,7 +54,8 @@ type Options struct {
 	// BatchMax asks the remote server for batched event frames of up
 	// to this many records (0 = single-record frames).
 	BatchMax int
-	// BatchWait bounds how long the server holds a partial batch.
+	// BatchWait is advisory (gateway.StreamOptions.BatchWait): the server
+	// sends a partial batch as soon as the subscription's writer is idle.
 	BatchWait time.Duration
 	// MinBackoff/MaxBackoff bound the reconnect backoff after a lost
 	// or refused connection (defaults 50ms / 5s). Backoff doubles per

@@ -53,8 +53,9 @@ type ReplicatorOptions struct {
 	// Format is the wire payload format (gateway.FormatULM default;
 	// v2 framing negotiates on top of it).
 	Format string
-	// BatchMax / BatchWait shape the replica links' publishers
-	// (defaults 64 records / 2ms).
+	// BatchMax caps the records of a replica link's frame (default 64);
+	// a partial one leaves as soon as the link is idle. BatchWait is
+	// advisory and unused.
 	BatchMax  int
 	BatchWait time.Duration
 	// QueueRecords bounds each link's pending-record budget (default
@@ -88,9 +89,6 @@ type ReplicatorStats struct {
 func NewReplicator(self string, rg *ring.Ring, k int, opts ReplicatorOptions) *Replicator {
 	if opts.BatchMax <= 0 {
 		opts.BatchMax = 64
-	}
-	if opts.BatchWait <= 0 {
-		opts.BatchWait = 2 * time.Millisecond
 	}
 	if opts.QueueRecords <= 0 {
 		opts.QueueRecords = 8192
@@ -282,7 +280,7 @@ func (l *replicaLink) run() {
 				break
 			}
 			if pub == nil {
-				p, err := l.client().NewBatchPublisher(l.r.opts.Format, l.r.opts.BatchMax, l.r.opts.BatchWait)
+				p, err := l.client().NewBatchPublisher(l.r.opts.Format, l.r.opts.BatchMax, gateway.FlushWhenIdle)
 				if err != nil {
 					// Replica down: requeue nothing (the items predate the
 					// outage), shed these, back off before the next try.

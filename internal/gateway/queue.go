@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"sync"
 
 	"jamm/internal/auth"
 	"jamm/internal/boundq"
@@ -11,11 +12,19 @@ import (
 
 // frameItem is one queued delivery: either a raw relayed frame or a
 // cooked batch of records (exactly one is set). A queued frame is
-// retained (Frame.Retain): whoever takes the item out releases it.
+// retained (Frame.Retain): whoever takes the item out releases it. A
+// queued batch's records are a copy in own, a slice from recsFree:
+// whoever takes the item out recycles it once done with the records.
 type frameItem struct {
-	f  *Frame
-	tb TopicBatch
+	f   *Frame
+	tb  TopicBatch
+	own *[]ulm.Record
 }
+
+// recsFree holds the record slices of consumed cooked items (at most
+// chanBatchMax records each), so a steady stream of deliveries copies
+// into the same few arrays.
+var recsFree = sync.Pool{New: func() any { return new([]ulm.Record) }}
 
 // Records returns the item's record count.
 func (it frameItem) Records() int {
@@ -31,11 +40,19 @@ func (it frameItem) Own() frameItem {
 	if it.f != nil {
 		it.f = it.f.Retain()
 	} else {
-		recs := make([]ulm.Record, len(it.tb.Recs))
-		copy(recs, it.tb.Recs)
-		it.tb.Recs = recs
+		it.own = recsFree.Get().(*[]ulm.Record)
+		*it.own = append((*it.own)[:0], it.tb.Recs...)
+		it.tb.Recs = *it.own
 	}
 	return it
+}
+
+// recycle returns a consumed cooked item's record slice, zeroed so it
+// pins nothing, to the free list.
+func (it *frameItem) recycle() {
+	clear(*it.own)
+	recsFree.Put(it.own)
+	it.own, it.tb.Recs = nil, nil
 }
 
 // subQueue is the one bounded buffer between the publish path and a
@@ -151,6 +168,7 @@ func (g *Gateway) SubscribeFramesFunc(req Request, depth int, onDrop func(n int)
 						it.f.Release()
 					} else {
 						onBatch(it.tb.Sensor, it.tb.Recs)
+						it.recycle()
 					}
 				}
 				sub.q.settle()

@@ -116,23 +116,20 @@ func FuzzTextEncode(f *testing.F) {
 			got.Reset()
 		}
 
-		// A subscription: a full batched line and the flushed partial,
-		// then single-record lines.
+		// A subscription: two batched lines, each a partial its commit
+		// closes, then single-record lines.
 		sub := &Subscription{g: g}
 		sub.wireDrops.Store(drops)
 		conn := &captureConn{}
 		w := newLineCodec(conn, nil, maxLineBytes).events(format, sub)
 		for _, batch := range [][]ulm.Record{recs, recs[:1]} {
-			if wrote, err := w.add(sensor, batch, 8); err != nil || wrote || w.pending() != len(batch) {
-				t.Fatal(wrote, err, w.pending())
+			w.add(sensor, batch, 8)
+			if err := w.commit(); err != nil {
+				t.Fatal(err)
 			}
-			w.flush() //nolint:errcheck
-		}
-		if err := w.commit(); err != nil {
-			t.Fatal(err)
 		}
 		expect("batched event lines", conn, wireResponse{OK: true, Recs: events, Drops: drops}, wireResponse{OK: true, Recs: events[:1], Drops: drops})
-		w.add(sensor, recs[:min(2, len(recs))], 1) //nolint:errcheck
+		w.add(sensor, recs[:min(2, len(recs))], 1)
 		if err := w.commit(); err != nil {
 			t.Fatal(err)
 		}

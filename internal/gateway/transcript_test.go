@@ -120,12 +120,16 @@ func writeStream(b *strings.Builder, dir byte, data []byte) {
 // session.
 var transcriptClock = epoch.Add(time.Hour)
 
-// transcriptSite is one session's gateway, server and proxy.
+// transcriptSite is one session's gateway, server and proxy. The proxy
+// reaches the server through a gate (flush_test.go), which a session
+// shuts to hold a subscription's writer at a write while it queues what
+// must leave together.
 type transcriptSite struct {
-	t   *testing.T
-	g   *Gateway
-	srv *TCPServer
-	tap *wireTap
+	t    *testing.T
+	g    *Gateway
+	srv  *TCPServer
+	gate *writeGate
+	tap  *wireTap
 }
 
 func newTranscriptSite(t *testing.T, archive bool) *transcriptSite {
@@ -151,7 +155,9 @@ func newTranscriptSite(t *testing.T, archive bool) *transcriptSite {
 		srv.SetHistory(hist)
 		t.Cleanup(func() { sub.Cancel(); hist.Close() })
 	}
-	s.tap = startTap(t, srv.Addr())
+	var addr string
+	addr, s.gate = serveGated(t, srv)
+	s.tap = startTap(t, addr)
 	return s
 }
 
@@ -280,13 +286,12 @@ func seedOps(s *transcriptSite) {
 
 // subscribeSession drives one wildcard subscription through exact-window
 // flushes, a window spanning two sensors, a mid-stream retune and a
-// timer flush. The batch timer is the longest the server allows, so
-// only the windows meant to leave on it do.
+// partial window.
 func subscribeSession(s *transcriptSite, p Proto, format string, batchMax int) {
 	t := s.t
 	var mu sync.Mutex
 	seen, want := 0, 0
-	st, err := s.client(p).SubscribeBatchStream(Request{}, StreamOptions{Format: format, BatchMax: batchMax, BatchWait: maxBatchWait},
+	st, err := s.client(p).SubscribeBatchStream(Request{}, StreamOptions{Format: format, BatchMax: batchMax, BatchWait: time.Second},
 		func(_ string, recs []ulm.Record) {
 			mu.Lock()
 			seen += len(recs)
@@ -304,23 +309,26 @@ func subscribeSession(s *transcriptSite, p Proto, format string, batchMax int) {
 		t.Helper()
 		waitUntil(t, what, func() bool { mu.Lock(); defer mu.Unlock(); return seen >= want })
 	}
-	// Two exact windows of one sensor in one delivery.
+	// Two exact windows of one sensor in one delivery. The writer is held
+	// at their write, so what is published next leaves together.
+	s.gate.shut()
 	publish("cpu", transcriptBatch("LOAD", 0, 2*batchMax))
-	delivered("the first windows")
+	s.gate.await(t)
 	// A window that spans two sensors: one mixed frame in JSON lines, a
-	// frame per sensor in binary framing (the second on the timer).
+	// frame per sensor in binary framing (the second a partial one).
 	publish("cpu", transcriptBatch("LOAD", 100, 1))
 	publish("mem@h2", []ulm.Record{hopRec("FREE", 101*time.Second, 5)})
 	if batchMax > 2 {
 		publish("mem@h2", transcriptBatch("FREE", 102, batchMax-2))
 	}
-	delivered("the two-sensor window")
+	s.gate.open()
+	delivered("the first windows and the two-sensor window")
 	if batchMax < 2 {
 		return
 	}
 	// Retune to half the window. The first half-window leaves the same
 	// way whether the retune has landed (a full window) or not (a partial
-	// one on the timer); by the time it has arrived the retune has, and
+	// one); by the time it has arrived the retune has, and
 	// one delivery of a whole old window leaves as two frames.
 	if err := st.SetBatchMax(batchMax / 2); err != nil {
 		t.Fatal(err)
@@ -329,9 +337,9 @@ func subscribeSession(s *transcriptSite, p Proto, format string, batchMax int) {
 	delivered("the first retuned window")
 	publish("cpu", transcriptBatch("LOAD", 300, batchMax))
 	delivered("the retuned windows")
-	// A partial window leaves on the batch timer.
+	// A partial window leaves at once.
 	publish("cpu", transcriptBatch("LOAD", 400, 1))
-	delivered("the timer flush")
+	delivered("the partial window")
 }
 
 // publishSession records what a Publisher emits: single frames, a
@@ -581,7 +589,7 @@ var transcriptSessions = []struct {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		fst, err := c.SubscribeFrameStream(Request{}, StreamOptions{BatchMax: 5, BatchWait: maxBatchWait},
+		fst, err := c.SubscribeFrameStream(Request{}, StreamOptions{BatchMax: 5, BatchWait: time.Second},
 			func(f *Frame) { mu.Lock(); relayed += f.Count; mu.Unlock() })
 		if err != nil {
 			t.Fatal(err)

@@ -60,16 +60,20 @@ import (
 //     events on a persistent connection, no acks, and is never written
 //     to. In JSON lines {"op":"publish","sensor":s,"rec":p} carries one
 //     record and {"op":"publish","format":f,"recs":[{"sensor":s,
-//     "rec":p},...]} many (the Publisher coalesces up to N records or T
-//     milliseconds per frame); in binary framing every run of one
-//     sensor's records is one batch frame. Records that cannot be
-//     decoded are counted, never silently discarded.
+//     "rec":p},...]} many (the Publisher coalesces up to N records per
+//     frame, fewer when the connection is idle); in binary framing every
+//     run of one sensor's records is one batch frame. Records that
+//     cannot be decoded are counted, never silently discarded.
 //   - subscribe turns the connection into a one-way event stream after
-//     an {"ok":true} ack. "batch_max"/"batch_wait_ms" ask the server to
-//     coalesce delivery; a {"op":"batch_max","batch_max":N} control
-//     message on the subscription connection resizes the window
-//     mid-stream — flow control the client adjusts to its own
-//     consumption rate without resubscribing.
+//     an {"ok":true} ack. "batch_max" asks the server to coalesce
+//     delivery into frames of up to that many records: what arrives
+//     while the subscription's writer is busy leaves together in its
+//     next write and a partial frame is sent as soon as the writer is
+//     idle ("batch_wait_ms" is accepted and ignored). A
+//     {"op":"batch_max","batch_max":N} control message on the
+//     subscription connection resizes the window mid-stream — flow
+//     control the client adjusts to its own consumption rate without
+//     resubscribing.
 //   - history queries the gateway's persistent archive (a histstore
 //     attached with SetHistory): {"op":"history","from":d,"to":d,...}
 //     streams matching records back as event frames, terminated by
@@ -97,9 +101,9 @@ import (
 // reports drops on change in a control frame so relayed bytes need no
 // rewrite. The connection loop below owns the rest, once: negotiation,
 // op dispatch, publish ingest, the bounded bad-message streak, the
-// subscribe pump (queue, control reader, retune, coalescing timer,
-// drain accounting) and the history server. wire_client.go does the
-// same for Stream, HistoryStream and Publisher.
+// subscribe pump (queue, control reader, retune, drain accounting) and
+// the history server. wire_client.go does the same for Stream,
+// HistoryStream and Publisher.
 //
 // What is not the wire's at all lives below it, shared with every other
 // server of the site: listening, accepting, tracking and closing
@@ -139,10 +143,10 @@ type wireRequest struct {
 	// sensor (falling back to the request sensor when empty).
 	Recs []wireEvent `json:"recs,omitempty"`
 	// BatchMax asks a subscription for batched event frames of up to
-	// this many records; BatchWaitMS bounds how long a partial batch
-	// may wait before it is flushed. On an op=batch_max control line
-	// (sent mid-stream on a subscription connection) BatchMax is the
-	// new coalescing window.
+	// this many records; BatchWaitMS is parsed and ignored — a partial
+	// batch leaves as soon as the writer is idle. On an op=batch_max
+	// control line (sent mid-stream on a subscription connection)
+	// BatchMax is the new coalescing window.
 	BatchMax    int   `json:"batch_max,omitempty"`
 	BatchWaitMS int64 `json:"batch_wait_ms,omitempty"`
 	// From/To bound a history query's record DATE field (ULM DATE
@@ -252,14 +256,6 @@ const maxLineBytes = 4 * 1024 * 1024
 // socket buffers; past this many bad messages in a row the peer is not
 // speaking the protocol at all.
 const maxConsecutiveBadLines = 64
-
-// defaultBatchWait bounds how long a partial subscribe batch waits for
-// more records before it is flushed.
-const defaultBatchWait = 2 * time.Millisecond
-
-// maxBatchWait clamps a client-requested batch wait so a drained
-// shutdown never races an arbitrarily long flush timer.
-const maxBatchWait = time.Second
 
 // TCPServer exposes a Gateway over the wire protocol. The embedded
 // transport shell owns the listener and the connections (Addr,
@@ -689,11 +685,6 @@ func (c *serverConn) serveSubscribe(req wireRequest) {
 	// low latency, without resubscribing.
 	var batchMax atomic.Int64
 	batchMax.Store(int64(clampBatchMax(req.BatchMax, 1)))
-	batchWait := time.Duration(req.BatchWaitMS) * time.Millisecond
-	if batchWait <= 0 {
-		batchWait = defaultBatchWait
-	}
-	batchWait = min(batchWait, maxBatchWait)
 	// Deliveries flow through a bounded queue so the gateway's publish
 	// path is never blocked by a slow consumer connection; what the
 	// queue refuses is counted per record, per subscription and
@@ -752,57 +743,35 @@ func (c *serverConn) serveSubscribe(req wireRequest) {
 	}()
 	w := c.cdc.events(req.Format, sub)
 	relay, _ := w.(frameRelay) // nil when the framing subscribed cooked
-	// One timer for the pump's life, armed while a partial frame waits.
-	timer := time.NewTimer(batchWait)
-	timer.Stop()
-	defer timer.Stop()
-	armed := false
 	var burst []frameItem
 	for {
 		select {
 		case <-sub.q.Ready():
-			// Everything queued by now — typically one upstream flush —
-			// goes out together: the writer holds finished frames until
-			// commit. The pump never waits for more.
-			burst = sub.q.popAll(burst)
-			for i := range burst {
-				wrote := true
-				if it := &burst[i]; it.f != nil {
-					// A raw relayed frame is forwarded untouched — the
-					// zero-copy hot path — behind the cooked partial.
-					// batch_max never re-batches these; re-framing is what
-					// binary framing avoids.
-					relay.relay(it)
-				} else if wrote, err = w.add(it.tb.Sensor, it.tb.Recs, int(batchMax.Load())); err != nil {
-					// The window is re-read per delivered batch so a retune
-					// takes effect on the next frames. Neither framing writes
-					// as it adds — finished frames wait for commit — so
-					// neither fails here.
-					return
-				}
-				if wrote && armed {
-					timer.Stop()
-					armed = false
-				}
-			}
-		case <-timer.C:
-			armed = false
-			err = w.flush()
 		case <-done:
 			return
 		}
-		if err == nil {
-			err = w.commit()
+		// Everything queued by now — one upstream flush, or all that
+		// arrived while the last write was under way — goes out together,
+		// the partial frame too: under load the next burst fills frames.
+		burst = sub.q.popAll(burst)
+		for i := range burst {
+			if it := &burst[i]; it.f != nil {
+				// A raw relayed frame is forwarded untouched — the
+				// zero-copy hot path — behind the cooked partial.
+				// batch_max never re-batches these; re-framing is what
+				// binary framing avoids.
+				relay.relay(it)
+			} else {
+				// The window is re-read per delivered batch so a retune
+				// takes effect on the next frames.
+				w.add(it.tb.Sensor, it.tb.Recs, int(batchMax.Load()))
+				it.recycle()
+			}
 		}
-		if err != nil {
+		if w.commit() != nil {
 			return
 		}
-		if w.pending() == 0 {
-			sub.q.settle()
-		} else if !armed {
-			timer.Reset(batchWait)
-			armed = true
-		}
+		sub.q.settle()
 	}
 }
 

@@ -361,19 +361,24 @@ type Publisher struct {
 	format string
 
 	// Records accumulate in batch — the framing's frame builder — and
-	// go out as one write per maxRecs records, maxBatchBytes of payload
-	// or maxWait of delay; bufRecs and bufBytes count what it holds.
+	// go out as one write per maxRecs records or maxBatchBytes of payload;
+	// bufRecs and bufBytes count what it holds.
 	batch    pubBatch
 	maxRecs  int
-	maxWait  time.Duration
 	bufRecs  int
 	bufBytes int
-	// timer is the publisher's one batch-wait timer, created on first
-	// use; armed says a flush is scheduled.
-	timer  *time.Timer
-	armed  bool
-	err    error
-	closed bool
+	// kick wakes the flusher goroutine, which sends what a publish left
+	// buffered once nobody is waiting to publish more (waiting counts
+	// callers queued for mu). Nil when the caller flushes; idle is closed
+	// once the flusher has gone.
+	kick    chan struct{}
+	idle    chan struct{}
+	waiting atomic.Int32
+	err     error
+	closed  bool
+
+	closeOnce sync.Once
+	closeErr  error
 
 	// dropped counts records lost to a failed write: a flush error
 	// discards the whole buffered batch (records whose Publish already
@@ -388,11 +393,17 @@ func (c *Client) NewPublisher(format string) (*Publisher, error) {
 	return c.NewBatchPublisher(format, 1, 0)
 }
 
+// FlushWhenIdle is the maxWait of a publisher that sends a partial batch
+// as soon as its callers leave the connection idle.
+const FlushWhenIdle = time.Nanosecond
+
 // NewBatchPublisher opens a publishing connection that coalesces up to
-// maxRecs records or maxWait of delay into one batched wire frame,
-// amortizing the per-record JSON and syscall cost. maxRecs <= 1
-// degenerates to single-record frames; maxWait <= 0 means a partial
-// batch waits until the next Publish or Flush. Batches are capped by
+// maxRecs records into one batched wire frame, amortizing the
+// per-record JSON and syscall cost. maxRecs <= 1 degenerates to
+// single-record frames. maxWait > 0 (FlushWhenIdle; the magnitude is
+// ignored) sends a partial batch as soon as nobody is publishing, so
+// frames fill under load and nothing waits at rest; maxWait <= 0 means
+// it waits until the next Publish or Flush. Batches are capped by
 // record count and by encoded bytes so a full frame stays within the
 // server's line-length limit.
 func (c *Client) NewBatchPublisher(format string, maxRecs int, maxWait time.Duration) (*Publisher, error) {
@@ -408,7 +419,29 @@ func (c *Client) NewBatchPublisher(format string, maxRecs int, maxWait time.Dura
 		conn.Close()
 		return nil, err
 	}
-	return &Publisher{conn: conn, ver: cdc.version(), format: format, batch: cdc.newBatch(format, maxRecs <= 1), maxRecs: maxRecs, maxWait: maxWait}, nil
+	return newPublisher(conn, cdc, format, maxRecs, maxWait), nil
+}
+
+func newPublisher(conn net.Conn, cdc wireCodec, format string, maxRecs int, maxWait time.Duration) *Publisher {
+	p := &Publisher{conn: conn, ver: cdc.version(), format: format, batch: cdc.newBatch(format, maxRecs <= 1), maxRecs: maxRecs}
+	if maxWait > 0 && maxRecs > 1 {
+		p.kick, p.idle = make(chan struct{}, 1), make(chan struct{})
+		go p.flushIdle()
+	}
+	return p
+}
+
+// flushIdle is the flusher. A kick that finds callers queued for the
+// lock leaves the batch to them: the last one out kicks again.
+func (p *Publisher) flushIdle() {
+	defer close(p.idle)
+	for range p.kick {
+		p.mu.Lock()
+		if p.waiting.Load() == 0 {
+			p.flushLocked() //nolint:errcheck // sticks to the publisher, counted in Dropped
+		}
+		p.mu.Unlock()
+	}
 }
 
 // Publish sends one sensor record; an error indicates a dead
@@ -437,8 +470,7 @@ func (p *Publisher) PublishBatch(sensor string, recs []ulm.Record) (written int,
 	if len(recs) == 0 {
 		return 0, nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.lock().Unlock()
 	if err := p.usableLocked(); err != nil {
 		return 0, err
 	}
@@ -458,9 +490,7 @@ func (p *Publisher) PublishBatch(sensor string, recs []ulm.Record) (written int,
 			written = i + 1
 		}
 	}
-	if p.bufRecs > 0 {
-		p.armTimerLocked()
-	}
+	p.kickLocked()
 	return len(recs), nil
 }
 
@@ -481,8 +511,7 @@ func (p *Publisher) PublishFrame(f *Frame) (written int, err error) {
 		}
 		return p.PublishBatch(f.Sensor, recs)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.lock().Unlock()
 	if err := p.usableLocked(); err != nil {
 		return 0, err
 	}
@@ -495,8 +524,16 @@ func (p *Publisher) PublishFrame(f *Frame) (written int, err error) {
 		}
 		return f.Count, nil
 	}
-	p.armTimerLocked()
+	p.kickLocked()
 	return f.Count, nil
+}
+
+// lock takes mu for a publish, counted as waiting until it has it.
+func (p *Publisher) lock() *sync.Mutex {
+	p.waiting.Add(1)
+	p.mu.Lock()
+	p.waiting.Add(-1)
+	return &p.mu
 }
 
 func (p *Publisher) usableLocked() error {
@@ -509,16 +546,14 @@ func (p *Publisher) usableLocked() error {
 	return nil
 }
 
-// armTimerLocked starts the batch-wait flush timer if configured.
-func (p *Publisher) armTimerLocked() {
-	if p.armed || p.maxWait <= 0 {
-		return
-	}
-	p.armed = true
-	if p.timer == nil {
-		p.timer = time.AfterFunc(p.maxWait, func() { p.Flush() }) //nolint:errcheck
-	} else {
-		p.timer.Reset(p.maxWait)
+// kickLocked wakes the flusher, if there is one, for the partial batch a
+// publish left behind. Close closes kick under the same lock.
+func (p *Publisher) kickLocked() {
+	if p.kick != nil && p.bufRecs > 0 {
+		select {
+		case p.kick <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -530,10 +565,6 @@ func (p *Publisher) Flush() error {
 }
 
 func (p *Publisher) flushLocked() error {
-	if p.armed {
-		p.timer.Stop()
-		p.armed = false
-	}
 	if p.err != nil {
 		return p.err
 	}
@@ -570,16 +601,25 @@ func (p *Publisher) Dropped() uint64 {
 // (1 = JSON lines).
 func (p *Publisher) Version() int { return p.ver }
 
-// Close flushes any buffered batch and releases the connection.
+// Close flushes any buffered batch, stops the flusher and releases the
+// connection. Only the first call does; the others return its result.
 func (p *Publisher) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ferr := p.flushLocked()
-	p.closed = true
-	if err := p.conn.Close(); err != nil {
-		return err
-	}
-	return ferr
+	p.closeOnce.Do(func() {
+		p.mu.Lock()
+		p.closeErr = p.flushLocked()
+		p.closed = true
+		if err := p.conn.Close(); err != nil {
+			p.closeErr = err
+		}
+		if p.kick != nil {
+			close(p.kick)
+		}
+		p.mu.Unlock()
+		if p.kick != nil {
+			<-p.idle
+		}
+	})
+	return p.closeErr
 }
 
 // StreamOptions tunes a streaming subscription.
@@ -589,7 +629,8 @@ type StreamOptions struct {
 	// BatchMax asks the server to coalesce up to this many records per
 	// frame (0 or 1 = single-record frames).
 	BatchMax int
-	// BatchWait bounds how long the server holds a partial batch.
+	// BatchWait is advisory: it travels as batch_wait_ms, which a server
+	// that sends a partial batch once its writer is idle ignores.
 	BatchWait time.Duration
 }
 

@@ -60,18 +60,14 @@ type frameSplicer interface {
 }
 
 // eventWriter builds and writes a subscription's outbound event frames.
-// Both framings hold finished frames back until commit, which the pump
-// calls once it has handed over everything that was queued: that is
-// what lets a burst leave in one write.
+// Both framings hold frames back until commit, which the pump calls once
+// it has handed over everything that was queued: that is what lets a
+// burst leave in one write.
 type eventWriter interface {
 	// add appends a delivered batch to the open frame, finishing frames
-	// as they reach bm records, and reports whether it finished any.
-	add(sensor string, recs []ulm.Record, bm int) (wrote bool, err error)
-	// pending is the number of records in the open, unfinished frame.
-	pending() int
-	// flush finishes the open frame.
-	flush() error
-	// commit writes out whatever finished frames are still held.
+	// as they reach bm records. It writes nothing.
+	add(sensor string, recs []ulm.Record, bm int)
+	// commit finishes the open frame and writes out everything held.
 	commit() error
 }
 

@@ -221,8 +221,8 @@ func appendJSONString[Bytes []byte | string](dst []byte, src Bytes) []byte {
 
 // lineEvents writes event frames as JSON lines: the records of a frame
 // carry their sensor each, so one frame mixes sensors. Finished lines
-// collect at the front of out.buf, the open "recs" line behind them,
-// and commit writes the finished ones out together.
+// collect in out.buf, the open "recs" line behind them, and commit
+// closes that one and writes them all out together.
 type lineEvents struct {
 	c      *lineCodec
 	format string
@@ -231,9 +231,8 @@ type lineEvents struct {
 	// never received.
 	drops func() uint64
 	out   lineWriter
-	// done is the length of the finished lines in out.buf; n is the
-	// number of records in the open line behind them.
-	done, n int
+	// n is the number of records in the open line.
+	n int
 }
 
 func (c *lineCodec) events(format string, sub *Subscription) eventWriter {
@@ -257,7 +256,7 @@ func (c *lineCodec) writeBatch(format, sensor string, recs []ulm.Record) (int, e
 	return len(recs), err
 }
 
-func (w *lineEvents) add(sensor string, recs []ulm.Record, bm int) (wrote bool, err error) {
+func (w *lineEvents) add(sensor string, recs []ulm.Record, bm int) {
 	out := &w.out
 	for i := range recs {
 		if bm == 1 && w.n == 0 {
@@ -270,7 +269,6 @@ func (w *lineEvents) add(sensor string, recs []ulm.Record, bm int) (wrote bool, 
 			out.buf = append(out.buf, `,"rec":`...)
 			out.payload(w.format, &recs[i])
 			w.finish()
-			wrote = true
 			continue
 		}
 		if w.n == 0 {
@@ -280,44 +278,38 @@ func (w *lineEvents) add(sensor string, recs []ulm.Record, bm int) (wrote bool, 
 		}
 		out.event(w.format, sensor, &recs[i])
 		if w.n++; w.n >= bm {
-			w.flush() //nolint:errcheck // finishes the line in the buffer: nothing is written
-			wrote = true
+			w.seal()
 		}
 	}
-	return wrote, nil
 }
 
-func (w *lineEvents) pending() int { return w.n }
-
-func (w *lineEvents) flush() error {
+// seal closes the open "recs" line, if there is one.
+func (w *lineEvents) seal() {
 	if w.n > 0 {
 		w.out.buf = append(w.out.buf, ']')
 		w.n = 0
 		w.finish()
 	}
-	return nil
 }
 
-// finish closes the line being built — with the drop counter, once it
-// is not zero — and counts it among the finished.
+// finish closes the line being built, with the drop counter once it is
+// not zero.
 func (w *lineEvents) finish() {
 	if d := w.drops(); d > 0 {
 		w.out.buf = append(w.out.buf, `,"drops":`...)
 		w.out.buf = strconv.AppendUint(w.out.buf, d, 10)
 	}
 	w.out.buf = append(w.out.buf, "}\n"...)
-	w.done = len(w.out.buf)
 }
 
-// commit writes the finished lines with one Write and moves the open
-// line to the front of the buffer.
+// commit closes the open line and writes every line with one Write.
 func (w *lineEvents) commit() error {
-	if w.done == 0 {
+	w.seal()
+	if len(w.out.buf) == 0 {
 		return nil
 	}
-	_, err := w.c.conn.Write(w.out.buf[:w.done])
-	w.out.buf = w.out.buf[:copy(w.out.buf, w.out.buf[w.done:])]
-	w.done = 0
+	_, err := w.c.conn.Write(w.out.buf)
+	w.out.buf = w.out.buf[:0]
 	return err
 }
 

@@ -393,7 +393,7 @@ func TestWireBadRecordCountedNotSilent(t *testing.T) {
 }
 
 // A batched publisher coalesces records into {"recs": ...} frames and
-// every record still arrives, full batches and timer-flushed partials
+// every record still arrives, full batches and idle-flushed partials
 // alike.
 func TestWireBatchPublisher(t *testing.T) {
 	g, srv := startServer(t)
@@ -403,7 +403,7 @@ func TestWireBatchPublisher(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	const n = 10 // 2 full frames + one timer-flushed partial of 2
+	const n = 10 // full frames of 4 + whatever the flusher sent early
 	for i := 0; i < n; i++ {
 		if err := pub.Publish(fmt.Sprintf("s%d", i%2), mkRec("E", time.Duration(i)*time.Second, float64(i))); err != nil {
 			t.Fatal(err)
@@ -429,8 +429,8 @@ func TestWireBatchPublisher(t *testing.T) {
 	}
 }
 
-// Explicit Flush pushes a partial batch out without waiting for the
-// timer (maxWait 0 = no timer at all).
+// Explicit Flush pushes a partial batch out (maxWait 0 = no flusher:
+// nothing else would).
 func TestWireBatchPublisherFlush(t *testing.T) {
 	g, srv := startServer(t)
 	pub, err := NewClient("", srv.Addr()).NewBatchPublisher(FormatULM, 100, 0)
@@ -620,9 +620,8 @@ func TestWireStreamCloseIsNotAnError(t *testing.T) {
 	}
 }
 
-// Drained shutdown, in both framings: records sitting in a partial
-// batch behind a long flush timer still reach the subscriber before the
-// server closes. DrainSubscribers has no grace period to hide behind: a
+// Drained shutdown, in both framings: records queued for a subscriber
+// or in its writer's hands still reach it before the server closes. DrainSubscribers has no grace period to hide behind: a
 // record counts as in flight from the moment it is queued until the
 // frame carrying it has been written, dequeued or not, so the moment
 // the drain reports idle the server may close.
@@ -651,8 +650,8 @@ func TestWireDrainedShutdownFlushesPartialBatches(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			g.Publish("cpu", mkRec("E", time.Duration(i)*time.Second, float64(i)))
 		}
-		// The 3 records sit in the server's queue or partial batch for up
-		// to 500ms; the drain must wait them out rather than report idle.
+		// The 3 records sit in the server's queue or its writer's hands;
+		// the drain must wait them out rather than report idle.
 		srv.StopAccepting()
 		g.Flush()
 		if !srv.DrainSubscribers(5 * time.Second) {
@@ -745,8 +744,8 @@ func TestSetBatchMaxStalledPeerDoesNotBlockErr(t *testing.T) {
 }
 
 // Sixteen batches queued for a JSON-lines subscriber leave in one write
-// call, as sixteen lines in order, with the partial behind them held
-// for its timer.
+// call, as sixteen lines in order, and the partial behind them in the
+// same write.
 func TestLineBurstOneWrite(t *testing.T) {
 	g := New("gw", nil)
 	srv, err := ServeTCP(g, "", nil)
@@ -799,11 +798,12 @@ func TestLineBurstOneWrite(t *testing.T) {
 			t.Fatalf("line %d: %d records, %v", i, n, err)
 		}
 	}
+	rc.readLine() // the partial
 	cc.mu.Lock()
 	writes := len(cc.writes)
 	cc.mu.Unlock()
 	if writes != 2 { // subscribe ack, the burst
-		t.Fatalf("%d write calls, want 2: the burst of 16 lines must leave in one", writes)
+		t.Fatalf("%d write calls, want 2: the burst of 16 lines and a partial must leave in one", writes)
 	}
 }
 

@@ -249,27 +249,17 @@ func (c *frameCodec) events(_ string, sub *Subscription) eventWriter {
 	return &frameEvents{c: c, sub: sub}
 }
 
-func (w *frameEvents) add(sensor string, recs []ulm.Record, bm int) (wrote bool, err error) {
-	if sensor != w.sensor && len(w.cur) > 0 {
+func (w *frameEvents) add(sensor string, recs []ulm.Record, bm int) {
+	if sensor != w.sensor {
 		w.seal()
-		wrote = true
 	}
 	w.sensor = sensor
 	for i := range recs {
 		w.cur = append(w.cur, recs[i])
 		if len(w.cur) >= bm {
 			w.seal()
-			wrote = true
 		}
 	}
-	return wrote, nil
-}
-
-func (w *frameEvents) pending() int { return len(w.cur) }
-
-func (w *frameEvents) flush() error {
-	w.seal()
-	return nil
 }
 
 // seal finishes the open frame into the burst. Should out have to grow
@@ -306,13 +296,14 @@ func (w *frameEvents) relay(it *frameItem) {
 	}
 }
 
-// commit writes the burst out — one writev on a TCP connection, one
-// joined write on anything else (TLS) — and releases its relayed
-// frames. The socket write is what the telemetry "wire" stage times,
-// for every frame of the burst: each waited for it. Drops follow on
-// change as a control frame rather than piggybacked per frame, so
-// relayed frames need no rewrite.
+// commit seals the open frame and writes the burst out — one writev on
+// a TCP connection, one joined write on anything else (TLS) — and
+// releases its relayed frames. The socket write is what the telemetry
+// "wire" stage times, for every frame of the burst: each waited for it.
+// Drops follow on change as a control frame rather than piggybacked per
+// frame, so relayed frames need no rewrite.
 func (w *frameEvents) commit() error {
+	w.seal()
 	n := len(w.bufs)
 	if n == 0 {
 		return nil

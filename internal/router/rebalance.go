@@ -95,7 +95,7 @@ func (r *Router) Rebalance(newRing *ring.Ring) (moved int, err error) {
 // silently dies with the old connection. A fresh dial talks to the
 // live incarnation or fails loudly.
 func (r *Router) seedOwner(addr, sensor string, recs []ulm.Record) error {
-	p, err := r.client(addr).NewBatchPublisher(r.opts.Format, r.opts.BatchMax, r.opts.BatchWait)
+	p, err := r.client(addr).NewBatchPublisher(r.opts.Format, r.opts.BatchMax, 0)
 	if err != nil {
 		return err
 	}

@@ -59,8 +59,9 @@ type Options struct {
 	Principal string
 	// Format is the wire payload format (gateway.FormatULM default).
 	Format string
-	// BatchMax/BatchWait tune publish and subscribe batching on the
-	// wire (defaults 64 records / 2ms).
+	// BatchMax caps the records of a publish or subscribe frame on the
+	// wire (default 64); a partial one leaves as soon as its connection
+	// is idle. BatchWait is advisory: it travels in subscribe requests.
 	BatchMax  int
 	BatchWait time.Duration
 	// Timeout bounds dials and request round trips (default 5s).
@@ -132,9 +133,6 @@ func New(opts Options) (*Router, error) {
 	}
 	if opts.BatchMax <= 0 {
 		opts.BatchMax = 64
-	}
-	if opts.BatchWait <= 0 {
-		opts.BatchWait = 2 * time.Millisecond
 	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 5 * time.Second
@@ -264,7 +262,7 @@ func (r *Router) publisher(addr string) (*gateway.Publisher, error) {
 	if p, ok := r.pubs.Load(addr); ok { // lost the creation race
 		return p.(*gateway.Publisher), nil
 	}
-	p, err := r.clientLocked(addr).NewBatchPublisher(r.opts.Format, r.opts.BatchMax, r.opts.BatchWait)
+	p, err := r.clientLocked(addr).NewBatchPublisher(r.opts.Format, r.opts.BatchMax, gateway.FlushWhenIdle)
 	if err != nil {
 		return nil, err
 	}
