@@ -264,6 +264,7 @@ func main() {
 				c := gateway.NewClient("gatewayd/"+*name, peer)
 				c.Protocol = clientProto
 				n, err := gateway.ReconcileHistory(hist, c, "")
+				c.Close() //nolint:errcheck // the coverage call's kept connection
 				if err != nil {
 					log.Printf("gatewayd: anti-entropy vs %s: %v", peer, err)
 				} else if n > 0 {

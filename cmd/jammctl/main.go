@@ -108,7 +108,9 @@ func cmdList(args []string) {
 	fs := flag.NewFlagSet("list", flag.ExitOnError)
 	gw := fs.String("gw", "127.0.0.1:9200", "gateway address")
 	fs.Parse(args) //nolint:errcheck
-	infos, err := gateway.NewClient("jammctl", *gw).List()
+	c := gateway.NewClient("jammctl", *gw)
+	defer c.Close()
+	infos, err := c.List()
 	if err != nil {
 		die(err)
 	}
@@ -124,7 +126,9 @@ func cmdQuery(args []string) {
 	sensor := fs.String("sensor", "", "sensor name")
 	event := fs.String("event", "", "event type")
 	fs.Parse(args) //nolint:errcheck
-	rec, found, err := gateway.NewClient("jammctl", *gw).Query(*sensor, *event)
+	c := gateway.NewClient("jammctl", *gw)
+	defer c.Close()
+	rec, found, err := c.Query(*sensor, *event)
 	if err != nil {
 		die(err)
 	}
@@ -240,7 +244,9 @@ func cmdSummary(args []string) {
 	event := fs.String("event", "", "event type")
 	field := fs.String("field", "VAL", "summarized field")
 	fs.Parse(args) //nolint:errcheck
-	pts, err := gateway.NewClient("jammctl", *gw).Summary(*sensor, *event, *field)
+	c := gateway.NewClient("jammctl", *gw)
+	defer c.Close()
+	pts, err := c.Summary(*sensor, *event, *field)
 	if err != nil {
 		die(err)
 	}
@@ -333,7 +339,10 @@ func cmdSite(args []string) {
 	}
 	down := 0
 	for i, addr := range gws {
+		// Ping, List and Coverage share the one connection c keeps, until
+		// the command returns.
 		c := gateway.NewClient("jammctl", addr)
+		defer c.Close()
 		if err := c.Ping(); err != nil {
 			fmt.Printf("%-22s DOWN  (%v)\n", addr, err)
 			down++

@@ -165,7 +165,10 @@ type Bridge struct {
 
 // New starts a bridge mirroring the remote gateway behind client into
 // target. It returns immediately; the first connection attempt (and
-// every reconnect) happens on the bridge's own goroutine.
+// every reconnect) happens on the bridge's own goroutine. The bridge
+// borrows client — and whatever Rebind hands it — for its streams and
+// never builds one, so Close closes the streams and leaves the clients
+// to whoever made them (a router shares one per gateway across bridges).
 func New(client *gateway.Client, target Target, opts Options) *Bridge {
 	if len(opts.Requests) == 0 {
 		opts.Requests = []gateway.Request{{}}

@@ -177,3 +177,35 @@ func TestTextBatchCompactReleasesLine(t *testing.T) {
 	runtime.KeepAlive(compact)
 	runtime.KeepAlive(line)
 }
+
+// TestWarmQueryAllocs: a Query on a kept connection — request marshalled,
+// served and answered by a real server, answer parsed — stays under a
+// pinned count of allocations, both ends together. It is encoding/json
+// on the request and the answer and the parsed record that are left; a
+// dial, a codec and a server connection per call are not (the dial alone
+// is about twenty; a dialling Query measured 59 to this test's 21).
+func TestWarmQueryAllocs(t *testing.T) {
+	const warmQueryAllocs = 24
+	g, srv := startServer(t)
+	g.Publish("cpu", mkRec("LOAD", 0, 42))
+	c := NewClient("", srv.Addr())
+	defer c.Close()
+	query := func() {
+		if _, found, err := c.Query("cpu", "LOAD"); err != nil || !found {
+			t.Fatalf("query: %v found=%v", err, found)
+		}
+	}
+	query() // dials
+	avg := testing.AllocsPerRun(500, query)
+	t.Logf("%.1f allocations per warm query", avg)
+	limit := float64(warmQueryAllocs)
+	if raceEnabled {
+		limit += 8 // encoding/json's pools drop a quarter of their Puts
+	}
+	if avg > limit {
+		t.Fatalf("%.1f allocations per warm query, want <= %.0f", avg, limit)
+	}
+	if a := srv.WireStats().Accepts; a != 1 {
+		t.Fatalf("%d connections accepted: the queries were not warm", a)
+	}
+}

@@ -36,8 +36,9 @@ func (g *Gateway) MetricsSource() telemetry.Source {
 	})
 }
 
-// MetricsSource adapts the wire server's loss counters and connection
-// gauges into telemetry metric families.
+// MetricsSource adapts the wire server's loss counters, its accept and
+// request counters and its connection gauges into telemetry metric
+// families.
 func (t *TCPServer) MetricsSource() telemetry.Source {
 	return telemetry.SourceFunc(func(e telemetry.Emit) {
 		ws := t.WireStats()
@@ -46,6 +47,14 @@ func (t *TCPServer) MetricsSource() telemetry.Source {
 		e.Counter("jamm_wire_sub_drops_total", "Records dropped on slow subscriber connections.", ws.SubDrops)
 		e.Counter("jamm_wire_bad_frames_total", "Malformed v2 binary frames.", ws.BadFrames)
 		e.Counter("jamm_wire_handshake_timeouts_total", "Connections dropped for sending nothing in the negotiation window.", ws.HandshakeTimeouts)
+		e.Counter("jamm_wire_accepts_total", "Wire connections accepted.", ws.Accepts)
+		for i := range t.requests {
+			op := "unknown"
+			if i < len(answeredOps) {
+				op = answeredOps[i]
+			}
+			e.Counter(`jamm_wire_requests_total{op="`+op+`"}`, "Request/answer and history requests answered, by op.", t.requests[i].Load())
+		}
 		t.mu.Lock()
 		subs := len(t.subs)
 		t.mu.Unlock()

@@ -130,6 +130,9 @@ type transcriptSite struct {
 	srv  *TCPServer
 	gate *writeGate
 	tap  *wireTap
+	// clients are the session's Clients: the recording ends when every
+	// connection has, the ones a Client keeps included.
+	clients []*Client
 }
 
 func newTranscriptSite(t *testing.T, archive bool) *transcriptSite {
@@ -164,7 +167,16 @@ func newTranscriptSite(t *testing.T, archive bool) *transcriptSite {
 func (s *transcriptSite) client(p Proto) *Client {
 	c := NewClient("", s.tap.addr())
 	c.Protocol = p
+	s.clients = append(s.clients, c)
 	return c
+}
+
+// finish closes the session's clients and renders what was recorded.
+func (s *transcriptSite) finish() string {
+	for _, c := range s.clients {
+		c.Close() //nolint:errcheck
+	}
+	return s.tap.finish()
 }
 
 // raw is a scripted connection: the test writes bytes and reads the
@@ -482,7 +494,8 @@ var transcriptSessions = []struct {
 			rc.readLine()
 		}
 		rc.close()
-		// The client's own one-shot calls, a connection each.
+		// The client's own request/answer calls, on the one connection it
+		// keeps; History opens its own.
 		c := s.client(ProtoAuto)
 		c.Ping()                             //nolint:errcheck
 		c.Query("cpu", "LOAD")               //nolint:errcheck
@@ -703,7 +716,7 @@ func TestWireTranscripts(t *testing.T) {
 			if t.Failed() {
 				return
 			}
-			got := s.tap.finish()
+			got := s.finish()
 			path := filepath.Join("testdata", "transcripts", sess.name+".golden")
 			if *updateTranscripts {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -47,12 +47,15 @@ import (
 // answer arrives, because the server's line reader may otherwise have
 // buffered bytes the frame reader would never see. Our client obeys; a
 // violator only desynchronizes its own connection, which the bounded
-// bad-message streak then closes. The cold one-shot ops (ping, query,
-// summary, list, handoff, seed_state, coverage) dial per call and stay
-// JSON lines — negotiation would cost a round trip where JSON was never
-// the bottleneck. Only publish, subscribe and history negotiate, and a
-// payload format binary frames cannot carry (XML) pins them to JSON
-// lines.
+// bad-message streak then closes. The request/answer ops (ping, query,
+// summary, list, handoff, seed_state, coverage) stay JSON lines — there
+// is no record batch in them for binary framing to carry — and a
+// connection answers any number of them, one after the other. Our Client
+// keeps such connections between its read-only calls and sends no hello
+// on them; handoff and seed_state, which change the gateway and must
+// not be sent twice, dial per call. Only publish, subscribe and history
+// negotiate, and a payload format binary frames cannot carry (XML) pins
+// them to JSON lines.
 //
 // The ops are the same in both framings:
 //
@@ -224,6 +227,11 @@ type WireStats struct {
 	// HandshakeTimeouts counts connections dropped because the peer
 	// connected and then sent nothing within the negotiation window.
 	HandshakeTimeouts uint64
+	// Accepts counts connections accepted and Requests the request/answer
+	// and history requests answered on them: their ratio is how well the
+	// server's clients reuse connections (/metrics splits Requests by op).
+	Accepts  uint64
+	Requests uint64
 }
 
 // Drops returns the total loss counter the server answers pings with.
@@ -277,6 +285,9 @@ type TCPServer struct {
 	subDrops          atomic.Uint64
 	badFrames         atomic.Uint64
 	handshakeTimeouts atomic.Uint64
+	// requests counts answered requests per answeredOps entry; the last
+	// slot takes every op the list does not name.
+	requests [len(answeredOps) + 1]atomic.Uint64
 
 	mu sync.Mutex
 	// subs holds every open wire subscription, for DrainSubscribers.
@@ -297,15 +308,33 @@ func ServeTCP(gw *Gateway, addr string, tlsCfg *tls.Config) (*TCPServer, error) 
 	return t, nil
 }
 
-// WireStats returns a snapshot of the server's wire-loss counters.
+// answeredOps are the ops a connection answers and goes on, the labels
+// of jamm_wire_requests_total; any other op counts as "unknown".
+var answeredOps = [...]string{"ping", "query", "summary", "list", "handoff", "seed_state", "coverage", "history"}
+
+// countRequest counts one answered request of op.
+func (t *TCPServer) countRequest(op string) {
+	i := 0
+	for i < len(answeredOps) && answeredOps[i] != op {
+		i++
+	}
+	t.requests[i].Add(1)
+}
+
+// WireStats returns a snapshot of the server's wire counters.
 func (t *TCPServer) WireStats() WireStats {
-	return WireStats{
+	ws := WireStats{
 		BadRecords:        t.badRecords.Load(),
 		BadLines:          t.badLines.Load(),
 		SubDrops:          t.subDrops.Load(),
 		BadFrames:         t.badFrames.Load(),
 		HandshakeTimeouts: t.handshakeTimeouts.Load(),
+		Accepts:           t.Accepts(),
 	}
+	for i := range t.requests {
+		ws.Requests += t.requests[i].Load()
+	}
+	return ws
 }
 
 // SetMaxVersion caps the wire protocol version the server negotiates
@@ -418,6 +447,7 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 			if !c.serveHistory(req) {
 				return
 			}
+			t.countRequest(req.Op)
 		case req.Op == "publish":
 			// Fire-and-forget: a remote sensor manager streams events on
 			// a persistent connection, no acks — the event path must not
@@ -428,6 +458,7 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 			if c.cdc.write(t.handle(req)) != nil {
 				return
 			}
+			t.countRequest(req.Op)
 		}
 	}
 }

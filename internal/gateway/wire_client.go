@@ -51,6 +51,22 @@ func ParseProto(s string) (Proto, error) {
 }
 
 // Client talks to one gateway server.
+//
+// The read-only request/answer calls — Ping, Drops, Query, Summary, List
+// and Coverage — ride kept connections: each takes an idle JSON-lines
+// connection (or dials when none is idle), runs its one request → answer
+// exchange under the per-call Timeout, and puts the connection back. At
+// most clientIdleConns stay open between calls; a connection whose
+// answer did not arrive whole is closed, never kept. When a kept
+// connection turns out to be stale — it fails, other than by timing out,
+// before the first byte of an answer — the request is sent once more on
+// a fresh dial, which Redials counts: these calls are idempotent.
+// Handoff and SeedState are not, so they dial per call and are never
+// re-sent. Publishers, streams and history calls own a connection each.
+//
+// Whoever makes a Client closes it: Close drops the idle connections. A
+// Client is safe for concurrent use, its zero value with an Addr set
+// works, and it must not be copied once used.
 type Client struct {
 	Addr      string
 	Principal string
@@ -61,12 +77,57 @@ type Client struct {
 	// binary v2 and falls back to JSON, ProtoJSON never negotiates,
 	// ProtoV2 refuses to degrade.
 	Protocol Proto
+
+	mu     sync.Mutex
+	idle   []*clientConn // kept request/answer connections, most recent last
+	closed bool          // Close was called: nothing is kept any more
+
+	redials atomic.Uint64
+}
+
+// clientIdleConns caps the request/answer connections a Client keeps
+// open between calls. Callers past it dial and hang up, as every call
+// once did.
+const clientIdleConns = 2
+
+// clientConn is one request/answer connection and its codec. It counts
+// the bytes read off it: a failed exchange that read none never got an
+// answer.
+type clientConn struct {
+	net.Conn
+	cdc  *lineCodec
+	read int64
+}
+
+func (cc *clientConn) Read(p []byte) (int, error) {
+	n, err := cc.Conn.Read(p)
+	cc.read += int64(n)
+	return n, err
 }
 
 // NewClient returns a client for the gateway at addr.
 func NewClient(principal, addr string) *Client {
 	return &Client{Addr: addr, Principal: principal, Timeout: 5 * time.Second}
 }
+
+// Close closes the idle request/answer connections; calls still under
+// way close theirs as they finish. The client stays usable — it dials
+// per call from here on. Close is idempotent.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle, c.closed = nil, true
+	c.mu.Unlock()
+	for _, cc := range idle {
+		cc.Close() //nolint:errcheck // read-only connections, nothing buffered
+	}
+	return nil
+}
+
+// Redials returns how many requests were sent a second time because the
+// kept connection they first went out on had gone stale (the server
+// restarted, or hung up on an idle peer).
+func (c *Client) Redials() uint64 { return c.redials.Load() }
 
 // dialCodec dials and, when the client's policy and the payload format
 // allow binary framing, performs the version handshake. It returns the
@@ -115,28 +176,81 @@ func (c *Client) dialCodec(format string) (net.Conn, wireCodec, error) {
 	return conn, newLineCodec(conn, br, 0), nil
 }
 
-func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
+// takeIdle returns the most recently used idle connection, if any.
+func (c *Client) takeIdle() (cc *clientConn) {
+	c.mu.Lock()
+	if n := len(c.idle); n > 0 {
+		cc, c.idle = c.idle[n-1], c.idle[:n-1]
+	}
+	c.mu.Unlock()
+	return cc
+}
+
+// exchange runs one request → answer on cc under the per-call deadline.
+// An error means the answer did not arrive whole, and cc is closed; with
+// the answer in hand cc joins the idle list if keep is set and there is
+// room, and is closed otherwise.
+func (c *Client) exchange(cc *clientConn, req *wireRequest, keep bool) (resp wireResponse, err error) {
+	var deadline time.Time
+	if c.Timeout > 0 {
+		deadline = time.Now().Add(c.Timeout)
+	}
+	cc.SetDeadline(deadline) //nolint:errcheck
+	req.Principal = c.Principal
+	if err = cc.cdc.write(req); err == nil {
+		_, err = cc.cdc.read(&resp)
+	}
+	c.mu.Lock()
+	keep = keep && err == nil && !c.closed && len(c.idle) < clientIdleConns
+	if keep {
+		c.idle = append(c.idle, cc)
+	}
+	c.mu.Unlock()
+	if !keep {
+		cc.Close() //nolint:errcheck // a request/answer connection has nothing buffered
+	}
+	return resp, err
+}
+
+// dialTrip is one request/answer call on a fresh connection, which is
+// kept afterwards if keep is set.
+func (c *Client) dialTrip(req *wireRequest, keep bool) (wireResponse, error) {
 	conn, err := transport.Dial(c.Addr, c.Timeout, c.TLS)
 	if err != nil {
 		return wireResponse{}, err
 	}
-	defer conn.Close()
-	if c.Timeout > 0 {
-		conn.SetDeadline(time.Now().Add(c.Timeout)) //nolint:errcheck
-	}
-	req.Principal = c.Principal
-	cdc := newLineCodec(conn, conn, 0)
-	if err := cdc.write(req); err != nil {
-		return wireResponse{}, err
-	}
-	var resp wireResponse
-	if _, err := cdc.read(&resp); err != nil {
+	cc := &clientConn{Conn: conn}
+	cc.cdc = newLineCodec(cc, cc, 0)
+	return answer(c.exchange(cc, req, keep))
+}
+
+// answer turns a refusal that arrived whole into the call's error.
+func answer(resp wireResponse, err error) (wireResponse, error) {
+	if err != nil {
 		return wireResponse{}, err
 	}
 	if !resp.OK {
 		return resp, errors.New(resp.Error)
 	}
 	return resp, nil
+}
+
+// roundTrip is one idempotent request/answer call, on a kept connection
+// when there is one.
+func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
+	if cc := c.takeIdle(); cc != nil {
+		before := cc.read
+		resp, err := c.exchange(cc, &req, true)
+		var ne net.Error
+		if err == nil || cc.read != before || (errors.As(err, &ne) && ne.Timeout()) {
+			return answer(resp, err)
+		}
+		// Stale: the server let go of the connection while it sat idle,
+		// and nothing of an answer arrived. The request goes out again,
+		// once, on a connection of its own.
+		c.redials.Add(1)
+	}
+	return c.dialTrip(&req, true)
 }
 
 // Ping checks server liveness.
@@ -191,9 +305,10 @@ func (c *Client) List() ([]SensorInfo, error) {
 // move: the sensor's metadata, last-event cache, summary windows and
 // aggregate contribution come back and the remote gateway unregisters
 // it (withdrawing its directory advertisement). found is false when
-// the sensor was not live there.
+// the sensor was not live there. A handoff changes the gateway, so it
+// goes out on a connection of its own and is never sent twice.
 func (c *Client) Handoff(sensor string) (st HandoffState, found bool, err error) {
-	resp, err := c.roundTrip(wireRequest{Op: "handoff", Request: Request{Sensor: sensor}})
+	resp, err := c.dialTrip(&wireRequest{Op: "handoff", Request: Request{Sensor: sensor}}, false)
 	if err != nil {
 		return HandoffState{}, false, err
 	}
@@ -218,13 +333,13 @@ func (c *Client) Handoff(sensor string) (st HandoffState, found bool, err error)
 // SeedState installs drained summary windows and an aggregate
 // contribution at the gateway — the seeding half of a rebalancing
 // move, sent to the sensor's new owner after Handoff drained its old
-// one.
+// one. Like Handoff it dials per call and is never re-sent.
 func (c *Client) SeedState(sensor string, summaries []SummarySeries, agg string) error {
 	if len(summaries) == 0 && agg == "" {
 		return nil
 	}
-	_, err := c.roundTrip(wireRequest{Op: "seed_state", Summaries: summaries, Agg: agg,
-		Request: Request{Sensor: sensor}})
+	_, err := c.dialTrip(&wireRequest{Op: "seed_state", Summaries: summaries, Agg: agg,
+		Request: Request{Sensor: sensor}}, false)
 	return err
 }
 

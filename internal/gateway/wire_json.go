@@ -52,8 +52,9 @@ type lineCodec struct {
 // newLineCodec frames conn as JSON lines, reading from r (conn itself,
 // or a buffered reader already holding bytes of it). maxLine > 0 makes
 // it a server's: no inbound line may be longer. The line buffer starts
-// small and grows on demand: most connections are one-shot
-// query/summary/list calls or a hello line (clients dial per call).
+// small and grows on demand: most lines are a query, summary or list
+// request or its answer, and a Client's request/answer connection keeps
+// its codec — buffer and all — from call to call.
 func newLineCodec(conn net.Conn, r io.Reader, maxLine int) *lineCodec {
 	c := &lineCodec{conn: conn, enc: json.NewEncoder(conn), sc: bufio.NewScanner(r), server: maxLine > 0}
 	if c.server {

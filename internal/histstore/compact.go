@@ -153,6 +153,7 @@ func readSegmentEntries(sg *segment, out *[]Entry) error {
 	if err != nil {
 		return err
 	}
+	defer fs.release()
 	for {
 		sensor, recs, err := fs.next()
 		if err == io.EOF {

@@ -246,6 +246,7 @@ func recoverSegment(path string) (*segment, int64, error) {
 		}
 		return nil, 0, err
 	}
+	defer fs.release()
 	for {
 		sensor, recs, err := fs.next()
 		if err == io.EOF || err == errTorn {
@@ -616,6 +617,7 @@ func (s *Store) replaySegmentRaw(src segSource, q Query, raw func(string, int, [
 	if err != nil {
 		return err
 	}
+	defer fs.release()
 	fs.filter = q.Sensor
 	for {
 		sensor, count, rest, err := fs.nextRaw()
@@ -653,6 +655,7 @@ func (s *Store) replaySegment(src segSource, q Query, batchMax int, fn func(stri
 	if err != nil {
 		return err
 	}
+	defer fs.release()
 	fs.filter = q.Sensor
 	var batch []ulm.Record
 	for {

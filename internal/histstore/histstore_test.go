@@ -515,3 +515,56 @@ func TestReplayFramesRawPath(t *testing.T) {
 		t.Fatalf("ranged replay yielded %d records, want 5", sliced)
 	}
 }
+
+// TestHistoryScanAllocsIndependentOfSkippedFrames: replaying one sensor
+// costs the same allocations whether its frames are alone in the segment
+// or every 64th of it — a frame the sensor filter walks past is neither
+// named nor decoded — and the frames it does return are named by the
+// filter's own string, raw and cooked alike.
+func TestHistoryScanAllocsIndependentOfSkippedFrames(t *testing.T) {
+	const frames = 64
+	scan := func(sensors int) (raw, cooked float64) {
+		s := openStore(t, t.TempDir(), Options{})
+		defer s.Close()
+		for f := 0; f < frames; f++ {
+			for i := 0; i < sensors; i++ {
+				recs := []ulm.Record{trec(t0, time.Duration(f)*time.Second, "LOAD"), trec(t0, time.Duration(f)*time.Second, "IDLE")}
+				if err := s.AppendBatch("cpu@h"+string(rune('0'+i)), recs); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		q := Query{Sensor: "cpu@h0"}
+		got := 0
+		onRaw := func(sensor string, count int, _ []byte) error { got += count; return nil }
+		onRecs := func(sensor string, recs []ulm.Record) error { got += len(recs); return nil }
+		replay := func(q Query) float64 {
+			return testing.AllocsPerRun(20, func() {
+				got = 0
+				if err := s.ReplayFrames(q, 0, onRaw, onRecs); err != nil || got == 0 {
+					t.Fatalf("replay of %+v: %d records, %v", q, got, err)
+				}
+			})
+		}
+		raw = replay(q)
+		q.Events = []string{"IDLE"} // an event filter decodes
+		return raw, replay(q)
+	}
+	raw1, cooked1 := scan(1)
+	raw64, cooked64 := scan(64)
+	// The segment list, the file, the scanner and its growing frame
+	// buffer: a handful per scan, none per frame.
+	if raw1 > 12 {
+		t.Errorf("a raw replay of %d frames allocates %.0f times: it pays per frame", frames, raw1)
+	}
+	// Equal, give or take what the pools under the answer's own frames
+	// drop when the race detector is on; one allocation per skipped frame
+	// would be 63 × 64 more.
+	const slack = frames
+	if raw64 > raw1+slack {
+		t.Errorf("raw replay: %.0f allocations among 64 sensors, %.0f alone", raw64, raw1)
+	}
+	if cooked64 > cooked1+slack {
+		t.Errorf("filtered replay: %.0f allocations among 64 sensors, %.0f alone", cooked64, cooked1)
+	}
+}

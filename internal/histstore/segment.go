@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"jamm/internal/ulm"
@@ -186,17 +187,17 @@ func appendFrame(buf []byte, sensor string, recs []ulm.Record) []byte {
 }
 
 // frameHead decodes a frame payload's sensor and record count,
-// returning the remaining record bytes.
-func frameHead(payload []byte) (sensor string, count uint64, rest []byte, err error) {
+// returning the remaining record bytes. sensor aliases payload.
+func frameHead(payload []byte) (sensor []byte, count uint64, rest []byte, err error) {
 	n, sz := binary.Uvarint(payload)
 	if sz <= 0 || n > uint64(len(payload)-sz) {
-		return "", 0, nil, fmt.Errorf("histstore: bad sensor length")
+		return nil, 0, nil, fmt.Errorf("histstore: bad sensor length")
 	}
-	sensor = string(payload[sz : sz+int(n)])
+	sensor = payload[sz : sz+int(n)]
 	payload = payload[sz+int(n):]
 	count, sz = binary.Uvarint(payload)
 	if sz <= 0 {
-		return "", 0, nil, fmt.Errorf("histstore: bad record count")
+		return nil, 0, nil, fmt.Errorf("histstore: bad record count")
 	}
 	return sensor, count, payload[sz:], nil
 }
@@ -220,64 +221,95 @@ func decodeRecs(rest []byte, count uint64, recs []ulm.Record) ([]ulm.Record, err
 // frameScanner reads frames sequentially from one segment's byte
 // stream, verifying lengths and checksums. It reports the byte offset
 // after the last whole valid frame, so reopen can truncate a torn tail.
-// A non-empty filter skips the record decode of frames for other
-// sensors (the CRC has already vouched for their integrity).
+// A non-empty filter skips frames for other sensors on their stored
+// sensor bytes (the CRC has already vouched for their integrity): a
+// skipped frame is neither decoded nor named, so a scan allocates for
+// the frames it returns, not for the ones it walks past.
 type frameScanner struct {
-	r      *bufio.Reader
-	valid  int64 // offset after the last good frame
+	r     *bufio.Reader // from segReaders; release gives it back
+	lim   io.LimitedReader
+	valid int64 // offset after the last good frame
+	// hdr takes the segment magic and then each frame's header: a local
+	// array would escape through io.ReadFull once per frame.
+	hdr    [frameHdr]byte
 	buf    []byte
 	recs   []ulm.Record // reused record scratch
 	filter string
 }
 
+// segReaders holds the 64 KiB segment readers between scans.
+var segReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64*1024) }}
+
 // newFrameScanner wraps r, which must be positioned at the segment
 // magic. limit bounds how many bytes may be read (the committed size
-// for the active segment; the file size for sealed ones).
+// for the active segment; the file size for sealed ones). The caller
+// releases the scanner when it is done with it.
 func newFrameScanner(r io.Reader, limit int64) (*frameScanner, error) {
-	br := bufio.NewReaderSize(io.LimitReader(r, limit), 64*1024)
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != segMagic {
+	fs := &frameScanner{r: segReaders.Get().(*bufio.Reader), lim: io.LimitedReader{R: r, N: limit}, valid: int64(len(segMagic))}
+	fs.r.Reset(&fs.lim)
+	magic := fs.hdr[:len(segMagic)]
+	if _, err := io.ReadFull(fs.r, magic); err != nil || string(magic) != segMagic {
+		fs.release()
 		return nil, fmt.Errorf("histstore: bad segment magic")
 	}
-	return &frameScanner{r: br, valid: int64(len(segMagic))}, nil
+	return fs, nil
+}
+
+// release returns the scanner's reader to the pool; the scanner, and
+// anything it returned, must not be used afterwards.
+func (fs *frameScanner) release() {
+	fs.r.Reset(nil)
+	segReaders.Put(fs.r)
+	fs.r = nil
 }
 
 // readFrame reads and verifies the next whole frame, returning its
-// sensor, declared record count, and raw record bytes — WITHOUT
+// sensor bytes, declared record count, and raw record bytes — WITHOUT
 // decoding record bodies (the CRC vouches for their integrity; the
-// declared count is sanity-bounded against the byte length). rest is
-// reused by the following call; flen is the frame's on-disk size.
-func (fs *frameScanner) readFrame() (sensor string, count uint64, rest []byte, flen int64, err error) {
-	var hdr [frameHdr]byte
-	if _, rerr := io.ReadFull(fs.r, hdr[:]); rerr != nil {
+// declared count is sanity-bounded against the byte length). sensor and
+// rest are reused by the following call; flen is the frame's on-disk
+// size.
+func (fs *frameScanner) readFrame() (sensor []byte, count uint64, rest []byte, flen int64, err error) {
+	if _, rerr := io.ReadFull(fs.r, fs.hdr[:]); rerr != nil {
 		if rerr == io.EOF {
-			return "", 0, nil, 0, io.EOF
+			return nil, 0, nil, 0, io.EOF
 		}
-		return "", 0, nil, 0, errTorn // partial header
+		return nil, 0, nil, 0, errTorn // partial header
 	}
-	length := binary.LittleEndian.Uint32(hdr[:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:])
+	length := binary.LittleEndian.Uint32(fs.hdr[:4])
+	sum := binary.LittleEndian.Uint32(fs.hdr[4:])
 	if length == 0 || length > maxFrameBytes {
-		return "", 0, nil, 0, errTorn // implausible length: torn or garbage
+		return nil, 0, nil, 0, errTorn // implausible length: torn or garbage
 	}
 	if cap(fs.buf) < int(length) {
-		fs.buf = make([]byte, length)
+		// Geometric, so a run of ever larger frames costs O(log) buffers.
+		fs.buf = make([]byte, max(int(length), 2*cap(fs.buf)))
 	}
 	payload := fs.buf[:length]
 	if _, rerr := io.ReadFull(fs.r, payload); rerr != nil {
-		return "", 0, nil, 0, errTorn // partial payload
+		return nil, 0, nil, 0, errTorn // partial payload
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
-		return "", 0, nil, 0, errTorn
+		return nil, 0, nil, 0, errTorn
 	}
 	sensor, count, rest, herr := frameHead(payload)
 	// Each binary record occupies at least one byte, so a count past the
 	// byte length is nonsense even before any decode.
 	if herr != nil || count > uint64(len(rest)) {
-		return "", 0, nil, 0, errTorn // CRC passed but payload nonsense: treat as torn
+		return nil, 0, nil, 0, errTorn // CRC passed but payload nonsense: treat as torn
 	}
 	fs.valid += frameHdr + int64(length)
 	return sensor, count, rest, frameHdr + int64(length), nil
+}
+
+// wanted reports whether the filter lets a frame of sensor through, and
+// names it: the filter's own string when there is one, so only an
+// unfiltered scan makes a string per frame.
+func (fs *frameScanner) wanted(sensor []byte) (string, bool) {
+	if fs.filter == "" {
+		return string(sensor), true
+	}
+	return fs.filter, string(sensor) == fs.filter
 }
 
 // next returns the next whole frame's sensor and records (skipping
@@ -288,11 +320,12 @@ func (fs *frameScanner) readFrame() (sensor string, count uint64, rest []byte, f
 // sealed ones).
 func (fs *frameScanner) next() (sensor string, recs []ulm.Record, err error) {
 	for {
-		sensor, count, rest, flen, err := fs.readFrame()
+		head, count, rest, flen, err := fs.readFrame()
 		if err != nil {
 			return "", nil, err
 		}
-		if fs.filter != "" && sensor != fs.filter {
+		sensor, ok := fs.wanted(head)
+		if !ok {
 			continue
 		}
 		fs.recs, err = decodeRecs(rest, count, fs.recs[:0])
@@ -310,14 +343,13 @@ func (fs *frameScanner) next() (sensor string, recs []ulm.Record, err error) {
 // own frames. The returned bytes are reused by the following call.
 func (fs *frameScanner) nextRaw() (sensor string, count int, raw []byte, err error) {
 	for {
-		sensor, c, rest, _, err := fs.readFrame()
+		head, c, rest, _, err := fs.readFrame()
 		if err != nil {
 			return "", 0, nil, err
 		}
-		if fs.filter != "" && sensor != fs.filter {
-			continue
+		if sensor, ok := fs.wanted(head); ok {
+			return sensor, int(c), rest, nil
 		}
-		return sensor, int(c), rest, nil
 	}
 }
 

@@ -672,10 +672,16 @@ func WaitConnected(bridges []*bridge.Bridge, timeout time.Duration) bool {
 	return true
 }
 
-// Close flushes and releases the router's persistent connections.
+// Close flushes and releases the router's persistent connections: its
+// publishers, and the request/answer connections its per-gateway
+// clients keep. Those clients are the router's — the bridges of
+// Subscribe that rebind through them only borrow them.
 func (r *Router) Close() {
 	r.mu.Lock()
 	r.closed = true
+	for _, c := range r.clients {
+		c.Close() //nolint:errcheck
+	}
 	r.mu.Unlock()
 	r.pubs.Range(func(k, v any) bool {
 		r.pubs.Delete(k)

@@ -11,6 +11,7 @@ import (
 	"crypto/tls"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"jamm/internal/auth"
@@ -83,6 +84,8 @@ type Server struct {
 	ln     net.Listener
 	handle func(net.Conn)
 
+	accepts atomic.Uint64
+
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
 	stopped bool // listener closed (StopAccepting or Close)
@@ -115,6 +118,9 @@ func (s *Server) Conns() int {
 	return len(s.conns)
 }
 
+// Accepts returns how many connections the server has accepted.
+func (s *Server) Accepts() uint64 { return s.accepts.Load() }
+
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
@@ -129,6 +135,7 @@ func (s *Server) acceptLoop() {
 			return
 		}
 		s.conns[conn] = struct{}{}
+		s.accepts.Add(1)
 		s.wg.Add(1)
 		s.mu.Unlock()
 		go s.serve(conn)

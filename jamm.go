@@ -228,13 +228,18 @@ func ServeGateway(gw *Gateway, addr string, tlsCfg *tls.Config) (*GatewayServer,
 	return gateway.ServeTCP(gw, addr, tlsCfg)
 }
 
-// NewGatewayClient returns a wire client for the gateway at addr.
+// NewGatewayClient returns a wire client for the gateway at addr. Its
+// read-only request/answer calls (Ping, Query, Summary, List, Coverage)
+// reuse a connection or two that the client keeps open between calls —
+// re-sending once on a fresh dial when a kept one has gone stale — so
+// the caller closes the client when done with it (GatewayClient.Close).
 func NewGatewayClient(principal, addr string) *GatewayClient {
 	return gateway.NewClient(principal, addr)
 }
 
 // NewBridge starts a bridge mirroring the remote gateway behind client
-// into target (a local bus or gateway).
+// into target (a local bus or gateway). The client stays the caller's:
+// closing the bridge does not close it.
 func NewBridge(client *GatewayClient, target BridgeTarget, opts BridgeOptions) *Bridge {
 	return bridge.New(client, target, opts)
 }
