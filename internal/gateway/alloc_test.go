@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"jamm/internal/ulm"
 )
@@ -119,7 +120,7 @@ func TestLineStreamDecodeAllocsPerLine(t *testing.T) {
 			fail := func(err error) error { return err }
 			f := func() {
 				resp = wireResponse{events: &in}
-				if _, err := cdc.read(&resp); err != nil || !resp.OK {
+				if _, err := cdc.readResponse(&resp); err != nil || !resp.OK {
 					t.Fatalf("read: %+v, %v", resp, err)
 				}
 				if m, err := in.runs(format, fail, deliver); err != nil || m != n || got != n {
@@ -178,34 +179,75 @@ func TestTextBatchCompactReleasesLine(t *testing.T) {
 	runtime.KeepAlive(line)
 }
 
-// TestWarmQueryAllocs: a Query on a kept connection — request marshalled,
-// served and answered by a real server, answer parsed — stays under a
-// pinned count of allocations, both ends together. It is encoding/json
-// on the request and the answer and the parsed record that are left; a
-// dial, a codec and a server connection per call are not (the dial alone
-// is about twenty; a dialling Query measured 59 to this test's 21).
+// warmCallAllocs measures call on a kept connection to srv — request
+// appended, scanned, served and answered by a real server, answer
+// scanned — both ends together, and fails above limit.
+func warmCallAllocs(t *testing.T, srv *TCPServer, what string, limit float64, call func()) {
+	t.Helper()
+	call() // dials
+	avg := testing.AllocsPerRun(500, call)
+	t.Logf("%.1f allocations per warm %s", avg, what)
+	if avg > limit {
+		t.Fatalf("%.1f allocations per warm %s, want <= %.0f", avg, what, limit)
+	}
+	if a := srv.WireStats().Accepts; a != 1 {
+		t.Fatalf("%d connections accepted: the %s calls were not warm", a, what)
+	}
+}
+
+// TestWarmQueryAllocs: what a Query on a kept connection allocates is
+// the record it returns — its string arena and its field slab — and
+// nothing else: no encoding/json on either end, no request or answer
+// struct on the heap, no payload string, no resource string to
+// authorize. A dial, a codec and a server connection per call would be
+// about twenty more.
 func TestWarmQueryAllocs(t *testing.T) {
-	const warmQueryAllocs = 24
 	g, srv := startServer(t)
 	g.Publish("cpu", mkRec("LOAD", 0, 42))
 	c := NewClient("", srv.Addr())
 	defer c.Close()
-	query := func() {
+	warmCallAllocs(t, srv, "query", 6, func() {
 		if _, found, err := c.Query("cpu", "LOAD"); err != nil || !found {
 			t.Fatalf("query: %v found=%v", err, found)
 		}
-	}
-	query() // dials
-	avg := testing.AllocsPerRun(500, query)
-	t.Logf("%.1f allocations per warm query", avg)
-	limit := float64(warmQueryAllocs)
-	if raceEnabled {
-		limit += 8 // encoding/json's pools drop a quarter of their Puts
-	}
-	if avg > limit {
-		t.Fatalf("%.1f allocations per warm query, want <= %.0f", avg, limit)
-	}
-	if a := srv.WireStats().Accepts; a != 1 {
-		t.Fatalf("%d connections accepted: the queries were not warm", a)
+	})
+}
+
+// TestWarmSummaryAllocs: a Summary on a kept connection allocates the
+// slice of points it returns and, on a gateway without snapshots, the
+// two its server computes them with (a copy of the sample window, the
+// points).
+func TestWarmSummaryAllocs(t *testing.T) {
+	g, srv := startServer(t)
+	g.EnableSummary("cpu", "LOAD", "VAL", time.Minute, time.Hour)
+	g.Publish("cpu", mkRec("LOAD", 0, 42))
+	c := NewClient("", srv.Addr())
+	defer c.Close()
+	warmCallAllocs(t, srv, "summary", 4, func() {
+		if pts, err := c.Summary("cpu", "LOAD", "VAL"); err != nil || len(pts) != 2 || pts[0].Count != 1 {
+			t.Fatalf("summary: %+v, %v", pts, err)
+		}
+	})
+}
+
+// TestReadSnapshotHitZeroAllocs: served from the snapshots on a site
+// that authorizes everything, Query and Summary allocate nothing.
+func TestReadSnapshotHitZeroAllocs(t *testing.T) {
+	g := New("gw", nil)
+	g.EnableSnapshots(SnapshotOptions{MaxStale: time.Hour})
+	g.EnableSummary("cpu@h", "LOAD", "VAL")
+	g.Publish("cpu@h", mkRec("LOAD", 0, 42))
+	assertNoAllocs(t, "snapshot query", func() {
+		if _, found, err := g.Query("", "cpu@h", "LOAD"); err != nil || !found {
+			t.Fatalf("query: %v found=%v", err, found)
+		}
+	})
+	assertNoAllocs(t, "snapshot summary", func() {
+		if pts, err := g.Summary("", "cpu@h", "LOAD", "VAL"); err != nil || len(pts) != 3 {
+			t.Fatalf("summary: %+v, %v", pts, err)
+		}
+	})
+	if st := g.Stats(); st.SnapshotHits == 0 || st.SnapshotMisses > 2 {
+		t.Fatalf("%d snapshot hits, %d misses: the reads were not snapshot hits", st.SnapshotHits, st.SnapshotMisses)
 	}
 }

@@ -545,14 +545,6 @@ func markFrameReplica(dst []byte, start int) {
 	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
 }
 
-// appendJSONFrame appends a JSON control frame carrying data (one
-// marshaled JSON object).
-func appendJSONFrame(dst []byte, data []byte) []byte {
-	dst, start := beginFrame(dst, frameOpJSON, 0)
-	dst = append(dst, data...)
-	return finishFrame(dst, start)
-}
-
 // splitBatchFrame locates the parts of a full batch frame: the sensor
 // name's bytes, the declared record count, and the offset of the first
 // record byte within buf.

@@ -154,7 +154,7 @@ func TestFrameReaderLoopZeroAllocs(t *testing.T) {
 	var req wireRequest
 	assertNoAllocs(t, "wireCodec.read of a batch frame", func() {
 		req = wireRequest{}
-		f, err := cdc.read(&req)
+		f, err := cdc.readRequest(&req)
 		if err != nil || f == nil || f.Sensor != "cpu@h1" || f.Count != 8 {
 			t.Fatalf("frame %+v, err %v", f, err)
 		}

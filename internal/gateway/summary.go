@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -109,7 +110,8 @@ func (g *Gateway) Summary(principal, sensorName, event, field string) ([]Summary
 
 // addBatch folds one published batch into the window: scan for
 // matching samples, append them, and trim the window once — one lock
-// acquisition per batch instead of per record.
+// acquisition per batch instead of per record. A value that is not a
+// number, NaN and ±Inf included, is no measurement and is not folded.
 func (st *summaryState) addBatch(now time.Time, event, field string, recs []ulm.Record) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -118,7 +120,7 @@ func (st *summaryState) addBatch(now time.Time, event, field string, recs []ulm.
 		if recs[i].Event != event {
 			continue
 		}
-		if v, err := recs[i].Float(field); err == nil {
+		if v, err := recs[i].Float(field); err == nil && !math.IsNaN(v) && !math.IsInf(v, 0) {
 			st.samples = append(st.samples, sample{now, v})
 			folded = true
 		}

@@ -209,6 +209,14 @@ func (rc *rawConn) sendLine(line string) { rc.send([]byte(line + "\n")) }
 // sendCtl sends a JSON control frame in v2 framing.
 func (rc *rawConn) sendCtl(js string) { rc.send(appendJSONFrame(nil, []byte(js))) }
 
+// appendJSONFrame appends a control frame carrying data, one JSON object
+// written by hand.
+func appendJSONFrame(dst []byte, data []byte) []byte {
+	dst, start := beginFrame(dst, frameOpJSON, 0)
+	dst = append(dst, data...)
+	return finishFrame(dst, start)
+}
+
 // readLine consumes one answer line (the transcript records it).
 func (rc *rawConn) readLine() {
 	rc.t.Helper()
@@ -497,13 +505,13 @@ var transcriptSessions = []struct {
 		// The client's own request/answer calls, on the one connection it
 		// keeps; History opens its own.
 		c := s.client(ProtoAuto)
-		c.Ping()                             //nolint:errcheck
-		c.Query("cpu", "LOAD")               //nolint:errcheck
-		c.Summary("cpu", "LOAD", "VAL")      //nolint:errcheck
-		c.List()                             //nolint:errcheck
-		c.Coverage("cpu")                    //nolint:errcheck
-		c.roundTrip(wireRequest{Op: "frob"}) //nolint:errcheck
-		c.History(HistoryRequest{})          //nolint:errcheck
+		c.Ping()                                  //nolint:errcheck
+		c.Query("cpu", "LOAD")                    //nolint:errcheck
+		c.Summary("cpu", "LOAD", "VAL")           //nolint:errcheck
+		c.List()                                  //nolint:errcheck
+		c.Coverage("cpu")                         //nolint:errcheck
+		c.roundTrip(wireRequest{Op: "frob"}, nil) //nolint:errcheck
+		c.History(HistoryRequest{})               //nolint:errcheck
 	}},
 	{"ops-v2", false, func(s *transcriptSite) {
 		seedOps(s)

@@ -31,9 +31,14 @@ import (
 //     frames of frame.go. Record batches — the publish, subscribe and
 //     history hot paths — travel as batch frames of ULM-binary records;
 //     everything else (requests, acks, errors, drop counters, eof
-//     markers) is the same JSON object inside a control frame, so the
-//     cold path keeps JSON's debuggability while the hot path never
-//     touches it.
+//     markers) is the same JSON object inside a control frame.
+//
+// In both framings the control path keeps JSON's debuggability — every
+// byte of a control message is the one encoding/json would write — but
+// not its reflection: requests and answers are appended and scanned by
+// one codec (wire_control.go), which hands to encoding/json only what it
+// does not cover (a listing, coverage spans, a handoff's state, a
+// publish line's records, anything malformed).
 //
 // Every connection starts as JSON lines. A client that wants frames
 // sends {"op":"hello","max_version":2} first; the server answers
@@ -200,11 +205,14 @@ type wireResponse struct {
 	// per-segment time spans for the requested sensor.
 	Coverage []histstore.Span `json:"coverage,omitempty"`
 
-	// events, set by a reader that takes event messages (a Stream, a
-	// HistoryStream), is where the JSON-lines framing leaves a message's
-	// events — scanned, not unmarshalled into Rec and Recs — for the
-	// reader to decode as one batch.
+	// events is where an answer's events are left — scanned, not
+	// unmarshalled into Rec and Recs — for the reader to decode as one
+	// batch: the reader's own (a Stream's, a HistoryStream's), or the
+	// codec's.
 	events *inboundEvents
+	// payload is a query answer's rec as the server rendered it, in a
+	// buffer of the connection's: Rec without a string of its own.
+	payload []byte
 }
 
 // WireStats counts wire-path loss and traffic at one TCP server. Every
@@ -301,10 +309,14 @@ type TCPServer struct {
 func ServeTCP(gw *Gateway, addr string, tlsCfg *tls.Config) (*TCPServer, error) {
 	t := &TCPServer{gw: gw, subs: make(map[*Subscription]struct{})}
 	t.maxVersion.Store(wireVersionMax)
+	// A connection accepted before t.Server is set waits for it: a ping
+	// answers with WireStats, which reads it.
+	served := make(chan struct{})
 	var err error
-	if t.Server, err = transport.Serve(addr, tlsCfg, t.serveConn); err != nil {
+	if t.Server, err = transport.Serve(addr, tlsCfg, func(conn net.Conn) { <-served; t.serveConn(conn) }); err != nil {
 		return nil, err
 	}
+	close(served)
 	return t, nil
 }
 
@@ -377,6 +389,10 @@ type serverConn struct {
 	oneWay bool
 	// in decodes the payloads of JSON-lines publish requests.
 	in inboundEvents
+	// resp is the answer being written and payload the buffer a query
+	// answer's record is rendered in: answering allocates nothing.
+	resp    wireResponse
+	payload []byte
 }
 
 // serveConn is the connection loop of both framings.
@@ -391,7 +407,7 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 	var req wireRequest
 	for {
 		req = wireRequest{}
-		f, err := c.cdc.read(&req)
+		f, err := c.cdc.readRequest(&req)
 		if awaitingFirst {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				t.handshakeTimeouts.Add(1)
@@ -434,7 +450,7 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 			if ver < 1 {
 				ver = 1
 			}
-			if c.cdc.write(wireResponse{OK: true, Version: ver}) != nil {
+			if !c.reply(wireResponse{OK: true, Version: ver}) {
 				return
 			}
 			if ver >= 2 {
@@ -455,12 +471,18 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 			c.oneWay = true
 			c.publish(req)
 		default:
-			if c.cdc.write(t.handle(req)) != nil {
+			if !c.reply(c.handle(req)) {
 				return
 			}
 			t.countRequest(req.Op)
 		}
 	}
+}
+
+// reply writes resp to the peer and reports whether that worked.
+func (c *serverConn) reply(resp wireResponse) bool {
+	c.resp = resp
+	return c.cdc.writeResponse(&c.resp) == nil
 }
 
 // readFault handles a failed read — here and on a subscription's
@@ -501,7 +523,7 @@ func (c *serverConn) noteBad(err error, answer bool) bool {
 		return false
 	}
 	if answer && !c.oneWay && c.badTotal < maxConsecutiveBadLines {
-		return c.cdc.write(wireResponse{Error: "bad request: " + err.Error()}) == nil
+		return c.reply(wireResponse{Error: "bad request: " + err.Error()})
 	}
 	return true
 }
@@ -555,7 +577,9 @@ func (c *serverConn) publish(req wireRequest) {
 	})
 }
 
-func (t *TCPServer) handle(req wireRequest) wireResponse {
+// handle answers one of the request/answer ops.
+func (c *serverConn) handle(req wireRequest) wireResponse {
+	t := c.t
 	switch req.Op {
 	case "ping":
 		return wireResponse{OK: true, Drops: t.WireStats().Drops()}
@@ -566,11 +590,11 @@ func (t *TCPServer) handle(req wireRequest) wireResponse {
 		}
 		resp := wireResponse{OK: true, Found: found}
 		if found {
-			payload, err := payloadString(req.Format, &rec)
-			if err != nil {
+			if err := checkFormat(req.Format); err != nil {
 				return wireResponse{Error: err.Error()}
 			}
-			resp.Rec = payload
+			c.payload = appendPayload(c.payload[:0], req.Format, &rec)
+			resp.payload = c.payload
 		}
 		return resp
 	case "summary":
@@ -595,13 +619,13 @@ func (t *TCPServer) handle(req wireRequest) wireResponse {
 		}
 		resp := wireResponse{OK: true, Found: true, Sensor: req.Sensor, Meta: &st.Meta,
 			Summaries: st.Summaries, Agg: st.Agg}
+		if err := checkFormat(req.Format); err != nil && len(st.Recs) > 0 {
+			// The state is already drained; a format that does not exist
+			// must fail loudly, not vanish.
+			return wireResponse{Error: err.Error()}
+		}
 		for i := range st.Recs {
-			payload, err := payloadString(req.Format, &st.Recs[i])
-			if err != nil {
-				// The state is already drained; a format that does not
-				// exist must fail loudly, not vanish.
-				return wireResponse{Error: err.Error()}
-			}
+			payload := string(appendPayload(nil, req.Format, &st.Recs[i]))
 			resp.Recs = append(resp.Recs, wireEvent{Sensor: req.Sensor, Rec: payload})
 		}
 		return resp
@@ -651,7 +675,7 @@ func clampBatchMax(n, def int) int {
 func (c *serverConn) serveHistory(req wireRequest) bool {
 	t := c.t
 	refuse := func(msg string) bool {
-		return c.cdc.write(wireResponse{Error: msg}) == nil
+		return c.reply(wireResponse{Error: msg})
 	}
 	hist := t.hist.Load()
 	if hist == nil {
@@ -697,7 +721,7 @@ func (c *serverConn) serveHistory(req wireRequest) bool {
 		// distinguish a terminal error from a clean eof.
 		return refuse("gateway: history: " + err.Error())
 	}
-	return c.cdc.write(wireResponse{OK: true, Eof: true, N: n}) == nil
+	return c.reply(wireResponse{OK: true, Eof: true, N: n})
 }
 
 // serveSubscribe is the subscribe pump: it opens a queued subscription
@@ -706,7 +730,7 @@ func (c *serverConn) serveHistory(req wireRequest) bool {
 func (c *serverConn) serveSubscribe(req wireRequest) {
 	t := c.t
 	if err := c.cdc.checkFormat(req.Format); err != nil {
-		c.cdc.write(wireResponse{Error: err.Error()}) //nolint:errcheck
+		c.reply(wireResponse{Error: err.Error()})
 		return
 	}
 	// batchMax is the coalescing window — per batch, not per
@@ -723,7 +747,7 @@ func (c *serverConn) serveSubscribe(req wireRequest) {
 	_, frames := c.cdc.(frameSplicer)
 	sub, err := t.gw.subscribeQueued(req.Request, wireSubChanDepth, frames, func(n int) { t.subDrops.Add(uint64(n)) })
 	if err != nil {
-		c.cdc.write(wireResponse{Error: err.Error()}) //nolint:errcheck
+		c.reply(wireResponse{Error: err.Error()})
 		return
 	}
 	defer sub.Cancel()
@@ -737,7 +761,7 @@ func (c *serverConn) serveSubscribe(req wireRequest) {
 		delete(t.subs, sub)
 		t.mu.Unlock()
 	}()
-	if c.cdc.write(wireResponse{OK: true}) != nil {
+	if !c.reply(wireResponse{OK: true}) {
 		return
 	}
 	// From here on the write side is the pump's. The subscriber's side
@@ -754,7 +778,7 @@ func (c *serverConn) serveSubscribe(req wireRequest) {
 		var ctl wireRequest
 		for {
 			ctl = wireRequest{}
-			f, err := c.cdc.read(&ctl)
+			f, err := c.cdc.readRequest(&ctl)
 			switch {
 			case err != nil:
 				if !c.readFault(err) {

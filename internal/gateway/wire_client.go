@@ -3,7 +3,6 @@ package gateway
 import (
 	"bufio"
 	"crypto/tls"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -152,7 +151,8 @@ func (c *Client) dialCodec(format string) (net.Conn, wireCodec, error) {
 	if c.Timeout > 0 {
 		conn.SetDeadline(time.Now().Add(c.Timeout)) //nolint:errcheck
 	}
-	if err := json.NewEncoder(conn).Encode(wireRequest{Op: "hello", MaxVersion: wireVersionMax}); err != nil {
+	hello, _ := marshalRequest(make([]byte, 0, 64), &wireRequest{Op: "hello", MaxVersion: wireVersionMax})
+	if _, err := conn.Write(append(hello, '\n')); err != nil {
 		conn.Close()
 		return nil, nil, err
 	}
@@ -165,8 +165,9 @@ func (c *Client) dialCodec(format string) (net.Conn, wireCodec, error) {
 	// A pre-v2 server answers hello with an unknown-op error and keeps
 	// the connection usable: that IS the fallback signal — anything but
 	// an explicit ok/version ≥ 2 means JSON lines from here on.
+	var in inboundEvents
 	var resp wireResponse
-	if json.Unmarshal(line, &resp) == nil && resp.OK && resp.Version > 1 {
+	if in.readResponse(line, &resp) == nil && resp.OK && resp.Version > 1 {
 		return conn, newFrameCodec(conn, br), nil
 	}
 	if c.Protocol == ProtoV2 {
@@ -189,17 +190,25 @@ func (c *Client) takeIdle() (cc *clientConn) {
 // exchange runs one request → answer on cc under the per-call deadline.
 // An error means the answer did not arrive whole, and cc is closed; with
 // the answer in hand cc joins the idle list if keep is set and there is
-// room, and is closed otherwise.
-func (c *Client) exchange(cc *clientConn, req *wireRequest, keep bool) (resp wireResponse, err error) {
+// room, and is closed otherwise. The answer's events lie in cc's codec,
+// which the next call on cc reuses: a caller that wants them passes
+// decode, which runs on an answer that arrived whole before cc is let
+// go, and whose error is the call's.
+func (c *Client) exchange(cc *clientConn, req *wireRequest, keep bool, decode func(*inboundEvents) error) (resp wireResponse, err error) {
 	var deadline time.Time
 	if c.Timeout > 0 {
 		deadline = time.Now().Add(c.Timeout)
 	}
 	cc.SetDeadline(deadline) //nolint:errcheck
 	req.Principal = c.Principal
-	if err = cc.cdc.write(req); err == nil {
-		_, err = cc.cdc.read(&resp)
+	if err = cc.cdc.writeRequest(req); err == nil {
+		_, err = cc.cdc.readResponse(&resp)
 	}
+	var derr error
+	if err == nil && decode != nil {
+		derr = decode(resp.events)
+	}
+	resp.events = nil
 	c.mu.Lock()
 	keep = keep && err == nil && !c.closed && len(c.idle) < clientIdleConns
 	if keep {
@@ -209,19 +218,22 @@ func (c *Client) exchange(cc *clientConn, req *wireRequest, keep bool) (resp wir
 	if !keep {
 		cc.Close() //nolint:errcheck // a request/answer connection has nothing buffered
 	}
+	if err == nil {
+		err = derr
+	}
 	return resp, err
 }
 
 // dialTrip is one request/answer call on a fresh connection, which is
 // kept afterwards if keep is set.
-func (c *Client) dialTrip(req *wireRequest, keep bool) (wireResponse, error) {
+func (c *Client) dialTrip(req *wireRequest, keep bool, decode func(*inboundEvents) error) (wireResponse, error) {
 	conn, err := transport.Dial(c.Addr, c.Timeout, c.TLS)
 	if err != nil {
 		return wireResponse{}, err
 	}
 	cc := &clientConn{Conn: conn}
 	cc.cdc = newLineCodec(cc, cc, 0)
-	return answer(c.exchange(cc, req, keep))
+	return answer(c.exchange(cc, req, keep, decode))
 }
 
 // answer turns a refusal that arrived whole into the call's error.
@@ -236,13 +248,12 @@ func answer(resp wireResponse, err error) (wireResponse, error) {
 }
 
 // roundTrip is one idempotent request/answer call, on a kept connection
-// when there is one.
-func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
+// when there is one; decode is exchange's.
+func (c *Client) roundTrip(req wireRequest, decode func(*inboundEvents) error) (wireResponse, error) {
 	if cc := c.takeIdle(); cc != nil {
 		before := cc.read
-		resp, err := c.exchange(cc, &req, true)
-		var ne net.Error
-		if err == nil || cc.read != before || (errors.As(err, &ne) && ne.Timeout()) {
+		resp, err := c.exchange(cc, &req, true, decode)
+		if err == nil || cc.read != before || timedOut(err) {
 			return answer(resp, err)
 		}
 		// Stale: the server let go of the connection while it sat idle,
@@ -250,12 +261,18 @@ func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
 		// once, on a connection of its own.
 		c.redials.Add(1)
 	}
-	return c.dialTrip(&req, true)
+	return c.dialTrip(&req, true, decode)
+}
+
+// timedOut reports whether err is a deadline that passed.
+func timedOut(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // Ping checks server liveness.
 func (c *Client) Ping() error {
-	_, err := c.roundTrip(wireRequest{Op: "ping"})
+	_, err := c.roundTrip(wireRequest{Op: "ping"}, nil)
 	return err
 }
 
@@ -263,29 +280,40 @@ func (c *Client) Ping() error {
 // (undecodable publish records + unparseable lines + slow-subscriber
 // drops) — the observability hook for "no silent loss on the wire".
 func (c *Client) Drops() (uint64, error) {
-	resp, err := c.roundTrip(wireRequest{Op: "ping"})
+	resp, err := c.roundTrip(wireRequest{Op: "ping"}, nil)
 	if err != nil {
 		return 0, err
 	}
 	return resp.Drops, nil
 }
 
-// Query fetches the most recent event of the named type.
+// Query fetches the most recent event of the named type. The record is
+// decoded from the answer as it was read, into a string arena and a
+// field slab of its own.
 func (c *Client) Query(sensor, event string) (ulm.Record, bool, error) {
-	resp, err := c.roundTrip(wireRequest{Op: "query", Event: event, Request: Request{Sensor: sensor}})
-	if err != nil {
+	var rec ulm.Record
+	n := 0
+	resp, err := c.roundTrip(wireRequest{Op: "query", Event: event, Request: Request{Sensor: sensor}}, func(in *inboundEvents) (err error) {
+		n, err = in.runs(FormatULM, func(err error) error { return err }, func(_ string, recs []ulm.Record) error {
+			rec = recs[0]
+			return nil
+		})
+		return err
+	})
+	switch {
+	case err != nil:
 		return ulm.Record{}, false, err
-	}
-	if !resp.Found {
+	case !resp.Found:
 		return ulm.Record{}, false, nil
+	case n != 1:
+		return ulm.Record{}, false, errors.New("gateway: query answer without its record")
 	}
-	rec, err := ulm.Parse(resp.Rec)
-	return rec, err == nil, err
+	return rec, true, nil
 }
 
 // Summary fetches windowed statistics for a summarized series.
 func (c *Client) Summary(sensor, event, field string) ([]SummaryPoint, error) {
-	resp, err := c.roundTrip(wireRequest{Op: "summary", Event: event, Request: Request{Sensor: sensor, Field: field}})
+	resp, err := c.roundTrip(wireRequest{Op: "summary", Event: event, Request: Request{Sensor: sensor, Field: field}}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +322,7 @@ func (c *Client) Summary(sensor, event, field string) ([]SummaryPoint, error) {
 
 // List fetches the gateway's sensor listing.
 func (c *Client) List() ([]SensorInfo, error) {
-	resp, err := c.roundTrip(wireRequest{Op: "list"})
+	resp, err := c.roundTrip(wireRequest{Op: "list"}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +336,7 @@ func (c *Client) List() ([]SensorInfo, error) {
 // the sensor was not live there. A handoff changes the gateway, so it
 // goes out on a connection of its own and is never sent twice.
 func (c *Client) Handoff(sensor string) (st HandoffState, found bool, err error) {
-	resp, err := c.dialTrip(&wireRequest{Op: "handoff", Request: Request{Sensor: sensor}}, false)
+	resp, err := c.dialTrip(&wireRequest{Op: "handoff", Request: Request{Sensor: sensor}}, false, nil)
 	if err != nil {
 		return HandoffState{}, false, err
 	}
@@ -339,7 +367,7 @@ func (c *Client) SeedState(sensor string, summaries []SummarySeries, agg string)
 		return nil
 	}
 	_, err := c.dialTrip(&wireRequest{Op: "seed_state", Summaries: summaries, Agg: agg,
-		Request: Request{Sensor: sensor}}, false)
+		Request: Request{Sensor: sensor}}, false, nil)
 	return err
 }
 
@@ -347,7 +375,7 @@ func (c *Client) SeedState(sensor string, summaries []SummarySeries, agg string)
 // sensor ("" = whole archive) — the comparison unit anti-entropy uses
 // to find and close gaps between a primary's and a replica's history.
 func (c *Client) Coverage(sensor string) ([]histstore.Span, error) {
-	resp, err := c.roundTrip(wireRequest{Op: "coverage", Request: Request{Sensor: sensor}})
+	resp, err := c.roundTrip(wireRequest{Op: "coverage", Request: Request{Sensor: sensor}}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +438,8 @@ func (c *Client) history(conn net.Conn, cdc wireCodec, in *inboundEvents, hr His
 		// whole stream: it is pushed forward as frames arrive.
 		conn.SetDeadline(time.Now().Add(c.Timeout)) //nolint:errcheck
 	}
-	if err := cdc.write(hr.wire(c.Principal)); err != nil {
+	req := hr.wire(c.Principal)
+	if err := cdc.writeRequest(&req); err != nil {
 		return 0, err
 	}
 	fatal := func(err error) error { return fmt.Errorf("gateway: history stream: %w", err) }
@@ -422,7 +451,7 @@ func (c *Client) history(conn net.Conn, cdc wireCodec, in *inboundEvents, hr His
 			conn.SetReadDeadline(time.Now().Add(c.Timeout)) //nolint:errcheck
 		}
 		resp = wireResponse{events: in}
-		f, err := cdc.read(&resp)
+		f, err := cdc.readResponse(&resp)
 		switch {
 		case err != nil:
 			return n, fatal(err)
@@ -823,7 +852,7 @@ func (s *Stream) SetBatchMax(n int) error {
 	// concurrent control writes against each other.
 	s.ctlMu.Lock()
 	defer s.ctlMu.Unlock()
-	return s.cdc.write(wireRequest{Op: "batch_max", BatchMax: max(n, 1)}) //jamm:lock-ok ctlMu exists only to serialize this write; no reader-path lock is held
+	return s.cdc.writeRequest(&wireRequest{Op: "batch_max", BatchMax: max(n, 1)}) //jamm:lock-ok ctlMu exists only to serialize this write; no reader-path lock is held
 }
 
 // Subscribe opens a streaming subscription in the given payload format;
@@ -886,7 +915,7 @@ func (c *Client) openStream(req Request, opts StreamOptions, format string, onFr
 		return nil, ErrV2Unsupported
 	}
 	req.Principal = c.Principal
-	err = cdc.write(wireRequest{
+	err = cdc.writeRequest(&wireRequest{
 		Op: "subscribe", Format: cdc.eventFormat(format),
 		BatchMax: opts.BatchMax, BatchWaitMS: opts.BatchWait.Milliseconds(),
 		Request: req,
@@ -897,7 +926,7 @@ func (c *Client) openStream(req Request, opts StreamOptions, format string, onFr
 			conn.SetReadDeadline(time.Now().Add(c.Timeout)) //nolint:errcheck
 		}
 		var f *Frame
-		if f, err = cdc.read(&ack); err == nil && f != nil {
+		if f, err = cdc.readResponse(&ack); err == nil && f != nil {
 			err = errors.New("gateway: bad subscribe ack frame")
 		}
 	}
@@ -937,7 +966,7 @@ func (s *Stream) readLoop(format string, onFrame func(*Frame), onBatch func(stri
 	var recs []ulm.Record
 	for {
 		resp = wireResponse{events: &s.in}
-		f, err := s.cdc.read(&resp)
+		f, err := s.cdc.readResponse(&resp)
 		switch {
 		case err != nil:
 			if _, skip := err.(*badMessage); skip {

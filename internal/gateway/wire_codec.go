@@ -13,21 +13,25 @@ type wireCodec interface {
 	// version is the protocol version the framing implements.
 	version() int
 
-	// read takes the next inbound message. A control message is
-	// unmarshalled into ctl — a *wireRequest on the server, a
-	// *wireResponse on the client, zeroed by the caller — and read
-	// returns a nil frame; a record-batch frame, which only the binary
-	// framing has, is returned instead, borrowed until the next read.
-	// JSON lines carry events in control messages: a client that takes
-	// them sets the response's events, and finds them there.
+	// readRequest takes a server's next inbound message. A request is
+	// read into req, which the caller zeroed, and a nil frame returned; a
+	// record-batch frame, which only the binary framing has, is returned
+	// instead, borrowed until the next read.
 	// Errors come in three classes. A *badMessage (returned bare, never
 	// wrapped) was consumed whole: the stream is still in sync and
 	// skipping it is safe. errFrameTooBig and bufio.ErrTooLong mean no
 	// resync point exists. Anything else is transport: EOF, timeouts,
 	// resets.
-	read(ctl any) (*Frame, error)
-	// write sends one control message.
-	write(ctl any) error
+	readRequest(req *wireRequest) (*Frame, error)
+	// readResponse is readRequest on a client, for an answer. JSON lines
+	// carry events in answers: a client that takes them sets resp.events
+	// and finds them there. Otherwise resp.events is set to the codec's
+	// own, whose events are good until the next read.
+	readResponse(resp *wireResponse) (*Frame, error)
+	// writeRequest and writeResponse send one control message. Neither
+	// keeps the message.
+	writeRequest(req *wireRequest) error
+	writeResponse(resp *wireResponse) error
 
 	// checkFormat reports whether the framing can carry events in the
 	// payload format.

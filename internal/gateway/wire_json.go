@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -18,22 +17,23 @@ import (
 // The JSON-lines framing: one JSON object per line in either direction,
 // event payloads inside it as strings in the requested format.
 //
-// Control messages — requests, acks, one-shot answers — go through
-// encoding/json. The record path does not. Outbound, an event line
-// (a subscription's, a history answer's, a Publisher's request) is
-// appended to a buffer its writer owns and reuses: the envelope, then
-// per record the sensor and the payload (ulm.AppendText, ulm.AppendXML,
-// or base64 of ulm.AppendBinary) escaped exactly as json.Encoder would
-// escape them, so the bytes on the wire are the ones reflection
-// produced. A subscription's finished lines are held until the pump's
-// commit and leave with one Write per burst. Inbound, a reader that
-// expects events (a Stream, a HistoryStream) has its lines read by
-// inboundEvents.scan, which knows the keys an event message has and
-// hands any line with another key in it to json.Unmarshal; the payloads are
-// unescaped into one reused buffer and decoded by a ulm.TextBatch, so
-// all records of a line are materialised from one string arena and one
-// field slab. A server's publish ingest decodes payloads the same way
-// behind json.Unmarshal of the request line.
+// Nothing on a line is reflected over. Control messages — requests,
+// acks, one-shot answers — are appended and scanned by the control codec
+// both framings share (wire_control.go). Event lines are the record
+// path. Outbound, an event line (a subscription's, a history answer's, a
+// Publisher's request) is appended to a buffer its writer owns and
+// reuses: the envelope, then per record the sensor and the payload
+// (ulm.AppendText, ulm.AppendXML, or base64 of ulm.AppendBinary)
+// escaped exactly as json.Encoder would escape them, so the bytes on
+// the wire are the ones reflection produced. A subscription's finished
+// lines are held until the pump's commit and leave with one Write per
+// burst. Inbound, an answer — an event line, a query's record — is read
+// by inboundEvents.scan, which knows the keys of the answers the hot
+// ops get and hands any line with another key in it to json.Unmarshal;
+// the payloads are unescaped into one reused buffer and decoded by a
+// ulm.TextBatch, so all records of a line are materialised from one
+// string arena and one field slab. A server's publish ingest decodes
+// payloads the same way behind json.Unmarshal of the request line.
 
 // lineCodec is the JSON-lines framing of one connection.
 type lineCodec struct {
@@ -44,9 +44,11 @@ type lineCodec struct {
 	// at the first that is not a JSON object.
 	sc     *bufio.Scanner
 	server bool
-	enc    *json.Encoder
-	// hist is writeBatch's line, reused across a history answer.
-	hist lineWriter
+	// in reads inbound control messages: a server's requests, and a
+	// client's answers when their reader brings no events of its own.
+	in inboundEvents
+	// out is the write side's line: a control message, a history answer.
+	out lineWriter
 }
 
 // newLineCodec frames conn as JSON lines, reading from r (conn itself,
@@ -56,7 +58,7 @@ type lineCodec struct {
 // request or its answer, and a Client's request/answer connection keeps
 // its codec — buffer and all — from call to call.
 func newLineCodec(conn net.Conn, r io.Reader, maxLine int) *lineCodec {
-	c := &lineCodec{conn: conn, enc: json.NewEncoder(conn), sc: bufio.NewScanner(r), server: maxLine > 0}
+	c := &lineCodec{conn: conn, sc: bufio.NewScanner(r), server: maxLine > 0}
 	if c.server {
 		c.sc.Buffer(nil, maxLine)
 	} else {
@@ -67,7 +69,8 @@ func newLineCodec(conn net.Conn, r io.Reader, maxLine int) *lineCodec {
 
 func (c *lineCodec) version() int { return 1 }
 
-func (c *lineCodec) read(ctl any) (*Frame, error) {
+// line returns the next inbound line, valid until the next call.
+func (c *lineCodec) line() ([]byte, error) {
 	var line []byte
 	// Between a server's lines a client lets blank ones pass.
 	for more := true; more; more = !c.server && len(bytes.TrimSpace(line)) == 0 {
@@ -79,28 +82,50 @@ func (c *lineCodec) read(ctl any) (*Frame, error) {
 		}
 		line = c.sc.Bytes()
 	}
-	if c.server {
-		if err := json.Unmarshal(line, ctl); err != nil {
-			return nil, &badMessage{err: err, answer: true}
-		}
-		return nil, nil
-	}
-	// A reader that takes events set resp.events: its event lines are
-	// scanned in place.
-	resp, _ := ctl.(*wireResponse)
-	if resp != nil && resp.events != nil && resp.events.scan(line, resp) {
-		return nil, nil
-	}
-	if err := json.Unmarshal(line, ctl); err != nil {
+	return line, nil
+}
+
+func (c *lineCodec) readRequest(req *wireRequest) (*Frame, error) {
+	line, err := c.line()
+	if err != nil {
 		return nil, err
 	}
-	if resp != nil && resp.events != nil {
-		resp.events.take(resp)
+	if err := c.in.readRequest(line, req); err != nil {
+		return nil, &badMessage{err: err, answer: true}
 	}
 	return nil, nil
 }
 
-func (c *lineCodec) write(ctl any) error { return c.enc.Encode(ctl) }
+func (c *lineCodec) readResponse(resp *wireResponse) (*Frame, error) {
+	line, err := c.line()
+	if err != nil {
+		return nil, err
+	}
+	if resp.events == nil {
+		resp.events = &c.in
+	}
+	return nil, resp.events.readResponse(line, resp)
+}
+
+func (c *lineCodec) writeRequest(req *wireRequest) error {
+	buf, err := marshalRequest(c.out.buf[:0], req)
+	if c.out.buf = buf; err != nil {
+		return err
+	}
+	return c.send()
+}
+
+func (c *lineCodec) writeResponse(resp *wireResponse) error {
+	c.out.buf = marshalResponse(c.out.buf[:0], resp)
+	return c.send()
+}
+
+// send writes the control message in out as a line.
+func (c *lineCodec) send() error {
+	c.out.buf = append(c.out.buf, '\n')
+	_, err := c.conn.Write(c.out.buf)
+	return err
+}
 
 // checkFormat reports whether format names a payload format.
 func checkFormat(format string) error {
@@ -153,18 +178,23 @@ func (w *lineWriter) event(format, sensor string, rec *ulm.Record) {
 	w.buf = append(w.buf, '}')
 }
 
-// payloadString renders the payload of a one-record answer (query,
-// handoff), which encoding/json then carries.
-func payloadString(format string, rec *ulm.Record) (string, error) {
+// appendPayload appends the payload of a one-record answer (query,
+// handoff) in format — one checkFormat passed — as the text the answer
+// carries.
+func appendPayload(dst []byte, format string, rec *ulm.Record) []byte {
 	switch format {
-	case "", FormatULM:
-		return rec.String(), nil
 	case FormatXML:
-		return string(ulm.AppendXML(nil, rec)), nil
+		return ulm.AppendXML(dst, rec)
 	case FormatBinary:
-		return base64.StdEncoding.EncodeToString(ulm.AppendBinary(nil, rec)), nil
+		// The binary record goes behind dst, its base64 behind that, and
+		// the base64 moves down over the record.
+		start := len(dst)
+		dst = ulm.AppendBinary(dst, rec)
+		mid := len(dst)
+		dst = base64.StdEncoding.AppendEncode(dst, dst[start:mid])
+		return dst[:start+copy(dst[start:], dst[mid:])]
 	}
-	return "", checkFormat(format)
+	return ulm.AppendText(dst, rec)
 }
 
 const hexDigits = "0123456789abcdef"
@@ -244,7 +274,7 @@ func (c *lineCodec) writeBatch(format, sensor string, recs []ulm.Record) (int, e
 	if len(recs) == 0 {
 		return 0, nil
 	}
-	w := &c.hist
+	w := &c.out
 	w.buf = append(w.buf[:0], `{"ok":true,"recs":[`...)
 	for i := range recs {
 		if i > 0 {
@@ -389,7 +419,9 @@ func (b *linePubBatch) flush() error {
 // state that decodes them, reused from message to message: a client's
 // reader sets it in the wireResponse it reads into, a server's publish
 // ingest fills it from the request. text holds each event's sensor and
-// payload, unescaped; runs decodes the payloads as one batch.
+// payload, unescaped; runs decodes the payloads as one batch. A codec
+// reads its control messages with one too: text is where their strings
+// are unescaped, names where their names are interned.
 type inboundEvents struct {
 	text    []byte
 	evs     []eventSpan
@@ -398,6 +430,7 @@ type inboundEvents struct {
 	raw     []byte // a binary payload out of its base64
 	sensors []string
 	recs    []ulm.Record
+	points  []SummaryPoint // a summary answer's, before they get a slice of their own
 	// fallbacks counts the lines scan handed to json.Unmarshal.
 	fallbacks uint64
 }
@@ -479,25 +512,31 @@ func (in *inboundEvents) runs(format string, bad func(error) error, fn func(sens
 	return n, err
 }
 
-// Keys of an event message, as bits of the set scan has seen.
+// Keys of an answer, as bits of the set scan has seen.
 const (
 	keyOK = 1 << iota
 	keyError
 	keySensor
 	keyRec
 	keyRecs
+	keyFound
+	keySummary
 	keyDrops
 	keyEOF
 	keyN
+	keyVersion
 )
 
-// scan reads line as an event message — an object of the keys ok,
-// error, sensor, rec, recs, drops, eof and n, each at most once, "recs"
-// an array of {"sensor":...,"rec":...} objects — into resp and in, and
-// reports whether it was one. Whatever else the line is — another key
-// (a one-shot answer), a null, an escape or a number encoding/json
-// would have to judge — it is json.Unmarshal's to read: scan accepts
-// nothing that would read differently there.
+// scan reads line as an answer — an event message, a query's, a
+// summary's, a ping's, a hello's, an ack, an error, a history's eof: an
+// object of the keys ok, error, sensor, rec, recs, found, summary,
+// drops, eof, n and version, each at most once, "recs" an array of
+// {"sensor":...,"rec":...} objects — into resp and in, and reports
+// whether it was one. The events it carries are left in in, not in
+// resp.Rec and resp.Recs. Whatever else the line is — another key (a
+// listing, a handoff), a null, an escape or a number encoding/json would
+// have to judge — it is json.Unmarshal's to read: scan accepts nothing
+// that would read differently there.
 func (in *inboundEvents) scan(line []byte, resp *wireResponse) bool {
 	in.reset()
 	p := lineParser{d: line}
@@ -511,97 +550,98 @@ func (in *inboundEvents) scan(line []byte, resp *wireResponse) bool {
 		if !ok {
 			return false
 		}
-		bit := 0
+		var bit int
 		switch string(key) {
 		case "ok":
-			bit = keyOK
-			resp.OK, ok = p.bool()
+			bit, resp.OK = keyOK, p.bool()
 		case "error":
-			bit = keyError
-			var s0 int
-			if s0, ok = len(in.text), p.str(&in.text); ok {
-				resp.Error = string(in.text[s0:])
-				in.text = in.text[:s0]
-			}
+			bit, resp.Error = keyError, in.value(&p)
 		case "sensor", "rec":
-			bit, ok = in.eventMember(&p, key, &single)
+			bit = in.eventMember(&p, key, &single)
 		case "recs":
 			bit = keyRecs
-			ok = in.scanRecs(&p)
+			in.scanRecs(&p)
+		case "found":
+			bit, resp.Found = keyFound, p.bool()
+		case "summary":
+			bit, resp.Summary = keySummary, in.summary(&p)
 		case "drops":
-			bit = keyDrops
-			resp.Drops, ok = p.uint(19)
+			bit, resp.Drops = keyDrops, p.uint(19)
 		case "eof":
-			bit = keyEOF
-			resp.Eof, ok = p.bool()
+			bit, resp.Eof = keyEOF, p.bool()
 		case "n":
-			bit = keyN
-			var n uint64
-			n, ok = p.uint(18)
-			resp.N = int(n)
+			bit, resp.N = keyN, int(p.uint(18))
+		case "version":
+			bit, resp.Version = keyVersion, int(p.int())
 		default:
 			return false
 		}
-		if !ok || seen&bit != 0 {
+		if p.failed || seen&bit != 0 {
 			return false
 		}
 		seen |= bit
 	}
-	if seen&keyRec != 0 {
+	switch {
+	case seen&keyRec != 0:
 		// An empty "rec" is no event, and which of "rec" and "recs" goes
 		// first is encoding/json's to say.
 		if seen&keyRecs != 0 || single.p1 == single.p0 {
 			return false
 		}
 		in.evs = append(in.evs, single)
+	case seen&keySensor != 0:
+		// A sensor of no event is resp.Sensor, which scan does not fill.
+		return false
 	}
 	return p.end()
 }
 
 // eventMember reads the value of an event's "sensor" or "rec" member
 // into in.text and notes in ev where it lies.
-func (in *inboundEvents) eventMember(p *lineParser, key []byte, ev *eventSpan) (bit int, ok bool) {
+func (in *inboundEvents) eventMember(p *lineParser, key []byte, ev *eventSpan) (bit int) {
 	start := len(in.text)
-	ok = p.str(&in.text)
+	p.str(&in.text)
 	switch string(key) {
 	case "sensor":
 		ev.s0, ev.s1 = start, len(in.text)
-		return keySensor, ok
+		return keySensor
 	case "rec":
 		ev.p0, ev.p1 = start, len(in.text)
-		return keyRec, ok
+		return keyRec
 	}
-	return 0, false
+	p.fail()
+	return 0
 }
 
 // scanRecs reads the "recs" array.
-func (in *inboundEvents) scanRecs(p *lineParser) bool {
+func (in *inboundEvents) scanRecs(p *lineParser) {
 	if !p.open('[') {
-		return false
+		return
 	}
 	for first := true; !p.close(']', first); first = false {
 		if !p.open('{') {
-			return false
+			return
 		}
 		var ev eventSpan
 		seen := 0
 		for first := true; !p.close('}', first); first = false {
 			key, ok := p.key()
 			if !ok {
-				return false
+				return
 			}
-			bit, ok := in.eventMember(p, key, &ev)
-			if !ok || seen&bit != 0 {
-				return false
+			bit := in.eventMember(p, key, &ev)
+			if p.failed || seen&bit != 0 {
+				p.fail()
+				return
 			}
 			seen |= bit
 		}
 		if p.failed || seen&keyRec == 0 {
-			return false
+			p.fail()
+			return
 		}
 		in.evs = append(in.evs, ev)
 	}
-	return !p.failed
 }
 
 // lineParser walks the JSON tokens of one line. Every method skips the
@@ -663,14 +703,14 @@ func (p *lineParser) end() bool {
 	return !p.failed && p.i == len(p.d)
 }
 
-// key consumes a member's key — one with no escapes in it, as every key
-// scan knows is written — and the colon behind it.
+// key consumes a member's key — lower case and '_', no escapes, as
+// every key a scanner knows is written — and the colon behind it.
 func (p *lineParser) key() ([]byte, bool) {
 	if p.space(); p.failed || p.i >= len(p.d) || p.d[p.i] != '"' {
 		return nil, p.fail()
 	}
 	start := p.i + 1
-	for p.i = start; p.i < len(p.d) && p.d[p.i] >= 'a' && p.d[p.i] <= 'z'; p.i++ {
+	for p.i = start; p.i < len(p.d) && (p.d[p.i] >= 'a' && p.d[p.i] <= 'z' || p.d[p.i] == '_'); p.i++ {
 	}
 	if p.i+1 >= len(p.d) || p.d[p.i] != '"' {
 		return nil, p.fail()
@@ -684,31 +724,94 @@ func (p *lineParser) key() ([]byte, bool) {
 	return key, true
 }
 
-func (p *lineParser) bool() (v, ok bool) {
+// The value methods below consume one value each; what they return is
+// meaningless once the line has failed.
+
+func (p *lineParser) bool() bool {
 	p.space()
 	switch rest := p.d[p.i:]; {
 	case len(rest) >= 4 && string(rest[:4]) == "true":
 		p.i += 4
-		return true, true
+		return true
 	case len(rest) >= 5 && string(rest[:5]) == "false":
 		p.i += 5
-		return false, true
+		return false
 	}
-	return false, p.fail()
+	return p.fail()
 }
 
 // uint consumes a non-negative integer of at most digits digits.
-func (p *lineParser) uint(digits int) (uint64, bool) {
+func (p *lineParser) uint(digits int) uint64 {
 	p.space()
+	return p.digits(digits)
+}
+
+// int consumes an integer of at most 18 digits — one encoding/json
+// reads into an int without overflow.
+func (p *lineParser) int() int64 {
+	p.space()
+	if p.i < len(p.d) && p.d[p.i] == '-' {
+		p.i++
+		return -int64(p.digits(18))
+	}
+	return int64(p.digits(18))
+}
+
+// digits consumes the digits of an integer, at most max of them, with
+// no leading zero.
+func (p *lineParser) digits(max int) uint64 {
 	start := p.i
 	var n uint64
 	for ; p.i < len(p.d) && p.d[p.i] >= '0' && p.d[p.i] <= '9'; p.i++ {
 		n = n*10 + uint64(p.d[p.i]-'0')
 	}
-	if k := p.i - start; k == 0 || k > digits || k > 1 && p.d[start] == '0' {
-		return 0, p.fail()
+	if k := p.i - start; k == 0 || k > max || k > 1 && p.d[start] == '0' {
+		p.fail()
+		return 0
 	}
-	return n, true
+	return n
+}
+
+// float consumes a number and reads it as encoding/json reads one into
+// a float64: a JSON number, parsed by strconv.ParseFloat, out of range
+// refused.
+func (p *lineParser) float() float64 {
+	p.space()
+	d, i := p.d, p.i
+	digits := func() int {
+		j := i
+		for i < len(d) && d[i] >= '0' && d[i] <= '9' {
+			i++
+		}
+		return i - j
+	}
+	if i < len(d) && d[i] == '-' {
+		i++
+	}
+	k := digits()
+	ok := k == 1 || k > 1 && d[i-k] != '0'
+	if ok && i < len(d) && d[i] == '.' {
+		i++
+		ok = digits() > 0
+	}
+	if ok && i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+		if i++; i < len(d) && (d[i] == '+' || d[i] == '-') {
+			i++
+		}
+		ok = digits() > 0
+	}
+	var f float64
+	if ok {
+		var err error
+		f, err = strconv.ParseFloat(string(d[p.i:i]), 64)
+		ok = err == nil
+	}
+	if !ok {
+		p.fail()
+		return 0
+	}
+	p.i = i
+	return f
 }
 
 // str consumes a string and appends what it stands for to dst. A byte

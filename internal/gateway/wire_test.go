@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -71,6 +72,104 @@ func TestWireSummary(t *testing.T) {
 	}
 	if len(pts) != 1 || pts[0].Avg != 20 || pts[0].Count != 2 {
 		t.Fatalf("summary = %+v", pts)
+	}
+}
+
+// TestWireSummarySkipsNonFiniteSamples: NaN and ±Inf are no
+// measurement. A summary leaves them out and answers on the connection
+// it was asked on, and a handoff of the series carries the samples there
+// are.
+func TestWireSummarySkipsNonFiniteSamples(t *testing.T) {
+	g, srv := startServer(t)
+	g.EnableSummary("cpu", "E", "VAL", time.Minute)
+	c := NewClient("", srv.Addr())
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1, 2} {
+		g.Publish("cpu", mkRec("E", time.Duration(i)*time.Second, v))
+	}
+	pts, err := c.Summary("cpu", "E", "VAL")
+	if err != nil || len(pts) != 1 || pts[0].Count != 2 || pts[0].Avg != 1.5 {
+		t.Fatalf("summary = %+v, %v; want count 2, avg 1.5", pts, err)
+	}
+	if a := srv.WireStats().Accepts; a != 1 {
+		t.Fatalf("%d connections accepted for a ping and a summary, want 1", a)
+	}
+	st, found, err := c.Handoff("cpu")
+	if err != nil || !found || len(st.Summaries) != 1 || len(st.Summaries[0].Samples) != 2 {
+		t.Fatalf("handoff = %+v, found %v, %v; want the series with its 2 samples", st, found, err)
+	}
+}
+
+// TestControlFallbackNotTaken: every control message of the sessions a
+// client runs on the hot ops — a kept connection's pings, queries in
+// each format, summary and refused op, subscribe acks and a retune in
+// both framings, history requests and their eof in both — is appended
+// and scanned at both ends: none goes through encoding/json.
+func TestControlFallbackNotTaken(t *testing.T) {
+	g, srv, _ := startHistoryServer(t, t.TempDir())
+	g.EnableSummary("cpu@h1", "VMSTAT_SYS_TIME", "VAL", time.Minute)
+	recs := fatRun(8, 2)
+	g.PublishBatch("cpu@h1", recs)
+	before := controlFallbacks.Load()
+
+	c := NewClient("", srv.Addr())
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Drops(); err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []string{FormatULM, FormatXML, FormatBinary} {
+		resp, err := c.roundTrip(wireRequest{Op: "query", Format: format, Event: "VMSTAT_SYS_TIME", Request: Request{Sensor: "cpu@h1"}}, nil)
+		if err != nil || !resp.Found {
+			t.Fatalf("query in %s: found %v, %v", format, resp.Found, err)
+		}
+	}
+	if _, found, err := c.Query("cpu@h1", "VMSTAT_SYS_TIME"); err != nil || !found {
+		t.Fatalf("query: found %v, %v", found, err)
+	}
+	if pts, err := c.Summary("cpu@h1", "VMSTAT_SYS_TIME", "VAL"); err != nil || len(pts) != 1 {
+		t.Fatalf("summary: %+v, %v", pts, err)
+	}
+	if _, err := c.roundTrip(wireRequest{Op: "frob"}, nil); err == nil {
+		t.Fatal("unknown op answered ok")
+	}
+
+	for _, p := range []Proto{ProtoJSON, ProtoV2} {
+		c := NewClient("", srv.Addr())
+		c.Protocol = p
+		var got, largest atomic.Int64
+		st, err := c.SubscribeBatchStream(Request{Sensor: "cpu@h1"}, StreamOptions{BatchMax: 4}, func(_ string, recs []ulm.Record) {
+			got.Add(int64(len(recs)))
+			largest.Store(max(largest.Load(), int64(len(recs))))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.SetBatchMax(2); err != nil {
+			t.Fatal(err)
+		}
+		// The retune has been read once frames of two arrive.
+		waitUntil(t, "the retune", func() bool {
+			largest.Store(0)
+			want := got.Load() + int64(len(recs))
+			g.PublishBatch("cpu@h1", recs)
+			waitUntil(t, "the records", func() bool { return got.Load() == want })
+			return largest.Load() == 2
+		})
+		st.Close()
+		<-st.Done()
+		n, err := c.HistoryStream(HistoryRequest{Sensor: "cpu@h1", BatchMax: 4}, func(string, []ulm.Record) error { return nil })
+		if err != nil || n < len(recs) {
+			t.Fatalf("history over protocol %d: %d records, %v", p, n, err)
+		}
+	}
+	if n := controlFallbacks.Load() - before; n != 0 {
+		t.Fatalf("%d control messages went through encoding/json", n)
 	}
 }
 
@@ -266,7 +365,7 @@ func TestDecodePayloadErrors(t *testing.T) {
 			t.Errorf("%s: %d records delivered, %d refused, %v", tc.what, n, failed, err)
 		}
 	}
-	if _, err := payloadString("cuneiform", &ulm.Record{}); err == nil {
+	if err := checkFormat("cuneiform"); err == nil {
 		t.Fatal("unknown encode format accepted")
 	}
 }
@@ -290,7 +389,7 @@ func TestPublisherBadFormat(t *testing.T) {
 func TestWireUnknownOp(t *testing.T) {
 	_, srv := startServer(t)
 	c := NewClient("", srv.Addr())
-	if _, err := c.roundTrip(wireRequest{Op: "frobnicate"}); err == nil {
+	if _, err := c.roundTrip(wireRequest{Op: "frobnicate"}, nil); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 }
@@ -322,11 +421,7 @@ func TestWireMalformedLineKeepsConnection(t *testing.T) {
 	}
 	// The connection survives: a valid publish on the same stream lands.
 	rec := mkRec("E", time.Second, 7)
-	payload, err := payloadString(FormatULM, &rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := json.Marshal(wireRequest{Op: "publish", Rec: payload, Request: Request{Sensor: "cpu"}})
+	frame, err := json.Marshal(wireRequest{Op: "publish", Rec: rec.String(), Request: Request{Sensor: "cpu"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,11 +455,7 @@ func TestWireBadRecordCountedNotSilent(t *testing.T) {
 		t.Fatal(err)
 	}
 	goodRec := mkRec("E", time.Second, 9)
-	good, err := payloadString(FormatULM, &goodRec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	goodFrame, err := json.Marshal(wireRequest{Op: "publish", Rec: good, Request: Request{Sensor: "cpu"}})
+	goodFrame, err := json.Marshal(wireRequest{Op: "publish", Rec: goodRec.String(), Request: Request{Sensor: "cpu"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package gateway
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -118,6 +117,9 @@ type frameCodec struct {
 	// fr is built on the first read: publishers never read, and the
 	// 64 KiB frame buffer should exist only where frames stream back.
 	fr *frameReader
+	// in reads the control frames: a server's requests, and a client's
+	// answers when their reader brings no events of its own.
+	in inboundEvents
 	// out is the write side's frame buffer.
 	out []byte
 }
@@ -130,40 +132,76 @@ func newFrameCodec(conn net.Conn, r io.Reader) *frameCodec {
 
 func (c *frameCodec) version() int { return wireVersionMax }
 
-func (c *frameCodec) read(ctl any) (*Frame, error) {
+// next reads the next frame: a batch frame comes back as f, a control
+// frame as its JSON object.
+func (c *frameCodec) next() (ctl []byte, f *Frame, err error) {
 	if c.fr == nil {
 		c.fr = newFrameReader(c.r)
 	}
 	buf, err := c.fr.next()
 	if errors.Is(err, errBadFrame) {
-		return nil, &badMessage{err: err}
+		return nil, nil, &badMessage{err: err}
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	switch buf[wireFrameHdr] {
 	case frameOpBatch:
 		f, err := c.fr.batchFrame(buf)
 		if err != nil {
-			return nil, &badMessage{err: err}
+			return nil, nil, &badMessage{err: err}
 		}
-		return f, nil
+		return nil, f, nil
 	case frameOpJSON:
-		if err := json.Unmarshal(buf[wireFrameHdr+framePrelude:], ctl); err != nil {
-			return nil, &badMessage{err: err}
-		}
-		return nil, nil
+		return buf[wireFrameHdr+framePrelude:], nil, nil
 	}
-	return nil, &badMessage{err: fmt.Errorf("gateway: unknown frame op %d", buf[wireFrameHdr])}
+	return nil, nil, &badMessage{err: fmt.Errorf("gateway: unknown frame op %d", buf[wireFrameHdr])}
 }
 
-func (c *frameCodec) write(ctl any) error {
-	data, err := json.Marshal(ctl)
-	if err != nil {
+func (c *frameCodec) readRequest(req *wireRequest) (*Frame, error) {
+	ctl, f, err := c.next()
+	if f != nil || err != nil {
+		return f, err
+	}
+	if err := c.in.readRequest(ctl, req); err != nil {
+		return nil, &badMessage{err: err}
+	}
+	return nil, nil
+}
+
+func (c *frameCodec) readResponse(resp *wireResponse) (*Frame, error) {
+	ctl, f, err := c.next()
+	if f != nil || err != nil {
+		return f, err
+	}
+	if resp.events == nil {
+		resp.events = &c.in
+	}
+	if err := resp.events.readResponse(ctl, resp); err != nil {
+		return nil, &badMessage{err: err}
+	}
+	return nil, nil
+}
+
+func (c *frameCodec) writeRequest(req *wireRequest) error {
+	out, _ := beginFrame(c.out[:0], frameOpJSON, 0)
+	out, err := marshalRequest(out, req)
+	if c.out = out; err != nil {
 		return err
 	}
-	c.out = appendJSONFrame(c.out[:0], data)
-	_, err = c.conn.Write(c.out)
+	return c.send()
+}
+
+func (c *frameCodec) writeResponse(resp *wireResponse) error {
+	out, _ := beginFrame(c.out[:0], frameOpJSON, 0)
+	c.out = marshalResponse(out, resp)
+	return c.send()
+}
+
+// send finishes the control frame begun in out and writes it.
+func (c *frameCodec) send() error {
+	c.out = finishFrame(c.out, 0)
+	_, err := c.conn.Write(c.out)
 	return err
 }
 
@@ -344,7 +382,7 @@ func (w *frameEvents) commit() error {
 	}
 	if d := w.sub.WireDrops(); d != w.lastDrops {
 		w.lastDrops = d
-		return w.c.write(wireResponse{OK: true, Drops: d})
+		return w.c.writeResponse(&wireResponse{OK: true, Drops: d})
 	}
 	return nil
 }

@@ -199,7 +199,7 @@ func TestWireV2OversizedFrameClosesConnection(t *testing.T) {
 				t.Fatal(err)
 			}
 			var ack wireResponse
-			if _, err := newFrameCodec(conn, br).read(&ack); err != nil || !ack.OK {
+			if _, err := newFrameCodec(conn, br).readResponse(&ack); err != nil || !ack.OK {
 				t.Fatalf("subscribe ack: %+v, err %v", ack, err)
 			}
 		}
@@ -602,7 +602,7 @@ func TestWireV2SubscriberControlGarbageCloses(t *testing.T) {
 			}
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 			var ack wireResponse
-			if f, err := cdc.read(&ack); err != nil || f != nil || !ack.OK {
+			if f, err := cdc.readResponse(&ack); err != nil || f != nil || !ack.OK {
 				t.Fatalf("bad subscribe ack: %+v, frame %v, err %v", ack, f, err)
 			}
 			for i := 0; i < maxConsecutiveBadLines; i++ {
@@ -613,7 +613,7 @@ func TestWireV2SubscriberControlGarbageCloses(t *testing.T) {
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 			var rerr error
 			for rerr == nil {
-				_, rerr = cdc.read(&ack)
+				_, rerr = cdc.readResponse(&ack)
 			}
 			if ne, ok := rerr.(net.Error); ok && ne.Timeout() {
 				t.Fatal("connection still open after a full streak of bad control messages")
