@@ -1,6 +1,7 @@
 package bridge
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,13 +131,8 @@ func (r *Replicator) Forward(sensor string, recs []ulm.Record, f *gateway.Frame)
 	if rg == nil || r.k <= 1 {
 		return
 	}
-	owners := rg.Owners(sensor, r.k)
-	targets := owners[:0:0]
-	for _, o := range owners {
-		if o != r.self {
-			targets = append(targets, o)
-		}
-	}
+	var buf [8]string // on the stack up to k = 8
+	targets := slices.DeleteFunc(rg.AppendOwners(buf[:0], sensor, r.k), func(o string) bool { return o == r.self })
 	if len(targets) > r.k-1 {
 		targets = targets[:r.k-1]
 	}

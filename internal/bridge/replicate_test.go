@@ -81,6 +81,82 @@ func TestReplicaLinkReleasesFrames(t *testing.T) {
 	}
 }
 
+// frameTrap is a Forwarder that keeps a reference to the first frame it
+// is handed.
+type frameTrap chan *gateway.Frame
+
+func (c frameTrap) Forward(_ string, _ []ulm.Record, f *gateway.Frame) {
+	if f != nil {
+		select {
+		case c <- f.Retain():
+		default:
+		}
+	}
+}
+
+// TestForwardZeroAllocs: picking a forwarded frame's replica targets
+// (k = 2) allocates nothing. The replica link's dial is held, so its
+// queue holds one frame and sheds every later one: what is measured is
+// Forward itself.
+func TestForwardZeroAllocs(t *testing.T) {
+	primary, psrv := startRemote(t)
+	trap := make(frameTrap, 1)
+	primary.SetForwarder(trap)
+	pub, err := gateway.NewClient("sensor", psrv.Addr()).NewBatchPublisher("", 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := pub.Publish("cpu@h1", mkRec("E", time.Duration(i)*time.Second, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pub.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var f *gateway.Frame
+	select {
+	case f = <-trap:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no frame reached the forwarder")
+	}
+	defer f.Release()
+
+	// A port nothing listens on, for when the held dial is let go.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	dialing, hold := make(chan struct{}, 1), make(chan struct{})
+	self := psrv.Addr()
+	rep := NewReplicator(self, ring.New([]string{self, dead}, 16), 2, ReplicatorOptions{
+		QueueRecords: 1,
+		Dial: func(addr string) *gateway.Client {
+			select {
+			case dialing <- struct{}{}:
+			default:
+			}
+			<-hold
+			return &gateway.Client{Addr: addr}
+		},
+	})
+	defer rep.Close()
+	defer close(hold)
+
+	rep.Forward(f.Sensor, nil, f) // opens the link, whose goroutine takes the frame and dials
+	<-dialing
+	rep.Forward(f.Sensor, nil, f) // queued behind the held dial: the queue is full from here
+	shed := rep.Stats().Shed
+	if avg := testing.AllocsPerRun(1000, func() { rep.Forward(f.Sensor, nil, f) }); avg != 0 {
+		t.Errorf("Forward costs %.1f allocs per frame, want 0", avg)
+	}
+	if st := rep.Stats(); st.Shed <= shed || st.Links != 1 {
+		t.Fatalf("shed %d → %d over %d links: the frames did not reach the replica link", shed, st.Shed, st.Links)
+	}
+}
+
 // TestReplicaLinkAdmitsOversizedFrame: a frame carrying more records
 // than the link's whole queue budget is admitted into an empty queue —
 // a one-item overshoot — and replicated, not shed forever.

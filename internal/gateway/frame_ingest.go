@@ -55,8 +55,6 @@ func (g *Gateway) PublishFrame(f *Frame) error {
 		g.ingest(f.Sensor, nil, f, replica, false)
 		return nil
 	}
-	// The scratch goes back to the pool by the pointer it came out with,
-	// whatever the decode did to the slice behind it.
 	scratch := frameScratch.Get().(*[]ulm.Record)
 	recs, err := f.Records((*scratch)[:0])
 	if err != nil {
@@ -65,15 +63,23 @@ func (g *Gateway) PublishFrame(f *Frame) error {
 		g.frameDecodes.Add(1)
 		g.ingest(f.Sensor, recs, f, replica, !replica)
 	}
-	clear(recs)
-	*scratch = recs
-	frameScratch.Put(scratch)
+	putFrameScratch(scratch, recs)
 	return err
 }
 
-// frameScratch pools record slices for PublishFrame's decode path so a
-// decoding ingest hop doesn't allocate a fresh batch per frame.
+// frameScratch pools record slices for the frame decodes — PublishFrame's
+// and the lazy fold of a relayed frame (liveProducer) — so a decoding hop
+// doesn't allocate a fresh batch per frame.
 var frameScratch = sync.Pool{New: func() any { s := make([]ulm.Record, 0, 256); return &s }}
+
+// putFrameScratch returns scratch to the pool by the pointer it came out
+// with, whatever the decode did to the slice behind it: recs, cleared so
+// the pool pins no batch.
+func putFrameScratch(scratch *[]ulm.Record, recs []ulm.Record) {
+	clear(recs)
+	*scratch = recs
+	frameScratch.Put(scratch)
+}
 
 // topicHost extracts the host from a sensor@host bus topic ("" when
 // the topic doesn't follow the convention).

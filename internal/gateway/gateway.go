@@ -95,7 +95,8 @@ type Stats struct {
 // keep their consumer count (so re-registration cannot reset it) and
 // explicitly registered metadata is retained so an implicit
 // re-registration by Publish restores it instead of degrading Type and
-// Interval to guesses.
+// Interval to guesses. What the entry keeps of the sensor's records is
+// its own: one encoded copy per event, never a record of a batch.
 type producer struct {
 	meta Meta
 	// explicit marks meta as set by Register; implicit registration
@@ -109,8 +110,11 @@ type producer struct {
 	// sensor's primary lives elsewhere and this gateway merely holds a
 	// copy. Any primary (non-replica) ingest or explicit Register
 	// clears it — a failover promotion is exactly such an ingest.
-	mirrored  bool
-	last      map[string]ulm.Record
+	mirrored bool
+	// last is the last-event cache: event → that event's newest record,
+	// written in place on ingest and decoded only when someone reads it
+	// (lastEvent).
+	last      map[string]*lastEvent
 	consumers int
 	published uint64
 	// lastFrame holds the most recent relayed frame, retained, when the
@@ -128,6 +132,74 @@ type producer struct {
 	// unchanged, so a decode that raced a newer publish never clobbers
 	// fresher records.
 	gen uint64
+}
+
+// lastEvent is one event's newest record as its producer keeps it: the
+// binary encoding in bin, a buffer every write reuses, and the date
+// beside it at full precision (the encoding keeps microseconds, in UTC).
+// So a write copies the record, sharing nothing with the batch or the
+// caller it came from, and allocates nothing once bin has grown to size.
+// bin is not left at the size of one oversized record: a write that
+// fills a quarter of it or less, once it is past lastEventKeepCap, moves
+// the encoding to a buffer of its own size. rec is bin decoded, valid
+// while fresh: the first read after a write decodes it, and it is
+// shared, immutable, until the next write. A lastEvent is read and
+// written with its shard lock held.
+type lastEvent struct {
+	bin   []byte
+	date  time.Time
+	rec   ulm.Record
+	fresh bool
+}
+
+// lastEventKeepCap is the buffer size a lastEvent keeps whatever it
+// holds; above it, a buffer four times the size of its record is given
+// back.
+const lastEventKeepCap = 512
+
+// set makes rec the event's newest record.
+func (e *lastEvent) set(rec *ulm.Record) {
+	e.bin = ulm.AppendBinary(e.bin[:0], rec)
+	if cap(e.bin) > lastEventKeepCap && cap(e.bin) > 4*len(e.bin) {
+		e.bin = slices.Clone(e.bin)
+	}
+	e.date = rec.Date
+	e.rec, e.fresh = ulm.Record{}, false
+}
+
+// record returns the event's newest record, decoding it if it was
+// written since the last read: one string arena and one field slab, both
+// of exactly its size.
+func (e *lastEvent) record() ulm.Record {
+	if !e.fresh {
+		var one [1]ulm.Record
+		recs, _, err := ulm.DecodeBinaryBatch(one[:0], e.bin, 1, 0)
+		if err != nil {
+			panic("gateway: last-event cache cannot decode what it encoded: " + err.Error())
+		}
+		e.rec, e.fresh = recs[0], true
+		e.rec.Date = e.date
+	}
+	return e.rec
+}
+
+// keepLasts writes the last record of each run of same-event records in
+// recs into the last-event cache: in order, a later run of an event
+// overwrites an earlier one, so that is all the cache keeps of a batch.
+// One sensor's batch is typically one run: one write. recs is borrowed;
+// a new event costs its entry and a copy of its name, once.
+func (p *producer) keepLasts(recs []ulm.Record) {
+	for i := range recs {
+		if i+1 < len(recs) && recs[i+1].Event == recs[i].Event {
+			continue
+		}
+		e := p.last[recs[i].Event]
+		if e == nil {
+			e = new(lastEvent)
+			p.last[strings.Clone(recs[i].Event)] = e
+		}
+		e.set(&recs[i])
+	}
 }
 
 // takeFrame moves the pending relayed frame, if any, out of the stash:
@@ -173,7 +245,7 @@ type producerShard struct {
 func (ps *producerShard) upsert(name string) *producer {
 	p := ps.producers[name]
 	if p == nil {
-		p = &producer{last: make(map[string]ulm.Record)}
+		p = &producer{last: make(map[string]*lastEvent)}
 		ps.producers[name] = p
 	}
 	return p
@@ -407,7 +479,7 @@ func (g *Gateway) Unregister(sensorName string) {
 		// The record cache is dead weight while unregistered (Query
 		// refuses non-live sensors): release it so a retained entry
 		// costs one small struct, not the sensor's whole event history.
-		p.last = make(map[string]ulm.Record)
+		p.last = make(map[string]*lastEvent)
 		p.takeFrame().Release()
 		p.gen++
 		// Drop the entry outright only when nothing references it: no
@@ -619,9 +691,9 @@ func (g *Gateway) PublishReplicaBatch(sensorName string, recs []ulm.Record) {
 // decoded from it — nil when nobody needs records, and then the frame is
 // pure relay: the bus hands sealed subscribers the frame itself, and
 // the producer entry stashes a reference so the last-event cache can be
-// filled on the first Query instead of on every frame. Decoded records
-// share their frame's string arena and field slab, so the cache keeps
-// Compact copies of them, never the records themselves.
+// filled on the first Query instead of on every frame. Whatever the
+// records came in by, the cache encodes its own copy of the ones it
+// keeps (noteIngest), so nothing it holds aliases the batch.
 //
 // replica marks pushed copies from the sensor's primary: no
 // registration hooks, no forwarding. trace lets the telemetry tracer
@@ -645,13 +717,9 @@ func (g *Gateway) ingest(sensorName string, recs []ulm.Record, f *Frame, replica
 			telemetry.StampTrace(&recs[0], tid, 0)
 		}
 	}
-	switch {
-	case len(recs) == 0: // a frame nobody decoded: the other entries pass records
+	if len(recs) == 0 { // a frame nobody decoded: the other entries pass records
 		g.noteIngest(sensorName, "", f.Count, nil, f, replica)
-	case f != nil:
-		var buf [4]ulm.Record // on the stack up to four event runs
-		g.noteIngest(sensorName, recs[0].Host, len(recs), compactLasts(buf[:0], recs), nil, replica)
-	default:
+	} else {
 		g.noteIngest(sensorName, recs[0].Host, len(recs), recs, nil, replica)
 	}
 	if f != nil {
@@ -676,12 +744,13 @@ func (g *Gateway) ingest(sensorName string, recs []ulm.Record, f *Frame, replica
 // noteIngest is the one producer update: n records of sensorName came
 // in. The sensor registers implicitly (with host — parsed from the
 // conventional sensor@host topic for a frame nobody decoded — unless it
-// registered explicitly), lasts goes into the last-event cache, and
-// stash, that undecoded frame, replaces the pending frame by reference,
-// never a copy or a decode; anything decoded is newer than a frame
-// still pending. A replica copy updates the same state but fires
-// no registration hooks and marks a revived entry mirrored.
-func (g *Gateway) noteIngest(sensorName, host string, n int, lasts []ulm.Record, stash *Frame, replica bool) {
+// registered explicitly), the last of each event run in recs is copied
+// into the last-event cache (keepLasts), and stash, that undecoded
+// frame, replaces the pending frame by reference, never a copy or a
+// decode; anything decoded is newer than a frame still pending. A
+// replica copy updates the same state but fires no registration hooks
+// and marks a revived entry mirrored.
+func (g *Gateway) noteIngest(sensorName, host string, n int, recs []ulm.Record, stash *Frame, replica bool) {
 	ps := g.pshard(sensorName)
 	ps.mu.Lock()
 	p := ps.upsert(sensorName)
@@ -705,9 +774,7 @@ func (g *Gateway) noteIngest(sensorName, host string, n int, lasts []ulm.Record,
 		p.mirrored = true
 	}
 	p.published += uint64(n)
-	for i := range lasts {
-		p.last[lasts[i].Event] = lasts[i]
-	}
+	p.keepLasts(recs)
 	p.takeFrame().Release()
 	if stash != nil {
 		p.lastFrame = stash.Retain()
@@ -727,28 +794,14 @@ func (g *Gateway) noteIngest(sensorName, host string, n int, lasts []ulm.Record,
 	}
 }
 
-// compactLasts appends to dst a Compact copy of the last record of each
-// run of same-event records in recs — all a last-event cache keeps of
-// a batch (stored in order, a later run of an event overwrites an
-// earlier one) and, being copies, all that keeps nothing else of the
-// batch alive. One sensor's batch is typically one run: one copy, and
-// one map write under the shard lock instead of one per record.
-func compactLasts(dst, recs []ulm.Record) []ulm.Record {
-	for i := range recs {
-		if i+1 == len(recs) || recs[i+1].Event != recs[i].Event {
-			dst = append(dst, recs[i].Compact())
-		}
-	}
-	return dst
-}
-
 // liveProducer returns sensorName's producer entry with any pending
 // relayed frame folded into its last-event cache, or nil when the
 // sensor is not live here. Called with ps.mu held and returns with it
 // held, but a pending frame — it can be megabytes — is decoded with the
-// lock dropped, so publishes to the shard's other sensors never stall
-// behind it, and folded in only if nothing overtook the cache meanwhile
-// (gen unchanged).
+// lock dropped, into the pooled scratch PublishFrame decodes into, so
+// publishes to the shard's other sensors never stall behind it. Its
+// event runs are then written through the one cache write (keepLasts),
+// and only if nothing overtook the cache meanwhile (gen unchanged).
 func (g *Gateway) liveProducer(ps *producerShard, sensorName string) *producer {
 	p := ps.producers[sensorName]
 	if p == nil || !p.live {
@@ -760,21 +813,22 @@ func (g *Gateway) liveProducer(ps *producerShard, sensorName string) *producer {
 	}
 	gen := p.gen
 	ps.mu.Unlock()
-	recs, err := pending.Records(nil)
+	scratch := frameScratch.Get().(*[]ulm.Record)
+	recs, err := pending.Records((*scratch)[:0])
 	pending.Release()
 	if err != nil {
 		g.frameDecodeErrs.Add(1)
 	}
-	recs = compactLasts(nil, recs)
 	ps.mu.Lock()
-	if p = ps.producers[sensorName]; p == nil || !p.live {
-		return nil
-	}
-	if p.gen == gen {
-		for i := range recs {
-			p.last[recs[i].Event] = recs[i]
-		}
+	p = ps.producers[sensorName]
+	live := p != nil && p.live
+	if live && p.gen == gen {
+		p.keepLasts(recs)
 		ps.ver.Add(1)
+	}
+	putFrameScratch(scratch, recs)
+	if !live {
+		return nil
 	}
 	return p
 }
@@ -944,14 +998,18 @@ func (g *Gateway) Query(principal, sensorName, event string) (ulm.Record, bool, 
 		}
 		return ulm.Record{}, false, fmt.Errorf("gateway: unknown sensor %q", sensorName)
 	}
-	rec, ok := p.last[event]
+	e := p.last[event]
+	var rec ulm.Record
+	if e != nil {
+		rec = e.record()
+	}
 	ps.mu.Unlock()
-	if !ok {
+	if e == nil {
 		if frec, found := g.lastFromFallback(sensorName, event); found {
 			return frec, true, nil
 		}
 	}
-	return rec, ok, nil
+	return rec, e != nil, nil
 }
 
 // HandoffState is the gateway-side state a rebalancing move drains
@@ -1005,8 +1063,8 @@ func (g *Gateway) Handoff(sensorName string) (st HandoffState, ok bool) {
 	}
 	st.Meta = p.meta
 	st.Recs = make([]ulm.Record, 0, len(p.last))
-	for _, rec := range p.last {
-		st.Recs = append(st.Recs, rec)
+	for _, e := range p.last {
+		st.Recs = append(st.Recs, e.record())
 	}
 	ps.mu.Unlock()
 	// Oldest first, so replaying the handoff at the new owner leaves

@@ -243,7 +243,9 @@ func (sc *snapshotCache) shardFor(g *Gateway, i int, now time.Time) *shardSnap {
 // relayed frames are folded into their sensors' caches first (decoded
 // outside the lock, see liveProducer, so a multi-megabyte frame never
 // stalls publishers), then the shard lock is taken once more and every
-// live producer's row and last-event cache are copied out.
+// live producer's row and last-event cache are copied out: each event
+// written since the last read is decoded then, once, and the decoded
+// record is shared with the locked path until the next write.
 func (sc *snapshotCache) refreshShard(g *Gateway, i int, now time.Time) *shardSnap {
 	sc.refreshes.Add(1)
 	ps := &g.pshards[i]
@@ -271,8 +273,8 @@ func (sc *snapshotCache) refreshShard(g *Gateway, i int, now time.Time) *shardSn
 		}
 		snap.sensors = append(snap.sensors, p.info(name))
 		events := make(map[string]ulm.Record, len(p.last))
-		for event, rec := range p.last {
-			events[event] = rec
+		for event, e := range p.last {
+			events[event] = e.record()
 		}
 		snap.last[name] = events
 	}

@@ -556,15 +556,6 @@ func (c *serverConn) publish(req wireRequest) {
 		return nil
 	}
 	c.in.runs(req.Format, noteBad, func(sensor string, recs []ulm.Record) error { //nolint:errcheck // neither callback fails
-		// The records of a request share one arena and one slab, and the
-		// gateway's last-event cache keeps what it is given: the ones it
-		// will still hold after the batch — the last of each run of an
-		// event — go in as copies that keep nothing else alive.
-		for i := range recs {
-			if len(req.Recs) > 1 && (i+1 == len(recs) || recs[i+1].Event != recs[i].Event) {
-				recs[i] = recs[i].Compact()
-			}
-		}
 		switch {
 		case req.Replica:
 			gw.PublishReplicaBatch(sensor, recs)

@@ -15,6 +15,7 @@
 package ring
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -108,20 +109,25 @@ func (r *Ring) Owners(topic string, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
+	return r.AppendOwners(make([]string, 0, min(n, len(r.nodes))), topic, n)
+}
+
+// AppendOwners appends Owners(topic, n) to dst and returns the extended
+// slice: with room in dst, it allocates nothing — the form a per-batch
+// caller (the replication forwarder) uses with a stack array.
+func (r *Ring) AppendOwners(dst []string, topic string, n int) []string {
+	if len(r.points) == 0 || n <= 0 {
+		return dst
 	}
-	out := make([]string, 0, n)
-	taken := make(map[int]struct{}, n)
-	for i, at := 0, r.locate(topic); len(out) < n && i < len(r.points); i++ {
-		p := r.points[(at+i)%len(r.points)]
-		if _, dup := taken[p.node]; dup {
-			continue
+	n = min(n, len(r.nodes))
+	start := len(dst)
+	for i, at := 0, r.locate(topic); len(dst)-start < n && i < len(r.points); i++ {
+		node := r.nodes[r.points[(at+i)%len(r.points)].node]
+		if !slices.Contains(dst[start:], node) { // nodes are unique: a name is a node
+			dst = append(dst, node)
 		}
-		taken[p.node] = struct{}{}
-		out = append(out, r.nodes[p.node])
 	}
-	return out
+	return dst
 }
 
 // With derives a ring with addr added (no-op if already a member).

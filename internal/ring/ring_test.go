@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -100,5 +101,11 @@ func TestOwnersDistinctPreference(t *testing.T) {
 	}
 	if r.Owners("x", 0) != nil {
 		t.Fatal("Owners(0) non-nil")
+	}
+	// AppendOwners leaves what dst already holds alone, a name it
+	// appends too.
+	prefix := r.Owner("x")
+	if got, want := r.AppendOwners([]string{prefix}, "x", 2), append([]string{prefix}, r.Owners("x", 2)...); !slices.Equal(got, want) {
+		t.Fatalf("AppendOwners after %q = %v, want %v", prefix, got, want)
 	}
 }

@@ -142,9 +142,9 @@ func (r *Record) Clone() Record {
 
 // Compact returns a copy of the record that shares no memory with it:
 // one string holding all of its string bytes and one field slice of
-// exactly its length. It is what a long-lived holder (a last-event
-// cache) keeps of a record decoded by DecodeBinaryBatch or a TextBatch,
-// whose strings and fields would otherwise pin the whole batch.
+// exactly its length. It is what a long-lived holder keeps of a record
+// decoded by DecodeBinaryBatch or a TextBatch, whose strings and fields
+// would otherwise pin the whole batch.
 func (r *Record) Compact() Record {
 	n := len(r.Host) + len(r.Prog) + len(r.Lvl) + len(r.Event)
 	for _, f := range r.Fields {
