@@ -1,5 +1,6 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: which
-// mechanisms in the substrate are load-bearing for the paper's results.
+// Ablation benchmarks for the substrate's design choices: which of its
+// mechanisms are load-bearing for the paper's results — the §6 Iperf
+// collapse (E1 in bench_test.go) and the cost of monitoring (§2.3).
 // Each prints a sweep once, then times a representative configuration.
 package jamm
 

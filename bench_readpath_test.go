@@ -1,7 +1,5 @@
 // Read-side scale-out benchmarks: the aggregation plane's fan-in
-// economics over the wire. The snapshot-cache companion lives in
-// internal/gateway (BenchmarkQuerySnapshot) where it can count shard
-// locks; this file measures what crosses the network.
+// economics over the wire, measured by what crosses the network.
 package jamm
 
 import (

@@ -1,9 +1,10 @@
 // Benchmark harness regenerating every quantitative result of the
 // paper's evaluation. The paper has no numbered tables; its results are
 // Figure 3 (read-size scatter), Figure 7 (the Matisse trace), and the
-// quantitative claims embedded in §2-§6, indexed in DESIGN.md as E1-E10.
-// Each benchmark prints the paper-vs-measured comparison once and then
-// times the underlying operation.
+// quantitative claims embedded in §2-§6 of the paper (PAPER.md), which
+// this file numbers E1-E10, one BenchmarkE<n> each (the README's opening
+// command runs them all). Each benchmark prints the paper-vs-measured
+// comparison once and then times the underlying operation.
 //
 //	go test -bench=. -benchmem
 package jamm

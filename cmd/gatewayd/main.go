@@ -72,8 +72,6 @@ func main() {
 	archiveRetainBytes := flag.Int64("archive-retain-bytes", 0, "prune oldest archive segments while the archive exceeds this many bytes (0 = keep all)")
 	archiveSync := flag.Bool("archive-sync", false, "fsync the archive after every appended batch (durability vs. throughput)")
 	wireProto := flag.String("wire-proto", "auto", "wire protocol policy: auto (negotiate binary v2, serve both), json (pin server and peer bridges to JSON-per-line), v2 (peer bridges refuse to degrade)")
-	snapRefresh := flag.Duration("snapshot-refresh", 0, "read-side snapshot staleness bound: queries/listings/summaries serve from wait-free snapshots at most this stale (0 = snapshots disabled, reads take shard locks)")
-	snapBG := flag.Bool("snapshot-bg", false, "refresh snapshots from a background ticker instead of on the read path, so warm reads are a pure atomic load")
 	opsAddr := flag.String("ops-addr", "", "ops HTTP listen address serving /metrics, /healthz, /readyz, /trace, and /debug/pprof (empty = disabled)")
 	traceSample := flag.Int("trace-sample", 1024, "stamp a JAMM.TRACE attribute on one in every N published batches for end-to-end hop tracing (0 = off)")
 	sysEmit := flag.Duration("sys-emit", 0, "republish the metrics registry as _sys/<name>/metrics records every period (0 = off)")
@@ -104,9 +102,6 @@ func main() {
 	}
 	if *async > 0 {
 		gw.StartAsync(*async)
-	}
-	if *snapRefresh > 0 {
-		gw.EnableSnapshots(gateway.SnapshotOptions{MaxStale: *snapRefresh, BackgroundRefresh: *snapBG})
 	}
 
 	// Telemetry plane: one registry of every subsystem's counters, a
@@ -345,7 +340,6 @@ func main() {
 	srv.DrainSubscribers(5 * time.Second)
 	srv.Close()
 	gw.StopAsync()
-	gw.StopSnapshotRefresh()
 	if opsSrv != nil {
 		opsSrv.Close()
 	}

@@ -12,8 +12,7 @@ import (
 	"jamm/internal/ulm"
 )
 
-// Counter-asserted guards on the v2 frame ingest path (the style of
-// ReadShardLocks): what a frame costs to take off the wire, decode and
+// Counter-asserted guards on the v2 frame ingest path: what a frame costs to take off the wire, decode and
 // ingest is a constant number of allocations, not a multiple of its
 // record count, and what the gateway keeps of it afterwards is the
 // records it caches, not the frames they arrived in.
@@ -219,7 +218,7 @@ func retainedHeap() uint64 {
 // TestRetentionFrameIngest: records decoded from a frame share the
 // frame's string arena and field slab, so every long-lived holder in
 // the gateway — the last-event cache, the registered host, an
-// on-change filter's last value, the snapshot cache — must keep copies.
+// on-change filter's last value — must keep copies.
 // One 64-record frame per sensor goes in through PublishFrame; what the
 // gateway retains afterwards is compared with the same gateway fed the
 // same records as standalone values. A holder that pins its frame keeps
@@ -244,7 +243,6 @@ func TestRetentionFrameIngest(t *testing.T) {
 	}
 	build := func(ingest func(g *Gateway, sensor string, recs []ulm.Record)) *Gateway {
 		g := New("gw", nil)
-		g.EnableSnapshots(SnapshotOptions{MaxStale: time.Nanosecond})
 		for s := 0; s < sensors; s++ {
 			if _, err := g.Subscribe(Request{Sensor: sensorName(s), Mode: DeliverOnChange}, func(ulm.Record) {}); err != nil {
 				t.Fatal(err)
@@ -253,7 +251,7 @@ func TestRetentionFrameIngest(t *testing.T) {
 		for s := 0; s < sensors; s++ {
 			ingest(g, sensorName(s), frameRecs(s))
 		}
-		for s := 0; s < sensors; s++ { // fill the snapshot cache
+		for s := 0; s < sensors; s++ { // a read decodes what the cache keeps
 			if _, ok, err := g.Query("", sensorName(s), "SECOND_HALF"); err != nil || !ok {
 				t.Fatalf("query %s: ok %v err %v", sensorName(s), ok, err)
 			}

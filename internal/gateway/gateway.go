@@ -74,20 +74,8 @@ type Stats struct {
 	// ordinary churn — so it is counted and logged rather than silently
 	// absorbed.
 	ConsumerClamps uint64
-	// SnapshotHits counts read requests (Query/Summary/Sensors) served
-	// entirely from the wait-free snapshot cache; SnapshotMisses counts
-	// reads that fell back to the locked path while snapshots were
-	// enabled (unknown sensor, cold cache, lost refresh race).
-	// SnapshotRefreshes counts snapshot rebuild/revalidate passes — the
-	// amortized cost the hit path never pays.
-	SnapshotHits      uint64
-	SnapshotMisses    uint64
-	SnapshotRefreshes uint64
-	// ReadShardLocks counts producer-shard and summary-table lock
-	// acquisitions taken to serve read requests. With snapshots enabled
-	// and warm it stays flat while SnapshotHits grows — the counter
-	// that proves reads never contend with the publish path.
-	ReadShardLocks uint64
+
+	snapshotStats
 }
 
 // producer is one sensor's gateway-side state. The entry outlives
@@ -231,13 +219,6 @@ const producerShards = 16
 type producerShard struct {
 	mu        sync.Mutex
 	producers map[string]*producer
-	// ver counts shard mutations (registration changes, publishes,
-	// relays, consumer-count changes). It is bumped while the shard
-	// lock is held and read by the snapshot cache to decide whether a
-	// stale snapshot actually needs rebuilding or just revalidating —
-	// an idle shard's snapshot is refreshed with a pointer swap, not a
-	// copy.
-	ver atomic.Uint64
 }
 
 // upsert returns name's producer entry, creating an empty one — not
@@ -268,13 +249,6 @@ type Gateway struct {
 	authz atomic.Pointer[auth.Authorizer]
 
 	pshards [producerShards]producerShard
-
-	// snaps is the read-side snapshot cache (snapshot.go); nil until
-	// EnableSnapshots. readShardLocks counts producer-shard (and
-	// summary-table) lock acquisitions taken to serve read requests —
-	// the counter that proves the snapshot path never touches them.
-	snaps          atomic.Pointer[snapshotCache]
-	readShardLocks atomic.Uint64
 
 	// aggMover carries the aggregation plane's per-sensor drain/seed
 	// hooks (SetAggregateMover) so a rebalancing Handoff can move a
@@ -458,7 +432,6 @@ func (g *Gateway) Register(sensorName string, meta Meta) {
 	p.live = true
 	p.mirrored = false
 	seq := g.regSeq.Add(1)
-	ps.ver.Add(1)
 	ps.mu.Unlock()
 	g.fireRegistration(sensorName, meta, true, seq)
 }
@@ -495,7 +468,6 @@ func (g *Gateway) Unregister(sensorName string) {
 		if wasLive {
 			seq = g.regSeq.Add(1)
 		}
-		ps.ver.Add(1)
 	}
 	ps.mu.Unlock()
 	if wasLive {
@@ -565,26 +537,16 @@ func (g *Gateway) fireRegistration(sensor string, meta Meta, registered bool, se
 	}
 }
 
-// Sensors lists registered sensors, sorted by name. With snapshots
-// enabled the listing is assembled from the wait-free per-shard
-// snapshots (no producer-shard locks); otherwise each shard is walked
-// under its lock, with the output slice grown outside the locks so
-// the lock-held work is the row copies alone.
+// Sensors lists registered sensors, sorted by name. Each shard is
+// walked under its lock, with the output slice grown outside the locks
+// so the lock-held work is the row copies alone.
 func (g *Gateway) Sensors() []SensorInfo {
-	if sc := g.snaps.Load(); sc != nil {
-		if out, ok := sc.sensors(g); ok {
-			sc.hits.Add(1)
-			return out
-		}
-		sc.misses.Add(1)
-	}
 	var out []SensorInfo
 	for i := range g.pshards {
 		ps := &g.pshards[i]
 		// Reserve capacity outside the lock so append under it never
 		// reallocates in steady state (a producer added between the two
 		// acquisitions costs one rare in-lock growth, nothing more).
-		g.readShardLocks.Add(1)
 		ps.mu.Lock()
 		n := len(ps.producers)
 		ps.mu.Unlock()
@@ -593,7 +555,6 @@ func (g *Gateway) Sensors() []SensorInfo {
 			copy(grown, out)
 			out = grown
 		}
-		g.readShardLocks.Add(1)
 		ps.mu.Lock()
 		for name, p := range ps.producers {
 			if !p.live {
@@ -624,20 +585,13 @@ func (g *Gateway) Consumers(sensorName string) int {
 // Stats returns a snapshot of the traffic counters.
 func (g *Gateway) Stats() Stats {
 	bs := g.bus.Stats()
-	st := Stats{
+	return Stats{
 		Published:      bs.Published,
 		Delivered:      bs.Delivered,
 		Suppressed:     bs.Suppressed,
 		Queries:        g.queries.Load(),
 		ConsumerClamps: g.consumerClamps.Load(),
-		ReadShardLocks: g.readShardLocks.Load(),
 	}
-	if sc := g.snaps.Load(); sc != nil {
-		st.SnapshotHits = sc.hits.Load()
-		st.SnapshotMisses = sc.misses.Load()
-		st.SnapshotRefreshes = sc.refreshes.Load()
-	}
-	return st
 }
 
 // Publish feeds one sensor record through the gateway: it caches it for
@@ -780,7 +734,6 @@ func (g *Gateway) noteIngest(sensorName, host string, n int, recs []ulm.Record, 
 		p.lastFrame = stash.Retain()
 	}
 	p.gen++
-	ps.ver.Add(1)
 	fire := revived && !replica
 	var meta Meta
 	var seq uint64
@@ -824,7 +777,6 @@ func (g *Gateway) liveProducer(ps *producerShard, sensorName string) *producer {
 	live := p != nil && p.live
 	if live && p.gen == gen {
 		p.keepLasts(recs)
-		ps.ver.Add(1)
 	}
 	putFrameScratch(scratch, recs)
 	if !live {
@@ -946,7 +898,6 @@ func (g *Gateway) addConsumer(sensorName string, delta int) {
 	if p.consumers == 0 && !p.live && !p.explicit {
 		delete(ps.producers, sensorName)
 	}
-	ps.ver.Add(1)
 	ps.mu.Unlock()
 	if clamped {
 		g.noteConsumerClamp(sensorName)
@@ -968,22 +919,7 @@ func (g *Gateway) Query(principal, sensorName, event string) (ulm.Record, bool, 
 		return ulm.Record{}, false, err
 	}
 	g.queries.Add(1)
-	if sc := g.snaps.Load(); sc != nil {
-		if rec, ok, served := sc.query(g, sensorName, event); served {
-			sc.hits.Add(1)
-			if !ok {
-				if frec, found := g.lastFromFallback(sensorName, event); found {
-					return frec, true, nil
-				}
-			}
-			return rec, ok, nil
-		}
-		// Not in the snapshot (unknown here, or registered inside the
-		// staleness window): answer authoritatively from the locked path.
-		sc.misses.Add(1)
-	}
 	ps := g.pshard(sensorName)
-	g.readShardLocks.Add(1)
 	ps.mu.Lock()
 	// A relay hop defers the last-event decode to the first query that
 	// wants it: liveProducer folds it in.

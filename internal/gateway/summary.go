@@ -77,11 +77,8 @@ func (g *Gateway) EnableSummary(sensorName, event, field string, windows ...time
 	g.sumMu.Unlock()
 }
 
-// Summary returns the windowed statistics for a summarized series.
-// With snapshots enabled (EnableSnapshots) it serves the precomputed
-// points from the summary snapshot — no summary-table lock — at up to
-// the configured staleness; series the snapshot does not hold yet fall
-// back to the locked table.
+// Summary returns the windowed statistics for a summarized series, over
+// every sample folded before the call.
 func (g *Gateway) Summary(principal, sensorName, event, field string) ([]SummaryPoint, error) {
 	if field == "" {
 		field = "VAL"
@@ -89,23 +86,13 @@ func (g *Gateway) Summary(principal, sensorName, event, field string) ([]Summary
 	if err := g.authorize(principal, sensorName, auth.ActionSummary); err != nil {
 		return nil, err
 	}
-	key := summaryKey{sensorName, event, field}
-	if sc := g.snaps.Load(); sc != nil {
-		if pts, served := sc.summary(g, key); served {
-			sc.hits.Add(1)
-			return pts, nil
-		}
-		sc.misses.Add(1)
-	}
-	g.readShardLocks.Add(1)
 	g.sumMu.Lock()
-	e, ok := g.summaries[key]
+	e, ok := g.summaries[summaryKey{sensorName, event, field}]
 	g.sumMu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("gateway: no summary for %s/%s/%s", sensorName, event, field)
 	}
-	pts, _ := e.st.points(g.now(), nil)
-	return pts, nil
+	return e.st.points(g.now()), nil
 }
 
 // addBatch folds one published batch into the window: scan for
@@ -130,6 +117,9 @@ func (st *summaryState) addBatch(now time.Time, event, field string, recs []ulm.
 	}
 }
 
+// trimLocked drops the samples older than the largest window by
+// reslicing: it moves no sample, so a window read in place by points
+// stays intact.
 func (st *summaryState) trimLocked(now time.Time) {
 	maxWin := st.windows[len(st.windows)-1]
 	cutoff := now.Add(-maxWin)
@@ -137,53 +127,60 @@ func (st *summaryState) trimLocked(now time.Time) {
 	for trim < len(st.samples) && st.samples[trim].t.Before(cutoff) {
 		trim++
 	}
-	if trim > 0 {
-		st.samples = append(st.samples[:0], st.samples[trim:]...)
-	}
+	st.samples = st.samples[trim:]
 }
 
-// points computes the window statistics. The state lock covers only a
-// memcpy of the sample window into scratch (grown outside the lock,
-// re-growing on the rare race with a concurrent publish); the windows ×
-// samples scan and the result allocation run unlocked, so a publish
-// folding into the same series is never stalled behind a consumer's
-// statistics pass. scratch comes back, as long as it had to be, for the
-// caller's next call: a refresher that keeps it copies every window it
-// summarizes through one buffer instead of allocating each anew.
-func (st *summaryState) points(now time.Time, scratch []sample) ([]SummaryPoint, []sample) {
-	windows := st.windows // immutable after construction
+// points computes the window statistics in one pass over the sample
+// window, read in place: the state lock covers only taking the slice
+// header. Nothing rewrites a sample below a slice's length — addBatch
+// appends past it, trimLocked reslices and seedSamples merges into a
+// new slice — so a publish folding into the series is never stalled
+// behind a consumer's statistics pass, and the pass copies nothing.
+// Each sample is counted in the smallest window that holds it; the
+// windows are then accumulated from the smallest up, as a sample within
+// one window is within every larger one.
+func (st *summaryState) points(now time.Time) []SummaryPoint {
 	st.mu.Lock()
-	n := len(st.samples)
+	samples := st.samples
 	st.mu.Unlock()
-	if cap(scratch) < n {
-		scratch = make([]sample, 0, n+n/4+16)
+	out := make([]SummaryPoint, len(st.windows)) // windows: immutable, ascending
+	for i, w := range st.windows {
+		out[i].Window = w
 	}
-	st.mu.Lock()
-	samples := append(scratch[:0], st.samples...)
-	st.mu.Unlock()
-	out := make([]SummaryPoint, 0, len(windows))
-	for _, w := range windows {
-		cutoff := now.Add(-w)
-		pt := SummaryPoint{Window: w}
-		for _, s := range samples {
-			if s.t.Before(cutoff) {
-				continue
-			}
-			if pt.Count == 0 || s.v < pt.Min {
-				pt.Min = s.v
-			}
-			if pt.Count == 0 || s.v > pt.Max {
-				pt.Max = s.v
-			}
-			pt.Avg += s.v
-			pt.Count++
+	for _, s := range samples {
+		age := now.Sub(s.t)
+		i := 0
+		for i < len(out) && age > out[i].Window {
+			i++
 		}
-		if pt.Count > 0 {
-			pt.Avg /= float64(pt.Count)
+		if i < len(out) {
+			out[i].fold(SummaryPoint{Avg: s.v, Min: s.v, Max: s.v, Count: 1})
 		}
-		out = append(out, pt)
 	}
-	return out, samples
+	for i := 1; i < len(out); i++ {
+		out[i].fold(out[i-1])
+	}
+	for i := range out {
+		if out[i].Count > 0 {
+			out[i].Avg /= float64(out[i].Count)
+		}
+	}
+	return out
+}
+
+// fold adds in's samples to pt; Avg holds both their sums.
+func (pt *SummaryPoint) fold(in SummaryPoint) {
+	if in.Count == 0 {
+		return
+	}
+	if pt.Count == 0 || in.Min < pt.Min {
+		pt.Min = in.Min
+	}
+	if pt.Count == 0 || in.Max > pt.Max {
+		pt.Max = in.Max
+	}
+	pt.Avg += in.Avg
+	pt.Count += in.Count
 }
 
 // SummarySample is one drained sample of a summarized series, in
@@ -275,13 +272,17 @@ func (g *Gateway) SeedSummaries(sensor string, series []SummarySeries) {
 
 // seedSamples merges handed-off samples into the window. The live tap
 // may already have folded newer samples, so the merged window is
-// re-sorted by time and trimmed.
+// sorted by time and trimmed. It is a new slice: the old one may be
+// being read in place (points).
 func (st *summaryState) seedSamples(now time.Time, in []SummarySample) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	merged := make([]sample, len(st.samples), len(st.samples)+len(in))
+	copy(merged, st.samples)
 	for _, s := range in {
-		st.samples = append(st.samples, sample{time.UnixMicro(s.T).UTC(), s.V})
+		merged = append(merged, sample{time.UnixMicro(s.T).UTC(), s.V})
 	}
-	sort.SliceStable(st.samples, func(i, j int) bool { return st.samples[i].t.Before(st.samples[j].t) })
+	sort.SliceStable(merged, func(i, j int) bool { return merged[i].t.Before(merged[j].t) })
+	st.samples = merged
 	st.trimLocked(now)
 }

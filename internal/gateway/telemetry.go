@@ -2,8 +2,8 @@ package gateway
 
 import "jamm/internal/telemetry"
 
-// MetricsSource adapts the gateway's Stats, FrameStats, the underlying
-// bus counters, and the snapshot cache into telemetry metric families.
+// MetricsSource adapts the gateway's Stats, FrameStats and the
+// underlying bus counters into telemetry metric families.
 // Register it once per gateway: reg.Register(gw.MetricsSource()).
 func (g *Gateway) MetricsSource() telemetry.Source {
 	return telemetry.SourceFunc(func(e telemetry.Emit) {
@@ -13,10 +13,6 @@ func (g *Gateway) MetricsSource() telemetry.Source {
 		e.Counter("jamm_gateway_suppressed_total", "Records withheld by change/threshold policies.", st.Suppressed)
 		e.Counter("jamm_gateway_queries_total", "One-shot query requests served.", st.Queries)
 		e.Counter("jamm_gateway_consumer_clamps_total", "Consumer-count decrements clamped at zero (accounting bug detector).", st.ConsumerClamps)
-		e.Counter("jamm_gateway_snapshot_hits_total", "Reads served entirely from the wait-free snapshot cache.", st.SnapshotHits)
-		e.Counter("jamm_gateway_snapshot_misses_total", "Reads that fell back to the locked path with snapshots enabled.", st.SnapshotMisses)
-		e.Counter("jamm_gateway_snapshot_refreshes_total", "Snapshot rebuild/revalidate passes.", st.SnapshotRefreshes)
-		e.Counter("jamm_gateway_read_shard_locks_total", "Producer-shard lock acquisitions taken to serve reads.", st.ReadShardLocks)
 
 		fs := g.FrameStats()
 		e.Counter("jamm_gateway_frame_relays_total", "v2 frames relayed without record decode.", fs.Relays)
@@ -31,8 +27,6 @@ func (g *Gateway) MetricsSource() telemetry.Source {
 		e.Counter("jamm_bus_async_batches_total", "Deliveries performed by async queue workers.", bs.AsyncBatches)
 		e.Counter("jamm_bus_async_batch_records_total", "Records carried by async worker deliveries.", bs.AsyncBatchRecords)
 		e.Gauge("jamm_bus_async_max_batch", "Largest single async delivery batch.", float64(bs.AsyncMaxBatch))
-
-		e.Gauge("jamm_gateway_snapshot_refresh_lag_seconds", "Age of the background snapshot refresher's last completed pass.", g.SnapshotRefreshLag().Seconds())
 	})
 }
 

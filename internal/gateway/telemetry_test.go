@@ -68,57 +68,6 @@ func TestFrameTraceBumpCapsAtMaxHops(t *testing.T) {
 	}
 }
 
-// TestSnapshotBackgroundRefresh: with BackgroundRefresh on, warm reads
-// never take shard locks and never refresh inline — the ticker
-// goroutine does — yet new publishes still become visible, and the
-// refresh lag gauge tracks the ticker.
-func TestSnapshotBackgroundRefresh(t *testing.T) {
-	g := New("gw1", nil) // wall clock: the refresher is a real ticker
-	g.Register("cpu", Meta{Host: "h1.lbl.gov", Type: "cpu", Interval: time.Second})
-	g.Publish("cpu", mkRec("VMSTAT_SYS_TIME", 0, 1))
-	g.EnableSnapshots(SnapshotOptions{MaxStale: 20 * time.Millisecond, BackgroundRefresh: true})
-	defer g.StopSnapshotRefresh()
-
-	// Warm up (a cold shard refreshes inline once) and wait for the
-	// first background pass to stamp the lag gauge.
-	if _, found, err := g.Query("", "cpu", "VMSTAT_SYS_TIME"); err != nil || !found {
-		t.Fatalf("warm-up query: found=%v err=%v", found, err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for g.SnapshotRefreshLag() <= 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if lag := g.SnapshotRefreshLag(); lag <= 0 || lag > time.Minute {
-		t.Fatalf("SnapshotRefreshLag = %v, want a fresh ticker stamp", lag)
-	}
-
-	// A publish becomes visible without any read-path refresh.
-	g.Publish("cpu", mkRec("VMSTAT_SYS_TIME", time.Second, 2))
-	base := g.Stats()
-	for time.Now().Before(deadline) {
-		rec, _, _ := g.Query("", "cpu", "VMSTAT_SYS_TIME")
-		if v, _ := rec.Float("VAL"); v == 2 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	rec, _, _ := g.Query("", "cpu", "VMSTAT_SYS_TIME")
-	if v, _ := rec.Float("VAL"); v != 2 {
-		t.Fatalf("background refresh never served the new value (VAL=%g)", v)
-	}
-	st := g.Stats()
-	if got := st.ReadShardLocks - base.ReadShardLocks; got != 0 {
-		t.Errorf("ReadShardLocks delta = %d, want 0 (warm background reads must not lock)", got)
-	}
-	if got := st.SnapshotMisses - base.SnapshotMisses; got != 0 {
-		t.Errorf("SnapshotMisses delta = %d, want 0", got)
-	}
-
-	// Stop is idempotent and ends the ticker.
-	g.StopSnapshotRefresh()
-	g.StopSnapshotRefresh()
-}
-
 // BenchmarkPublishInstrumented measures the telemetry tax on the hot
 // publish path: the same PublishBatch loop bare and with a tracer
 // attached at a realistic sampling rate, interleaved best-of-5 so the

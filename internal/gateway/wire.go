@@ -471,10 +471,13 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 			c.oneWay = true
 			c.publish(req)
 		default:
-			if !c.reply(c.handle(req)) {
+			// Counted before the answer is written, so a client holding
+			// its answer never reads a counter that lacks it.
+			resp := c.handle(req)
+			t.countRequest(req.Op)
+			if !c.reply(resp) {
 				return
 			}
-			t.countRequest(req.Op)
 		}
 	}
 }
@@ -604,17 +607,17 @@ func (c *serverConn) handle(req wireRequest) wireResponse {
 		if err := t.gw.authorize(req.Principal, req.Sensor, auth.ActionControl); err != nil {
 			return wireResponse{Error: err.Error()}
 		}
+		// Refuse before draining: a handoff nobody can read must leave
+		// the sensor's state where it is.
+		if err := checkFormat(req.Format); err != nil {
+			return wireResponse{Error: err.Error()}
+		}
 		st, ok := t.gw.Handoff(req.Sensor)
 		if !ok {
 			return wireResponse{OK: true}
 		}
 		resp := wireResponse{OK: true, Found: true, Sensor: req.Sensor, Meta: &st.Meta,
 			Summaries: st.Summaries, Agg: st.Agg}
-		if err := checkFormat(req.Format); err != nil && len(st.Recs) > 0 {
-			// The state is already drained; a format that does not exist
-			// must fail loudly, not vanish.
-			return wireResponse{Error: err.Error()}
-		}
 		for i := range st.Recs {
 			payload := string(appendPayload(nil, req.Format, &st.Recs[i]))
 			resp.Recs = append(resp.Recs, wireEvent{Sensor: req.Sensor, Rec: payload})

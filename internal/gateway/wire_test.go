@@ -103,6 +103,30 @@ func TestWireSummarySkipsNonFiniteSamples(t *testing.T) {
 	}
 }
 
+// TestRefusedHandoffKeepsState: a handoff asking for a format that does
+// not exist is refused before anything is drained, so the sensor stays
+// registered here with its last event and its summary.
+func TestRefusedHandoffKeepsState(t *testing.T) {
+	g, srv := startServer(t)
+	g.EnableSummary("cpu", "E", "VAL", time.Minute)
+	g.Publish("cpu", mkRec("E", 0, 42))
+	c := NewClient("", srv.Addr())
+	defer c.Close()
+	_, err := c.dialTrip(&wireRequest{Op: "handoff", Format: "bogus", Request: Request{Sensor: "cpu"}}, false, nil)
+	if err == nil || !strings.Contains(err.Error(), "unknown format") {
+		t.Fatalf("handoff in a bogus format: %v, want unknown format", err)
+	}
+	if rec, found, err := g.Query("", "cpu", "E"); err != nil || !found || mustVal(t, rec) != 42 {
+		t.Fatalf("query after the refused handoff: %s, found %v, %v", rec.String(), found, err)
+	}
+	if pts, err := g.Summary("", "cpu", "E", "VAL"); err != nil || pts[0].Count != 1 {
+		t.Fatalf("summary after the refused handoff: %+v, %v", pts, err)
+	}
+	if infos := g.Sensors(); len(infos) != 1 || infos[0].Name != "cpu" {
+		t.Fatalf("listing after the refused handoff: %+v", infos)
+	}
+}
+
 // TestControlFallbackNotTaken: every control message of the sessions a
 // client runs on the hot ops — a kept connection's pings, queries in
 // each format, summary and refused op, subscribe acks and a retune in

@@ -128,9 +128,6 @@ type (
 	SummaryPoint = gateway.SummaryPoint
 	// DeliverMode selects gateway-side filtering.
 	DeliverMode = gateway.DeliverMode
-	// SnapshotOptions tunes the gateway's wait-free read snapshots
-	// (Gateway.EnableSnapshots).
-	SnapshotOptions = gateway.SnapshotOptions
 )
 
 // Event bus (internal/bus): the sharded publish/subscribe core under
