@@ -29,8 +29,8 @@ func main() {
 	backendKind := flag.String("backend", "mutable", "storage backend: mutable (write-optimized, Globus-style) or snapshot (read-optimized, stock-LDAP-style)")
 	readOnly := flag.Bool("read-only", false, "serve as a read-only replica")
 	replicateFrom := flag.String("replicate-from", "", "primary directory address to replicate from (implies read-only)")
-	var referrals multiFlag
-	flag.Var(&referrals, "refer", "subtree referral as baseDN=address (repeatable)")
+	var referrals []string
+	flag.Func("refer", "subtree referral as baseDN=address (repeatable)", func(v string) error { referrals = append(referrals, v); return nil })
 	opsAddr := flag.String("ops-addr", "", "ops HTTP listen address serving /metrics, /healthz, /readyz, and /debug/pprof (empty = disabled)")
 	flag.Parse()
 
@@ -88,8 +88,3 @@ func main() {
 	<-sig
 	tcp.Close()
 }
-
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }

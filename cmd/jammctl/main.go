@@ -324,9 +324,9 @@ func cmdHistory(args []string) {
 func cmdSite(args []string) {
 	fs := flag.NewFlagSet("site", flag.ExitOnError)
 	ringFlag := fs.String("ring", "", "comma-separated gateway addresses of the site")
-	var gws, opsAddrs multiFlag
-	fs.Var(&gws, "gw", "gateway address (repeatable; alternative to -ring)")
-	fs.Var(&opsAddrs, "ops", "ops endpoint address paired positionally with the gateway list; its /readyz is checked and a not-ready gateway fails the site (repeatable)")
+	var gws, opsAddrs []string
+	fs.Func("gw", "gateway address (repeatable; alternative to -ring)", func(v string) error { gws = append(gws, v); return nil })
+	fs.Func("ops", "ops endpoint address paired positionally with the gateway list; its /readyz is checked and a not-ready gateway fails the site (repeatable)", func(v string) error { opsAddrs = append(opsAddrs, v); return nil })
 	fs.Parse(args) //nolint:errcheck
 	if *ringFlag != "" {
 		gws = append(gws, strings.Split(*ringFlag, ",")...)
@@ -429,8 +429,8 @@ func cmdTrace(args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	id := fs.String("id", "", "trace id: the 16 hex digits of a record's JAMM.TRACE attribute")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-endpoint fetch timeout")
-	var ops multiFlag
-	fs.Var(&ops, "ops", "gateway ops endpoint address (repeatable; list every gateway the record may have crossed)")
+	var ops []string
+	fs.Func("ops", "gateway ops endpoint address (repeatable; list every gateway the record may have crossed)", func(v string) error { ops = append(ops, v); return nil })
 	fs.Parse(args) //nolint:errcheck
 	tid, err := strconv.ParseUint(*id, 16, 64)
 	if *id == "" || err != nil {
@@ -481,8 +481,3 @@ func cmdStatus(args []string) {
 	}
 	fmt.Print(out)
 }
-
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }

@@ -27,11 +27,11 @@ import (
 
 func main() {
 	width := flag.Int("width", 100, "chart width in columns")
-	var lifelines, loadlines, points, scatters multiFlag
-	flag.Var(&lifelines, "lifeline", "comma-separated ordered events forming one lifeline (repeatable)")
-	flag.Var(&loadlines, "loadline", "EVENT:FIELD:HEIGHT loadline row (repeatable)")
-	flag.Var(&points, "points", "event rendered as point occurrences (repeatable)")
-	flag.Var(&scatters, "scatter", "EVENT:FIELD:HEIGHT scatter plot row (repeatable)")
+	var lifelines, loadlines, points, scatters []string
+	flag.Func("lifeline", "comma-separated ordered events forming one lifeline (repeatable)", func(v string) error { lifelines = append(lifelines, v); return nil })
+	flag.Func("loadline", "EVENT:FIELD:HEIGHT loadline row (repeatable)", func(v string) error { loadlines = append(loadlines, v); return nil })
+	flag.Func("points", "event rendered as point occurrences (repeatable)", func(v string) error { points = append(points, v); return nil })
+	flag.Func("scatter", "EVENT:FIELD:HEIGHT scatter plot row (repeatable)", func(v string) error { scatters = append(scatters, v); return nil })
 	follow := flag.Bool("follow", false, "real-time mode: read records from stdin, redraw continuously")
 	window := flag.Duration("window", 30*time.Second, "follow mode: sliding time window")
 	idField := flag.String("id", "", "ULM field carrying the lifeline object ID")
@@ -134,8 +134,3 @@ func followMode(g *nlv.Graph, configured bool, window time.Duration) {
 		}
 	}
 }
-
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ";") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }

@@ -138,7 +138,7 @@ func TestSubscribeBatchChanCountsPerRecordDrops(t *testing.T) {
 		t.Fatalf("onDrop total = %d, want 5", dropCb)
 	}
 	// The buffered batch is intact and owned by the receiver.
-	its := sub.q.popAll(nil)
+	its := sub.q.PopAll(nil)
 	if len(its) != 1 || its[0].tb.Sensor != "cpu@h" || len(its[0].tb.Recs) != 3 {
 		t.Fatalf("buffered batches = %+v, want one of 3 records for cpu@h", its)
 	}
@@ -167,7 +167,7 @@ func TestSubscribeBatchChanSplitsOversizedBatches(t *testing.T) {
 		}
 		// The two buffered chunks carry the batch's head, in order.
 		want := 0.0
-		its := sub.q.popAll(nil)
+		its := sub.q.PopAll(nil)
 		if len(its) != 2 {
 			t.Fatalf("frames=%v: %d chunks buffered, want 2", frames, len(its))
 		}

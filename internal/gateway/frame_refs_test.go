@@ -69,7 +69,7 @@ func TestRetainedFrameKeepsBytesWhileReaderIngests(t *testing.T) {
 	if d := sub.WireDrops(); d != 1000 {
 		t.Fatalf("WireDrops = %d, want the 1000 frames behind the queued one", d)
 	}
-	its := sub.q.popAll(nil)
+	its := sub.q.PopAll(nil)
 	if len(its) != 1 || its[0].f == nil {
 		t.Fatalf("queue holds %+v, want the first frame", its)
 	}
@@ -368,7 +368,7 @@ func TestRelayHopZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		burst = sub.q.popAll(burst)
+		burst = sub.q.PopAll(burst)
 		if len(burst) != 16 {
 			t.Fatalf("took %d frames, want 16", len(burst))
 		}
@@ -378,7 +378,7 @@ func TestRelayHopZeroAllocs(t *testing.T) {
 		if err := w.commit(); err != nil {
 			t.Fatal(err)
 		}
-		sub.q.settle()
+		sub.q.Settle()
 	})
 }
 

@@ -265,7 +265,7 @@ func TestFrameQueueAdmitsOversizedFrame(t *testing.T) {
 	if b := sub.ChanBacklog(); b != 32 {
 		t.Fatalf("backlog = %d, want 32", b)
 	}
-	its := sub.q.popAll(nil)
+	its := sub.q.PopAll(nil)
 	if len(its) != 1 || its[0].f == nil || its[0].f.Count != 32 {
 		t.Fatalf("taken items = %+v, want the 32-record frame alone", its)
 	}
@@ -275,11 +275,11 @@ func TestFrameQueueAdmitsOversizedFrame(t *testing.T) {
 	if b := sub.ChanBacklog(); b != 32 {
 		t.Fatalf("backlog after pop = %d, want 32 (in the consumer's hands)", b)
 	}
-	sub.q.settle()
+	sub.q.Settle()
 	if b := sub.ChanBacklog(); b != 0 {
 		t.Fatalf("backlog after settle = %d, want 0", b)
 	}
-	if more := sub.q.popAll(nil); len(more) != 0 {
+	if more := sub.q.PopAll(nil); len(more) != 0 {
 		t.Fatalf("queue holds %d more items", len(more))
 	}
 }

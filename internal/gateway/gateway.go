@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"jamm/internal/auth"
+	"jamm/internal/boundq"
 	"jamm/internal/bus"
 	"jamm/internal/telemetry"
 	"jamm/internal/ulm"
@@ -1057,10 +1058,14 @@ type Subscription struct {
 	wireDrops atomic.Uint64
 	onDrop    func(n int)
 
-	// q is the bounded queue a queued subscription delivers into; unset
-	// (nil Queue) for callback subscriptions. onCancel tears down what
-	// Cancel must beyond the bus subscription (a callback goroutine).
-	q        subQueue
+	// q is the bounded queue between the publish path and a queued
+	// subscription's consumer (a wire connection's writer, or
+	// SubscribeFramesFunc's callback goroutine); nil for callback
+	// subscriptions. A slow consumer pins at most twice the bytes of the
+	// frames admitted (see frameBuf); what the budget refuses is shed,
+	// counted per record by offer. onCancel tears down what Cancel must
+	// beyond the bus subscription (a callback goroutine).
+	q        *boundq.Queue[frameItem]
 	onCancel func()
 }
 
@@ -1069,7 +1074,7 @@ type Subscription struct {
 // for callback subscriptions) — the drain signal a graceful shutdown
 // polls.
 func (s *Subscription) ChanBacklog() int {
-	if s.q.Queue == nil {
+	if s.q == nil {
 		return 0
 	}
 	return s.q.Backlog()
@@ -1094,7 +1099,7 @@ func (s *Subscription) Cancel() {
 	if s.onCancel != nil {
 		s.onCancel()
 	}
-	if s.q.Queue != nil {
+	if s.q != nil {
 		// Queued frames hold references nobody will take out now.
 		for _, it := range s.q.Close() {
 			it.f.Release()

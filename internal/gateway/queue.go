@@ -55,20 +55,6 @@ func (it *frameItem) recycle() {
 	it.own, it.tb.Recs = nil, nil
 }
 
-// subQueue is the one bounded buffer between the publish path and a
-// queued subscription's consumer — a wire connection's writer or
-// SubscribeFramesFunc's callback goroutine, which takes what is queued
-// directly: the site's record-budgeted queue (internal/boundq, shared
-// with the replica links) holding frameItems. A slow consumer pins at
-// most twice the bytes of the frames admitted (see frameBuf); what the
-// budget refuses is shed, counted per record by Subscription.offer.
-type subQueue struct{ *boundq.Queue[frameItem] }
-
-// popAll and settle are the consumer's two calls, in this package's
-// spelling.
-func (q subQueue) popAll(spare []frameItem) []frameItem { return q.PopAll(spare) }
-func (q subQueue) settle()                              { q.Settle() }
-
 // chanBatchMax caps the records of one cooked queue item: oversized
 // batches are split so a small record budget can still admit the head
 // of a big batch (partial shed) instead of starving on it.
@@ -94,7 +80,7 @@ func (g *Gateway) subscribeQueued(req Request, depth int, frames bool, onDrop fu
 	}
 	// s is complete before the bus insert, so deliveries racing this
 	// function's return are queued and counted like any other.
-	s := &Subscription{g: g, req: req, q: subQueue{boundq.New[frameItem](depth)}, onDrop: onDrop}
+	s := &Subscription{g: g, req: req, q: boundq.New[frameItem](depth), onDrop: onDrop}
 	if frames && PassThrough(req) {
 		s.sub = g.bus.SubscribeSealed(req.Sensor, func(topic string, recs []ulm.Record, sealed bus.Sealed) {
 			if sealed != nil {
@@ -161,7 +147,7 @@ func (g *Gateway) SubscribeFramesFunc(req Request, depth int, onDrop func(n int)
 		for {
 			select {
 			case <-sub.q.Ready():
-				burst = sub.q.popAll(burst)
+				burst = sub.q.PopAll(burst)
 				for i := range burst {
 					if it := &burst[i]; it.f != nil {
 						onFrame(it.f)
@@ -171,7 +157,7 @@ func (g *Gateway) SubscribeFramesFunc(req Request, depth int, onDrop func(n int)
 						it.recycle()
 					}
 				}
-				sub.q.settle()
+				sub.q.Settle()
 			case <-quit:
 				return
 			}

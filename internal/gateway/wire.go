@@ -802,7 +802,7 @@ func (c *serverConn) serveSubscribe(req wireRequest) {
 		// Everything queued by now — one upstream flush, or all that
 		// arrived while the last write was under way — goes out together,
 		// the partial frame too: under load the next burst fills frames.
-		burst = sub.q.popAll(burst)
+		burst = sub.q.PopAll(burst)
 		for i := range burst {
 			if it := &burst[i]; it.f != nil {
 				// A raw relayed frame is forwarded untouched — the
@@ -820,7 +820,7 @@ func (c *serverConn) serveSubscribe(req wireRequest) {
 		if w.commit() != nil {
 			return
 		}
-		sub.q.settle()
+		sub.q.Settle()
 	}
 }
 
