@@ -7,9 +7,8 @@
 // Gateways chain: -peer mirrors every topic of an upstream gateway
 // into this one over a batched bridge, so a site gateway can aggregate
 // many per-host gateways and a wide-area gateway can aggregate many
-// sites. -async decouples the publish path from delivery behind
-// bounded queues; on SIGTERM the daemon stops the listener and drains
-// in-flight events before exiting.
+// sites. On SIGTERM the daemon stops the listener and drains in-flight
+// events before exiting.
 //
 // Gateways also shard: -ring names every gateway address of a
 // multi-gateway site (including this one), and -dir a sensor directory
@@ -33,7 +32,7 @@
 //	gatewayd -addr 127.0.0.1:9100 -name gw.lbl.gov \
 //	    -summary 'cpu/VMSTAT_SYS_TIME/VAL' \
 //	    -ring 127.0.0.1:9100,127.0.0.1:9101,127.0.0.1:9102 \
-//	    -dir 127.0.0.1:9300 -async 1024 \
+//	    -dir 127.0.0.1:9300 \
 //	    -archive /var/lib/jamm/history -archive-retain-bytes 1073741824
 package main
 
@@ -65,8 +64,8 @@ func main() {
 	if cfg.Ring != "" {
 		ringSize = ring.New(strings.Split(cfg.Ring, ","), 0).Len()
 	}
-	fmt.Printf("gatewayd: %s listening on %s (peers=%d async=%d ring=%d replicas=%d dir=%d archive=%s)\n",
-		cfg.Name, gw.Addr(), len(cfg.Peers), cfg.Async, ringSize, cfg.Replicas, len(cfg.Dirs), cfg.Archive)
+	fmt.Printf("gatewayd: %s listening on %s (peers=%d ring=%d replicas=%d dir=%d archive=%s)\n",
+		cfg.Name, gw.Addr(), len(cfg.Peers), ringSize, cfg.Replicas, len(cfg.Dirs), cfg.Archive)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -79,7 +78,6 @@ func main() {
 func bindFlags(fs *flag.FlagSet, cfg *site.GatewayConfig) {
 	fs.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address")
 	fs.StringVar(&cfg.Name, "name", cfg.Name, "gateway name")
-	fs.IntVar(&cfg.Async, "async", cfg.Async, "async event-plane queue depth per shard (0 = synchronous publish)")
 	fs.IntVar(&cfg.Batch, "batch", cfg.Batch, "records per batched wire frame when mirroring peers")
 	fs.StringVar(&cfg.Ring, "ring", cfg.Ring, "comma-separated gateway addresses of this sharded site, including this gateway")
 	fs.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "placement factor k: records ingested here as primary are mirrored to the sensor's next k-1 ring owners, and ownership entries advertise the replica addresses (requires -ring; 1 = no replication)")

@@ -72,7 +72,6 @@ func bindFlags(fs *flag.FlagSet, cfg *site.SensorHostConfig) {
 	fs.StringVar(&cfg.Forward, "forward", cfg.Forward, "upstream gatewayd address to forward all events to (optional)")
 	fs.StringVar(&cfg.Ring, "ring", cfg.Ring, "comma-separated gateway addresses of a sharded upstream site; forwarding routes each sensor to its owning gateway (supersedes -forward's single address)")
 	fs.Func("peer", "remote gateway address whose topics are mirrored into the embedded gateway (repeatable)", func(v string) error { cfg.Peers = append(cfg.Peers, v); return nil })
-	fs.IntVar(&cfg.Async, "async", cfg.Async, "async event-plane queue depth per shard for the embedded gateway (0 = synchronous)")
 	fs.BoolVar(&cfg.DemoWorkload, "demo-workload", cfg.DemoWorkload, "run a synthetic CPU workload and periodic port-21 transfers")
 	fs.StringVar(&cfg.WireProto, "wire-proto", cfg.WireProto, "wire protocol policy: auto (negotiate binary v2), json (pin the embedded gateway and all outbound links to JSON-per-line), v2 (outbound links refuse to degrade)")
 	fs.StringVar(&cfg.OpsAddr, "ops-addr", cfg.OpsAddr, "ops HTTP listen address serving /metrics, /healthz, /readyz, /trace, and /debug/pprof (empty = disabled)")

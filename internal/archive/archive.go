@@ -119,8 +119,7 @@ func (s *Store) Append(rec ulm.Record) bool {
 }
 
 // AppendBatch offers a batch of records under one lock acquisition —
-// the bulk-ingest path for batched consumers riding the event bus's
-// async mode. It returns how many records were kept. The sampling
+// the bulk-ingest path for batch consumers of the event bus. It returns how many records were kept. The sampling
 // policy is applied per record, exactly as repeated Append calls would.
 func (s *Store) AppendBatch(recs []ulm.Record) int {
 	s.mu.Lock()

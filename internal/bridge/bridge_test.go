@@ -418,23 +418,54 @@ func TestBridgePrefixDisablesRelay(t *testing.T) {
 	}
 }
 
-// slowTarget delays every mirrored publish, forcing the remote server's
-// bounded subscription channel to overflow so RemoteDrops goes nonzero.
-type slowTarget struct {
-	bus   *bus.Bus
-	delay time.Duration
+// gatedTarget holds every mirrored publish while its gate is shut, so
+// the bridge stops reading and the remote server's bounded subscription
+// queue overflows however fast the host is.
+type gatedTarget struct {
+	bus    *bus.Bus
+	mu     sync.Mutex
+	opened chan struct{} // closed while the gate is open
 }
 
-func (s *slowTarget) Publish(topic string, rec ulm.Record) {
-	time.Sleep(s.delay)
-	s.bus.Publish(topic, rec)
+func newGatedTarget() *gatedTarget {
+	g := &gatedTarget{bus: bus.New(bus.Options{}), opened: make(chan struct{})}
+	close(g.opened)
+	return g
 }
 
-func (s *slowTarget) PublishBatch(topic string, recs []ulm.Record) {
-	// Per-record delay: the point is to stall the mirror long enough
-	// that the remote's bounded channel overflows, batched or not.
-	time.Sleep(time.Duration(len(recs)) * s.delay)
-	s.bus.PublishBatch(topic, recs)
+func (g *gatedTarget) shut() {
+	g.mu.Lock()
+	g.opened = make(chan struct{})
+	g.mu.Unlock()
+}
+
+// open lets held and later publishes through; it may be called on an
+// open gate.
+func (g *gatedTarget) open() {
+	g.mu.Lock()
+	select {
+	case <-g.opened:
+	default:
+		close(g.opened)
+	}
+	g.mu.Unlock()
+}
+
+func (g *gatedTarget) wait() {
+	g.mu.Lock()
+	opened := g.opened
+	g.mu.Unlock()
+	<-opened
+}
+
+func (g *gatedTarget) Publish(topic string, rec ulm.Record) {
+	g.wait()
+	g.bus.Publish(topic, rec)
+}
+
+func (g *gatedTarget) PublishBatch(topic string, recs []ulm.Record) {
+	g.wait()
+	g.bus.PublishBatch(topic, recs)
 }
 
 // TestBridgeStatsMonotonicAcrossStreamTeardown is the regression test
@@ -447,9 +478,10 @@ func (s *slowTarget) PublishBatch(topic string, recs []ulm.Record) {
 func TestBridgeStatsMonotonicAcrossStreamTeardown(t *testing.T) {
 	remote, srv := startRemote(t)
 	addr := srv.Addr()
-	target := &slowTarget{bus: bus.New(bus.Options{}), delay: 50 * time.Microsecond}
+	target := newGatedTarget()
 	br := New(gateway.NewClient("mirror", addr), target, testOptions())
 	defer br.Close()
+	defer target.open() // before Close, which waits for a held publish
 	if !br.WaitConnected(5 * time.Second) {
 		t.Fatal("bridge never connected")
 	}
@@ -487,15 +519,23 @@ func TestBridgeStatsMonotonicAcrossStreamTeardown(t *testing.T) {
 	gw, server := remote, srv
 	for round := 0; round < 2; round++ {
 		// Overrun the server's bounded subscription channel so this
-		// round's stream accumulates remote drops.
-		// Enough records to fill the subscription channel AND the TCP
-		// socket buffers behind the slow reader.
+		// round's stream accumulates remote drops: with the gate shut
+		// the bridge reads nothing, so enough records fill the TCP
+		// socket buffers and then the subscription channel. Once the
+		// server has dropped, the gate opens and the bridge reads on to
+		// the drop count the server reports after its next write.
 		before := br.Stats().RemoteDrops
+		srvBefore := server.WireStats().SubDrops
+		target.shut()
 		deadline := time.Now().Add(10 * time.Second)
-		for i := 0; br.Stats().RemoteDrops == before && time.Now().Before(deadline); i++ {
+		for i := 0; server.WireStats().SubDrops == srvBefore && time.Now().Before(deadline); i++ {
 			for j := 0; j < 2000; j++ {
 				gw.Publish("cpu@h1", mkRec("E", time.Duration(i*2000+j), float64(j)))
 			}
+			time.Sleep(time.Millisecond)
+		}
+		target.open()
+		for br.Stats().RemoteDrops == before && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		if br.Stats().RemoteDrops == before {

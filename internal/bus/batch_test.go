@@ -168,76 +168,11 @@ func TestTapBatchObservesWithoutCounting(t *testing.T) {
 	}
 }
 
-// In async mode PublishBatch must not retain the caller's slice: the
-// enqueued copy is what delivers, even if the caller rewrites the
-// slice immediately after publishing.
-func TestAsyncPublishBatchCopiesCallerSlice(t *testing.T) {
-	b := New(Options{Shards: 2})
-	var mu sync.Mutex
-	var got []string
-	b.Subscribe("cpu", nil, func(r ulm.Record) {
-		v, _ := r.Get("SEQ")
-		mu.Lock()
-		got = append(got, v)
-		mu.Unlock()
-	})
-	b.StartAsync(8)
-	defer b.StopAsync()
-	recs := []ulm.Record{recN("E", 1), recN("E", 2)}
-	b.PublishBatch("cpu", recs)
-	recs[0] = recN("E", 99)
-	recs[1] = recN("E", 99)
-	b.Flush()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 2 || got[0] != "1" || got[1] != "2" {
-		t.Fatalf("async delivery saw mutated slice: %v", got)
-	}
-}
-
-// The async workers coalesce queued same-topic records into batches: a
-// backlog that accumulates while a subscriber stalls must drain in far
-// fewer callbacks than records, and the Flush barrier still means
-// everything enqueued before it was delivered.
-func TestAsyncCoalescesBacklogIntoBatches(t *testing.T) {
-	b := New(Options{Shards: 1}) // one queue: the backlog is deterministic
-	var batches, records atomic.Int64
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	first := true
-	b.SubscribeBatch("cpu", nil, func(recs []ulm.Record) {
-		batches.Add(1)
-		records.Add(int64(len(recs)))
-		if first {
-			first = false
-			close(entered)
-			<-release // stall the worker so a backlog builds
-		}
-	})
-	b.StartAsync(1024)
-	defer b.StopAsync()
-	b.Publish("cpu", recN("E", 0))
-	<-entered
-	const backlog = 300
-	for i := 1; i <= backlog; i++ {
-		b.Publish("cpu", recN("E", i))
-	}
-	close(release)
-	b.Flush()
-	if got := records.Load(); got != backlog+1 {
-		t.Fatalf("delivered %d records, want %d", got, backlog+1)
-	}
-	// 1 stalled delivery + the backlog in asyncCoalesceMax-sized chunks.
-	wantMax := int64(1 + (backlog+asyncCoalesceMax-1)/asyncCoalesceMax)
-	if got := batches.Load(); got > wantMax {
-		t.Fatalf("backlog drained in %d batches, want <= %d (no coalescing?)", got, wantMax)
-	}
-}
-
-// Per-topic order must hold on the batch path in async mode, with
-// Publish and PublishBatch interleaved by concurrent publishers, and
-// the Flush barrier must cover batch publishes. Run with -race.
-func TestAsyncBatchChurnPreservesPerTopicOrder(t *testing.T) {
+// Per-topic order must hold on the batch path with Publish and
+// PublishBatch interleaved by concurrent publishers while subscribers
+// churn, and every record is delivered by the time its publish returns.
+// Run with -race.
+func TestBatchChurnPreservesPerTopicOrder(t *testing.T) {
 	b := New(Options{Shards: 8})
 	var mu sync.Mutex
 	got := map[string][]int{}
@@ -270,7 +205,6 @@ func TestAsyncBatchChurnPreservesPerTopicOrder(t *testing.T) {
 			}
 		}
 	}()
-	b.StartAsync(64)
 	const perTopic = 400
 	var wg sync.WaitGroup
 	for _, topic := range []string{"a", "b", "c"} {
@@ -294,8 +228,6 @@ func TestAsyncBatchChurnPreservesPerTopicOrder(t *testing.T) {
 		}(topic)
 	}
 	wg.Wait()
-	b.Flush()
-	b.StopAsync()
 	close(stopChurn)
 	churn.Wait()
 	mu.Lock()
@@ -489,52 +421,5 @@ func TestPublishSealedUndecodedSkipsRecordSubscribers(t *testing.T) {
 	}
 	if st := b.Stats(); st.Published != 3 || st.Delivered != 0 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// In async mode a sealed batch is queued by reference, delivered alone
-// in publish order with the topic's other batches, and released.
-func TestAsyncPublishSealedHoldsOrdersReleases(t *testing.T) {
-	b := New(Options{Shards: 1})
-	var held atomic.Int64
-	var mu sync.Mutex
-	var got []string
-	entered, release := make(chan struct{}), make(chan struct{})
-	first := true
-	b.SubscribeSealed("cpu", func(_ string, recs []ulm.Record, s Sealed) {
-		if first {
-			first = false
-			close(entered)
-			<-release // stall the worker so the rest queue up behind it
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if s != nil {
-			got = append(got, fmt.Sprintf("sealed%d", s.Len()))
-		} else {
-			got = append(got, fmt.Sprintf("recs%d", len(recs)))
-		}
-	})
-	b.StartAsync(64)
-	defer b.StopAsync()
-	b.Publish("cpu", recN("E", 0))
-	<-entered
-	b.Publish("cpu", recN("E", 1))
-	b.Publish("cpu", recN("E", 2))
-	b.PublishSealed("cpu", testSealed{5, &held}, nil)
-	b.PublishSealed("cpu", testSealed{6, &held}, nil)
-	b.PublishBatch("cpu", batchOf(3))
-	if held.Load() != 2 {
-		t.Fatalf("queue holds %d references, want 2", held.Load())
-	}
-	close(release)
-	b.Flush()
-	mu.Lock()
-	defer mu.Unlock()
-	if want := "[recs1 recs2 sealed5 sealed6 recs3]"; fmt.Sprint(got) != want {
-		t.Fatalf("delivered %v, want %s", got, want)
-	}
-	if held.Load() != 0 {
-		t.Fatalf("%d references still held after delivery", held.Load())
 	}
 }

@@ -31,35 +31,31 @@
 //     per-publish scratch (matched subscribers + filtered sub-batches)
 //     is pooled, subscriber lists are kept in subscription-id order at
 //     insert time (no per-publish sort), and counters are atomics.
-//   - An optional batched asynchronous mode (see async.go) decouples
-//     publishers from delivery behind bounded per-shard queues with a
-//     Flush barrier; its workers coalesce queued same-topic records
-//     into batches, so a publish storm drains as a few large
-//     deliveries instead of many small ones.
 //
 // Batch ownership contract: record slices are always borrowed, never
 // retained. PublishBatch may hand the caller's slice (or pooled
 // sub-slices of it) directly to subscribers, so the caller must not
 // mutate recs during the call, and a batch callback's slice is valid
 // only until the callback returns — copy it to retain records. The
-// async path copies the batch before enqueueing, so PublishBatch never
-// holds caller memory past the call. The records in a slice are values
-// and may be copied out and kept; but records decoded from one wire
-// frame share one string arena and one field slab (see package ulm),
-// so anything that keeps a record longer than its batch calls Compact
-// on it, or the one record keeps the whole frame's memory alive.
+// records in a slice are values and may be copied out and kept; but
+// records decoded from one wire frame share one string arena and one
+// field slab (see package ulm), so anything that keeps a record longer
+// than its batch calls Compact on it, or the one record keeps the whole
+// frame's memory alive.
 //
-// Determinism contract: in synchronous mode, matched subscribers are
+// Delivery contract: delivery runs on the publishing goroutine and
+// completes before Publish, PublishBatch or PublishSealed returns, so
+// the bus holds no record between calls. Matched subscribers are
 // evaluated and delivered in subscription-id order (the merge of the
-// topic list and the wildcard list, both id-sorted), and a batch is
-// delivered to each subscriber in record order. Single-goroutine
-// callers — the virtual-time simulator — therefore observe
-// byte-identical delivery interleaving run over run, which
+// topic list and the wildcard list, both id-sorted), a batch reaches
+// each subscriber in record order, and callbacks run outside every bus
+// lock, so they may re-enter the bus — subscribe, cancel, or publish.
+// Single-goroutine callers — the virtual-time simulator — therefore
+// observe byte-identical delivery interleaving run over run, which
 // internal/core's determinism test depends on.
 package bus
 
 import (
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -99,17 +95,6 @@ type Stats struct {
 	Delivered uint64
 	// Suppressed counts records withheld by subscription hooks.
 	Suppressed uint64
-	// AsyncBatches counts deliveries performed by async queue workers;
-	// AsyncBatchRecords is the records they carried, so
-	// AsyncBatchRecords/AsyncBatches is the mean adaptive batch size
-	// and AsyncMaxBatch the largest single delivery. Worker coalescing
-	// is capped at 256 records, but a single oversized PublishBatch
-	// passes through whole (batch integrity is preserved), so
-	// AsyncMaxBatch can exceed the coalescing ceiling when callers
-	// publish larger batches.
-	AsyncBatches      uint64
-	AsyncBatchRecords uint64
-	AsyncMaxBatch     uint64
 }
 
 // Options configures a Bus.
@@ -150,17 +135,6 @@ type Bus struct {
 	published  atomic.Uint64
 	delivered  atomic.Uint64
 	suppressed atomic.Uint64
-
-	// Async delivery sizing (async.go): batches delivered by queue
-	// workers, records they carried, and the largest chosen batch.
-	asyncBatches   atomic.Uint64
-	asyncBatchRecs atomic.Uint64
-	asyncMaxBatch  atomic.Uint64
-
-	// Async mode state (async.go).
-	asyncMu sync.Mutex
-	queues  atomic.Pointer[[]chan asyncItem]
-	workers sync.WaitGroup
 
 	// deliverObs, when set (SetDeliverObserver), is called after every
 	// deliverBatch of records with the batch size and the time the
@@ -236,12 +210,9 @@ func (b *Bus) ShardOf(topic string) int { return int(HashTopic(topic) & b.mask) 
 // Stats returns a snapshot of the traffic counters.
 func (b *Bus) Stats() Stats {
 	return Stats{
-		Published:         b.published.Load(),
-		Delivered:         b.delivered.Load(),
-		Suppressed:        b.suppressed.Load(),
-		AsyncBatches:      b.asyncBatches.Load(),
-		AsyncBatchRecords: b.asyncBatchRecs.Load(),
-		AsyncMaxBatch:     b.asyncMaxBatch.Load(),
+		Published:  b.published.Load(),
+		Delivered:  b.delivered.Load(),
+		Suppressed: b.suppressed.Load(),
 	}
 }
 
@@ -249,8 +220,8 @@ func (b *Bus) Stats() Stats {
 // after every delivery pass that carries records (not one that only
 // hands a sealed batch on) with the batch size and the pass duration —
 // the telemetry plane's bus-stage latency tap. The observer runs on
-// publishing and async-worker goroutines and must be cheap and
-// non-blocking (a histogram observe, not I/O).
+// publishing goroutines and must be cheap and non-blocking (a histogram
+// observe, not I/O).
 func (b *Bus) SetDeliverObserver(fn func(recs int, d time.Duration)) {
 	if fn == nil {
 		b.deliverObs.Store(nil)
@@ -304,10 +275,8 @@ func (s *Subscription) Counts() (delivered, suppressed uint64) {
 
 // Subscribe registers a subscriber for one topic ("" subscribes to
 // every topic). hook may be nil (deliver everything); fn receives each
-// delivered record outside all bus locks, so in synchronous mode
-// callbacks may call back into the bus. In async mode a callback must
-// not Publish: the delivering worker enqueueing onto its own full
-// shard queue would deadlock. Subscribe is an adapter over the batch
+// delivered record outside all bus locks, so it may call back into the
+// bus, publishing included. Subscribe is an adapter over the batch
 // delivery path: fn is invoked once per record of each delivered
 // batch, in record order.
 func (b *Bus) Subscribe(topic string, hook Hook, fn func(ulm.Record)) *Subscription {
@@ -511,16 +480,10 @@ func (sp *pubScratch) release() {
 	scratchPool.Put(sp)
 }
 
-// Publish feeds one record to every matching subscriber. In synchronous
-// mode (the default) delivery completes before Publish returns, in
-// subscription-id order; in async mode the record is enqueued and
-// Publish returns immediately (see StartAsync). Publish is a
-// batch-of-one over the batch delivery path.
+// Publish feeds one record to every matching subscriber; delivery
+// completes before Publish returns, in subscription-id order. Publish is
+// a batch-of-one over the batch delivery path.
 func (b *Bus) Publish(topic string, rec ulm.Record) {
-	if qp := b.queues.Load(); qp != nil {
-		(*qp)[HashTopic(topic)&b.mask] <- asyncItem{topic: topic, rec: rec}
-		return
-	}
 	// A batch of one through the one delivery implementation; the
 	// record travels by reference so the no-subscriber fast path never
 	// copies it (it is copied into pooled scratch only once a
@@ -532,9 +495,9 @@ func (b *Bus) Publish(topic string, rec ulm.Record) {
 // subscriber with one lock acquisition, one subscriber merge, and one
 // callback per subscriber. recs is borrowed: the bus may hand it (or
 // pooled sub-slices) directly to subscribers during the call and never
-// retains it afterwards — the async path copies before enqueueing. In
-// synchronous mode subscribers see the batch in subscription-id order,
-// each receiving its delivered records in record order.
+// retains it afterwards. Delivery completes before PublishBatch returns:
+// subscribers see the batch in subscription-id order, each receiving its
+// delivered records in record order.
 //
 // The borrow contract is machine-checked: the borrowshare analyzer
 // (`go run ./cmd/jammlint ./...`) flags any receiver that stores,
@@ -544,31 +507,17 @@ func (b *Bus) PublishBatch(topic string, recs []ulm.Record) {
 	if len(recs) == 0 {
 		return
 	}
-	if qp := b.queues.Load(); qp != nil {
-		it := asyncItem{topic: topic}
-		if len(recs) == 1 {
-			it.rec = recs[0] // as Publish queues it: no slice to allocate
-		} else {
-			it.recs = slices.Clone(recs)
-		}
-		(*qp)[HashTopic(topic)&b.mask] <- it
-		return
-	}
 	b.deliverBatch(topic, recs, nil, nil)
 }
 
 // PublishSealed feeds one sealed batch of topic to every matching
 // subscriber: SubscribeSealed subscribers receive sealed itself,
 // everyone else recs — the same batch, decoded by the caller, or nil
-// when NeedsRecords(topic) said nobody wants records. Both are borrowed.
-// In async mode the queue holds sealed by reference (and a copy of recs)
-// until the worker has delivered it, in publish order with the topic's
-// other batches.
+// when NeedsRecords(topic) said nobody wants records. Both are borrowed,
+// and delivery completes before PublishSealed returns, in
+// subscription-id order and in publish order with the topic's other
+// batches.
 func (b *Bus) PublishSealed(topic string, sealed Sealed, recs []ulm.Record) {
-	if qp := b.queues.Load(); qp != nil {
-		(*qp)[HashTopic(topic)&b.mask] <- asyncItem{topic: topic, recs: slices.Clone(recs), sealed: sealed.Hold()}
-		return
-	}
 	b.deliverBatch(topic, recs, nil, sealed)
 }
 

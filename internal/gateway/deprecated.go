@@ -1,9 +1,10 @@
 package gateway
 
-// What is left of the read-side snapshot cache. Query, Sensors and
-// Summary read current state under their locks; these names remain only
-// so that their last caller, cmd/jammbench, keeps compiling until it
-// moves off them.
+// What is left of the read-side snapshot cache and of the bus's
+// asynchronous delivery mode. Query, Sensors and Summary read current
+// state under their locks, and every publish has delivered before it
+// returns; these names remain only so that their last caller,
+// cmd/jammbench, keeps compiling until it moves off them.
 
 import "time"
 
@@ -24,6 +25,12 @@ func (g *Gateway) EnableSnapshots(SnapshotOptions) {}
 //
 // Deprecated: cmd/jammbench is the last caller.
 func (g *Gateway) StopSnapshotRefresh() {}
+
+// Flush does nothing: a publish has delivered to every subscriber by
+// the time it returns, so there is nothing in flight to wait for.
+//
+// Deprecated: cmd/jammbench is the last caller.
+func (g *Gateway) Flush() {}
 
 // snapshotStats holds the removed cache's counters in Stats.
 type snapshotStats struct {

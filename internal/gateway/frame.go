@@ -210,8 +210,8 @@ func (f *Frame) Release() {
 }
 
 // Len and Hold, with Release, make a *Frame a bus.Sealed: the encoded
-// batch the bus hands to subscribers that take frames, and holds by
-// reference while it is queued for async delivery.
+// batch the bus hands to subscribers that take frames, which Hold it to
+// keep it past their callback.
 func (f *Frame) Len() int { return f.Count }
 
 // Hold is Retain, as bus.Sealed spells it.

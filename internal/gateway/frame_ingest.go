@@ -26,7 +26,7 @@ import (
 // frames once per connection. Every subscription is a bus subscription
 // and a publish is one id-ordered pass over those matching its topic,
 // so nothing is delivered twice and a topic's frames and record batches
-// reach each subscriber in publish order, in -async mode too.
+// reach each subscriber in publish order.
 //
 // One race remains, by design: NeedsRecords is asked before the frame is
 // published, so a record subscriber that registers in between misses

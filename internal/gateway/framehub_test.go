@@ -103,15 +103,13 @@ func TestFrameIngestBusConsumerNoDoubleDelivery(t *testing.T) {
 	}
 }
 
-// TestPublishFrameAsyncOrderAndRelease: under StartAsync, frames and
-// record batches interleaved on one topic reach a sealed subscriber and
-// a record subscriber in publish order, and the queue's references to
-// the frames are gone once they are delivered.
-func TestPublishFrameAsyncOrderAndRelease(t *testing.T) {
+// TestPublishFrameOrderAndRelease: frames and record batches
+// interleaved on one topic reach a sealed subscriber and a record
+// subscriber in publish order, and the subscription queue's references
+// to the frames are gone once they are delivered.
+func TestPublishFrameOrderAndRelease(t *testing.T) {
 	base := FramesRetained()
 	g := New("gw", nil)
-	g.StartAsync(8)
-	defer g.StopAsync()
 	var mu sync.Mutex
 	var sealed, cooked []float64
 	vals := func(dst *[]float64, recs []ulm.Record) {
@@ -146,7 +144,6 @@ func TestPublishFrameAsyncOrderAndRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g.Flush()
 	waitUntil(t, "the sealed subscriber to drain", func() bool {
 		mu.Lock()
 		defer mu.Unlock()

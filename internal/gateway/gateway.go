@@ -1017,21 +1017,6 @@ func (g *Gateway) Handoff(sensorName string) (st HandoffState, ok bool) {
 	return st, true
 }
 
-// StartAsync switches the gateway's event plane into batched
-// asynchronous publishing: Publish enqueues onto bounded per-shard
-// queues and returns; worker goroutines deliver. Use Flush as the drain
-// barrier. Deterministic (virtual-time) deployments must stay
-// synchronous.
-func (g *Gateway) StartAsync(queueLen int) { g.bus.StartAsync(queueLen) }
-
-// Flush blocks until every record published before the call has been
-// delivered. No-op in synchronous mode.
-func (g *Gateway) Flush() { g.bus.Flush() }
-
-// StopAsync drains pending deliveries and returns the gateway to
-// synchronous publishing. Quiesce publishers (or Flush) first.
-func (g *Gateway) StopAsync() { g.bus.StopAsync() }
-
 func (g *Gateway) authorize(principal, sensorName, action string) error {
 	authz := *g.authz.Load()
 	if authz == auth.AllowAll {

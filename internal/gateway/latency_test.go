@@ -1,8 +1,8 @@
 package gateway
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -10,19 +10,14 @@ import (
 	"jamm/internal/ulm"
 )
 
-// Tail-latency measurement harness for the daemon event plane: the
-// -async flag trades publish-path blocking for bounded queues, and
-// this harness quantifies what that does to delivery latency. Each
+// Tail-latency measurement harness for the daemon event plane. Each
 // published record carries its publish instant in Date; the subscriber
 // callback measures publish→delivery latency, and the distribution's
 // p50/p99 are reported as benchmark metrics:
 //
 //	go test ./internal/gateway/ -run '^$' -bench BenchmarkDeliveryLatency -benchtime 10000x
 //
-// In synchronous mode delivery happens inside Publish (latency is the
-// fan-out cost); in async mode records ride bounded per-shard queues
-// to worker goroutines, so the tail reflects queueing delay under
-// load — the number a deployment watches when sizing -async.
+// Delivery happens inside Publish, so the latency is the fan-out cost.
 
 func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
@@ -32,7 +27,7 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	return sorted[idx]
 }
 
-func benchDeliveryLatency(b *testing.B, asyncQueue int, subscribers int) {
+func benchDeliveryLatency(b *testing.B, subscribers int) {
 	g := New("gw", nil)
 	g.Register("cpu@h1", Meta{Host: "h1", Type: "cpu", Interval: time.Second})
 
@@ -52,10 +47,6 @@ func benchDeliveryLatency(b *testing.B, asyncQueue int, subscribers int) {
 			b.Fatal(err)
 		}
 	}
-	if asyncQueue > 0 {
-		g.StartAsync(asyncQueue)
-		defer g.StopAsync()
-	}
 
 	rec := ulm.Record{
 		Host: "h1", Prog: "jamm.cpu", Lvl: ulm.LvlUsage, Event: "E",
@@ -66,7 +57,6 @@ func benchDeliveryLatency(b *testing.B, asyncQueue int, subscribers int) {
 		rec.Date = time.Now()
 		g.Publish("cpu@h1", rec)
 	}
-	g.Flush()
 	b.StopTimer()
 
 	mu.Lock()
@@ -81,62 +71,45 @@ func benchDeliveryLatency(b *testing.B, asyncQueue int, subscribers int) {
 }
 
 // BenchmarkDeliveryLatency reports p50/p99 publish→delivery latency of
-// the gateway event plane, synchronous vs async (bounded queues), at 1
-// and 8 subscribers of fan-out.
+// the gateway event plane at 1 and 8 subscribers of fan-out.
 func BenchmarkDeliveryLatency(b *testing.B) {
-	for _, c := range []struct {
-		name  string
-		queue int
-		subs  int
-	}{
-		{"sync/subs=1", 0, 1},
-		{"sync/subs=8", 0, 8},
-		{"async=1024/subs=1", 1024, 1},
-		{"async=1024/subs=8", 1024, 8},
-	} {
-		b.Run(c.name, func(b *testing.B) { benchDeliveryLatency(b, c.queue, c.subs) })
+	for _, subs := range []int{1, 8} {
+		b.Run("subs="+strconv.Itoa(subs), func(b *testing.B) { benchDeliveryLatency(b, subs) })
 	}
 }
 
 // TestTailLatencyHarness smoke-tests the harness itself at small n so
 // the measurement path stays correct under go test ./... (benchmarks
-// only run when asked): latencies are positive, ordered, and async
-// mode actually measures through the queue handoff.
+// only run when asked): latencies are positive and ordered. The case
+// is named for its queue depth: zero, delivery inside Publish.
 func TestTailLatencyHarness(t *testing.T) {
-	for _, queue := range []int{0, 64} {
-		t.Run(fmt.Sprintf("queue=%d", queue), func(t *testing.T) {
-			g := New("gw", nil)
-			g.Register("cpu@h1", Meta{Host: "h1"})
-			var mu sync.Mutex
-			var lats []time.Duration
-			if _, err := g.Subscribe(Request{Sensor: "cpu@h1"}, func(rec ulm.Record) {
-				d := time.Since(rec.Date)
-				mu.Lock()
-				lats = append(lats, d)
-				mu.Unlock()
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if queue > 0 {
-				g.StartAsync(queue)
-				defer g.StopAsync()
-			}
-			rec := ulm.Record{Host: "h1", Prog: "p", Lvl: ulm.LvlUsage, Event: "E"}
-			const n = 200
-			for i := 0; i < n; i++ {
-				rec.Date = time.Now()
-				g.Publish("cpu@h1", rec)
-			}
-			g.Flush()
+	t.Run("queue=0", func(t *testing.T) {
+		g := New("gw", nil)
+		g.Register("cpu@h1", Meta{Host: "h1"})
+		var mu sync.Mutex
+		var lats []time.Duration
+		if _, err := g.Subscribe(Request{Sensor: "cpu@h1"}, func(rec ulm.Record) {
+			d := time.Since(rec.Date)
 			mu.Lock()
-			defer mu.Unlock()
-			if len(lats) != n {
-				t.Fatalf("measured %d deliveries, want %d", len(lats), n)
-			}
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			if p50, p99 := percentile(lats, 0.5), percentile(lats, 0.99); p50 <= 0 || p99 < p50 {
-				t.Fatalf("degenerate distribution: p50=%v p99=%v", p50, p99)
-			}
-		})
-	}
+			lats = append(lats, d)
+			mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		rec := ulm.Record{Host: "h1", Prog: "p", Lvl: ulm.LvlUsage, Event: "E"}
+		const n = 200
+		for i := 0; i < n; i++ {
+			rec.Date = time.Now()
+			g.Publish("cpu@h1", rec)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(lats) != n {
+			t.Fatalf("measured %d deliveries, want %d", len(lats), n)
+		}
+		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		if p50, p99 := percentile(lats, 0.5), percentile(lats, 0.99); p50 <= 0 || p99 < p50 {
+			t.Fatalf("degenerate distribution: p50=%v p99=%v", p50, p99)
+		}
+	})
 }

@@ -24,9 +24,6 @@ func (g *Gateway) MetricsSource() telemetry.Source {
 		e.Counter("jamm_bus_published_total", "Records entering the bus.", bs.Published)
 		e.Counter("jamm_bus_delivered_total", "Records fanned out to bus subscribers.", bs.Delivered)
 		e.Counter("jamm_bus_suppressed_total", "Records withheld by subscription hooks.", bs.Suppressed)
-		e.Counter("jamm_bus_async_batches_total", "Deliveries performed by async queue workers.", bs.AsyncBatches)
-		e.Counter("jamm_bus_async_batch_records_total", "Records carried by async worker deliveries.", bs.AsyncBatchRecords)
-		e.Gauge("jamm_bus_async_max_batch", "Largest single async delivery batch.", float64(bs.AsyncMaxBatch))
 	})
 }
 

@@ -827,8 +827,11 @@ func (c *serverConn) serveSubscribe(req wireRequest) {
 // DrainSubscribers waits until every open subscription's in-flight
 // records — queued, or dequeued into a frame not yet written — have
 // been written out, or until timeout. It reports whether the drain
-// completed. A drained shutdown is StopAccepting, Flush the gateway,
-// DrainSubscribers, then Close.
+// completed. A drained shutdown is StopAccepting, stopping every other
+// publisher of the gateway, DrainSubscribers, then Close: a publish has
+// reached the subscription queues by the time it returns, so once the
+// publishers have stopped there is nothing upstream of the queues left
+// to wait for.
 func (t *TCPServer) DrainSubscribers(timeout time.Duration) bool {
 	idle := func() bool {
 		t.mu.Lock()

@@ -768,7 +768,6 @@ func TestWireDrainedShutdownFlushesPartialBatches(t *testing.T) {
 		// The 3 records sit in the server's queue or its writer's hands;
 		// the drain must wait them out rather than report idle.
 		srv.StopAccepting()
-		g.Flush()
 		if !srv.DrainSubscribers(5 * time.Second) {
 			t.Fatalf("v%d: drain timed out", st.Version())
 		}

@@ -105,7 +105,8 @@ func (h *Gateway) start(cfg GatewayConfig, siteRing *ring.Ring) error {
 			Window: cfg.AggregateWindow, Emit: cfg.AggregateEmit, Field: cfg.AggregateField, TopK: cfg.AggregateTopK,
 		})
 		h.reg.Register(agg.MetricsSource())
-		h.release = append(h.release, agg.Close)
+		// Its emit loop publishes _agg/ records: it stops with ingest.
+		h.ingest = append(h.ingest, agg.Close)
 	}
 	// k-replica placement: every record ingested here as primary is
 	// forwarded to the sensor's other ring owners, so their gateways

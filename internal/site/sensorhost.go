@@ -112,7 +112,9 @@ func (h *SensorHost) start(cfg SensorHostConfig, g *core.Grid, rig *core.HostRig
 		return fmt.Errorf("control: %w", err)
 	}
 	h.ctl = ctl
-	h.release = append(h.release, func() { ctl.Close() })
+	// Control starts sensors, so it stops with ingest; by then the driver
+	// it runs them on has stopped too.
+	h.ingest = append(h.ingest, func() { ctl.Close() })
 	return h.serveOps(dc)
 }
 

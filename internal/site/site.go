@@ -24,7 +24,6 @@ import (
 type Common struct {
 	Name        string   // gatewayd -name; jammd -host, the monitored host
 	Addr        string   // wire listen address: gatewayd -addr, jammd -gateway
-	Async       int      // -async: event-plane queue depth per shard (0 = synchronous publish)
 	Peers       []string // -peer: upstream gateways whose topics are mirrored in
 	WireProto   string   // -wire-proto: auto, json or v2
 	OpsAddr     string   // -ops-addr: the ops HTTP endpoint (empty = disabled)
@@ -51,17 +50,17 @@ type shell struct {
 	bridges []*bridge.Bridge
 
 	// The daemon's own shutdown steps, each list run in order at its
-	// point of the drain: ingest stops a source feeding the gateway;
-	// forward flushes a path carrying its records on, once local
-	// delivery has drained; release lets go once the event plane is down.
+	// point of the drain: ingest stops a source publishing into the
+	// gateway, and every such source is stopped there; forward flushes a
+	// path carrying its records on, once nothing publishes any more;
+	// release lets go once the event plane is down.
 	ingest, forward, release []func()
 }
 
 // newShell attaches the telemetry plane to gw — one registry of every
 // subsystem's counters and a sampled record tracer, attached even
 // without an ops endpoint so stage latencies accumulate and relayed
-// JAMM.TRACE attributes keep their hop counts honest — and starts its
-// async event plane.
+// JAMM.TRACE attributes keep their hop counts honest.
 func newShell(who string, c Common, gw *gateway.Gateway) (*shell, error) {
 	proto, err := gateway.ParseProto(c.WireProto)
 	if err != nil {
@@ -73,9 +72,6 @@ func newShell(who string, c Common, gw *gateway.Gateway) (*shell, error) {
 	gw.SetTracer(s.tracer)
 	gw.Bus().SetDeliverObserver(func(n int, d time.Duration) { s.tracer.Observe("bus", d) })
 	s.reg.Register(gw.MetricsSource())
-	if c.Async > 0 {
-		gw.StartAsync(c.Async)
-	}
 	return s, nil
 }
 
@@ -155,11 +151,13 @@ func (s *shell) Addr() string { return s.srv.Addr() }
 // one when OpsAddr was set.
 func (s *shell) OpsAddr() string { return s.ops.Addr }
 
-// Close is the drained shutdown. Drain, not drop: stop ingest (the
-// daemon's sources, the bridges, the listener), flush every in-flight
-// event through delivery while subscriber connections are still up,
-// let forwarders and subscriber writers empty, then close. It skips
-// what a failed start never opened.
+// Close is the drained shutdown. Drain, not drop: stop every source
+// publishing into the gateway (the daemon's sources, the bridges, the
+// listener) — a publish has delivered by the time it returns, so what
+// they published already sits in the subscriber and forwarder queues —
+// then let forwarders and subscriber writers empty while subscriber
+// connections are still up, then close. It skips what a failed start
+// never opened.
 func (s *shell) Close() {
 	run(s.ingest)
 	for _, b := range s.bridges {
@@ -168,7 +166,6 @@ func (s *shell) Close() {
 	if s.srv != nil {
 		s.srv.StopAccepting()
 	}
-	s.gw.Flush()
 	run(s.forward)
 	if s.srv != nil {
 		s.srv.DrainSubscribers(drainTimeout)
@@ -177,7 +174,6 @@ func (s *shell) Close() {
 			log.Printf("%s: wire drops at shutdown: %d bad records, %d bad lines, %d slow-subscriber drops", s.who, st.BadRecords, st.BadLines, st.SubDrops)
 		}
 	}
-	s.gw.StopAsync()
 	if s.ops != nil {
 		s.ops.Close()
 	}

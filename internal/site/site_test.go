@@ -65,11 +65,14 @@ func cpuRecords(n int) []ulm.Record {
 }
 
 // TestGatewayDrainedShutdown starts a gateway with every part its
-// shutdown orders — async delivery, a summary, an archive, an
-// aggregator, self-metrics, directory advertisements and a peer bridge
-// — loads it while a wire subscriber is attached, and closes it at
-// once: the subscriber and the reopened archive hold every record, and
-// the directory holds none of the gateway's ownership entries.
+// shutdown orders — a summary, an archive, an aggregator, self-metrics,
+// directory advertisements and a peer bridge — loads it while a wire
+// subscriber is attached, and closes it at once: the subscriber and the
+// reopened archive hold every record, and the directory holds none of
+// the gateway's ownership entries. A second wire subscriber takes every
+// topic, _agg/ and _sys/ included: every record the bus took in while
+// it was attached reached it or was counted dropped, so no source
+// published past the drain.
 func TestGatewayDrainedShutdown(t *testing.T) {
 	dirSrv := directory.NewServer("dir", directory.NewMutableBackend())
 	dirTCP, err := directory.ServeTCP(dirSrv, "127.0.0.1:0", nil)
@@ -91,11 +94,10 @@ func TestGatewayDrainedShutdown(t *testing.T) {
 	archive := t.TempDir()
 	cfg := DefaultGatewayConfig()
 	cfg.Name, cfg.Addr, cfg.Advertise = "gw-a", "127.0.0.1:0", advertise
-	cfg.Async = 64
 	cfg.Summaries = []string{sensor + "/VMSTAT_SYS_TIME/VAL"}
 	cfg.Archive = archive
-	cfg.Aggregate, cfg.AggregateEmit = true, 20*time.Millisecond
-	cfg.SysEmit = 20 * time.Millisecond
+	cfg.Aggregate, cfg.AggregateEmit = true, time.Millisecond
+	cfg.SysEmit = time.Millisecond
 	cfg.Dirs = []string{dirTCP.Addr()}
 	cfg.Peers = []string{up.Addr()}
 	cfg.OpsAddr = "127.0.0.1:0"
@@ -114,7 +116,25 @@ func TestGatewayDrainedShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stream.Close()
+	var all atomic.Uint64
+	var sawAgg, sawSys atomic.Bool
+	published := func() uint64 { return h.gw.Bus().Stats().Published }
+	before := published()
+	allStream, err := c.SubscribeBatchStream(gateway.Request{}, gateway.StreamOptions{}, func(topic string, recs []ulm.Record) {
+		all.Add(uint64(len(recs)))
+		if strings.HasPrefix(topic, "_agg/") {
+			sawAgg.Store(true)
+		} else if strings.HasPrefix(topic, "_sys/") {
+			sawSys.Store(true)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer allStream.Close()
+	after := published()
 	waitFor(t, "the peer bridge", func() bool { return h.bridges[0].Connected() })
+	waitFor(t, "_agg/ and _sys/ records", func() bool { return sawAgg.Load() && sawSys.Load() })
 
 	owned := func() int {
 		es, err := dc.Search(directory.DN(cfg.DirBase), directory.ScopeSubtree, "("+router.OwnerAttr+"="+advertise+")")
@@ -131,8 +151,17 @@ func TestGatewayDrainedShutdown(t *testing.T) {
 	}
 	h.Close() // with most of the records still in flight
 	<-stream.Done()
+	<-allStream.Done()
 	if g := got.Load(); g != n {
 		t.Errorf("subscriber got %d records, want %d (drops %d)", g, n, stream.RemoteDrops())
+	}
+	// The bus counts a record when it is published, so the records
+	// published while the catch-all subscription was being opened may or
+	// may not have reached it: they bound the count from both sides.
+	end, drops := published(), h.srv.WireStats().Drops()
+	if g := all.Load(); g+drops < end-after || g > end-before {
+		t.Errorf("catch-all subscriber got %d records and %d were dropped; the bus published %d to %d while it was attached",
+			g, drops, end-after, end-before)
 	}
 	if k := owned(); k != 0 {
 		t.Errorf("directory still holds %d ownership entries of the closed gateway", k)

@@ -132,7 +132,7 @@ type (
 
 // Event bus (internal/bus): the sharded publish/subscribe core under
 // every gateway, exposed for deployments that want raw topic
-// subscriptions, silent taps, or batched asynchronous publishing.
+// subscriptions, silent taps, or batched publishing.
 // Batches are the native delivery unit end to end: Bus.PublishBatch /
 // Gateway.PublishBatch fan a whole []Record out in one pass,
 // SubscribeBatch-style subscriptions receive it as one slice, and
