@@ -21,6 +21,7 @@ import (
 	"jamm/internal/bus"
 	"jamm/internal/gateway"
 	"jamm/internal/ulm"
+	"jamm/internal/window"
 )
 
 // TopicPrefix scopes every synthetic aggregate topic. Raw sensor
@@ -43,13 +44,15 @@ const (
 	EventQuantile = "AGG_QUANT"
 )
 
+// subWindows is how many slots a window is divided into.
+const subWindows = 10
+
 // Options tunes an Aggregator.
 type Options struct {
 	// Window is the sliding window aggregates cover (default 10s),
-	// divided into Slots sub-windows (default 10) that age out
-	// individually — a slot-granular ring, not a sawtooth reset.
+	// divided into 10 sub-windows that age out individually — a
+	// slot-granular ring, not a sawtooth reset.
 	Window time.Duration
-	Slots  int
 	// Emit is the republish period; daemons typically run 1s. <= 0
 	// disables the timer and the owner drives emission with EmitNow
 	// (tests, virtual time).
@@ -71,9 +74,6 @@ func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = 10 * time.Second
 	}
-	if o.Slots <= 0 {
-		o.Slots = 10
-	}
 	if o.Field == "" {
 		o.Field = "VAL"
 	}
@@ -89,10 +89,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// slot is one sub-window of the ring.
+// slot is one sub-window of the ring: its record count per sensor and
+// its sketch. A slot the ring zeroed is filled in by claim.
 type slot struct {
-	start     int64 // unix nanos, aligned to the slot width; 0 = empty
-	count     uint64
 	perSensor map[string]uint64
 	sketch    *Sketch
 }
@@ -104,13 +103,12 @@ type slot struct {
 // counters — and registers the gateway's aggregate mover so a
 // rebalancing handoff moves a sensor's in-window counts along with it.
 type Aggregator struct {
-	gw    *gateway.Gateway
-	opts  Options
-	now   func() time.Time
-	width int64 // slot width in nanos
+	gw   *gateway.Gateway
+	opts Options
+	now  func() time.Time
 
-	mu    sync.Mutex
-	slots []slot
+	mu   sync.Mutex
+	ring *window.Ring[slot]
 
 	tap  *bus.Subscription
 	stop chan struct{}
@@ -125,15 +123,11 @@ type Aggregator struct {
 func New(gw *gateway.Gateway, opts Options) *Aggregator {
 	opts = opts.withDefaults()
 	a := &Aggregator{
-		gw:    gw,
-		opts:  opts,
-		now:   opts.Now,
-		width: (opts.Window / time.Duration(opts.Slots)).Nanoseconds(),
-		slots: make([]slot, opts.Slots),
-		stop:  make(chan struct{}),
-	}
-	if a.width <= 0 {
-		a.width = 1
+		gw:   gw,
+		opts: opts,
+		now:  opts.Now,
+		ring: window.NewRing[slot](opts.Window, subWindows),
+		stop: make(chan struct{}),
 	}
 	a.tap = gw.Bus().TapBatch("", a.fold)
 	gw.SetAggregateMover(&gateway.AggregateMover{Drain: a.drainSensor, Seed: a.seedSensor})
@@ -176,18 +170,18 @@ func (a *Aggregator) emitLoop(period time.Duration) {
 }
 
 // fold is the bus tap: every published batch of every raw topic lands
-// here, possibly from several publishing goroutines at once.
+// here, possibly from several publishing goroutines at once. Only a
+// finite field value is a measurement the sketch folds.
 func (a *Aggregator) fold(topic string, recs []ulm.Record) {
 	if strings.HasPrefix(topic, TopicPrefix) {
 		return // our own output; never self-feed
 	}
 	now := a.now()
 	a.mu.Lock()
-	s := a.slotFor(now)
-	s.count += uint64(len(recs))
+	s := a.claim(a.ring.Current(now.UnixNano()))
 	s.perSensor[topic] += uint64(len(recs))
 	for i := range recs {
-		if v, err := recs[i].Float(a.opts.Field); err == nil {
+		if v, err := recs[i].Float(a.opts.Field); err == nil && window.Finite(v) {
 			s.sketch.Add(v)
 		}
 	}
@@ -195,21 +189,9 @@ func (a *Aggregator) fold(topic string, recs []ulm.Record) {
 	a.folded.Add(uint64(len(recs)))
 }
 
-// slotIdx maps an aligned sub-window start to its ring position
-// (non-negative even for pre-epoch virtual clocks).
-func (a *Aggregator) slotIdx(aligned int64) int64 {
-	n := int64(len(a.slots))
-	return ((aligned/a.width)%n + n) % n
-}
-
-// slotFor returns the ring slot covering now, resetting it first if it
-// still holds an aged-out sub-window. Callers hold a.mu.
-func (a *Aggregator) slotFor(now time.Time) *slot {
-	aligned := (now.UnixNano() / a.width) * a.width
-	s := &a.slots[a.slotIdx(aligned)]
-	if s.start != aligned {
-		s.start = aligned
-		s.count = 0
+// claim fills in a slot the ring zeroed. Callers hold a.mu.
+func (a *Aggregator) claim(s *slot) *slot {
+	if s.perSensor == nil {
 		s.perSensor = make(map[string]uint64)
 		s.sketch = NewSketch(a.opts.Alpha)
 	}
@@ -223,20 +205,15 @@ func (a *Aggregator) slotFor(now time.Time) *slot {
 // replicate; they exist exactly for subscriptions to find.
 func (a *Aggregator) EmitNow() {
 	now := a.now()
-	cutoff := now.Add(-a.opts.Window).UnixNano()
 
 	a.mu.Lock()
 	var count uint64
 	perSensor := make(map[string]uint64)
 	sketch := NewSketch(a.opts.Alpha)
-	for i := range a.slots {
-		s := &a.slots[i]
-		if s.start == 0 || s.start <= cutoff-a.width {
-			continue // empty or fully aged out
-		}
-		count += s.count
+	for _, s := range a.ring.Live(now.UnixNano()) {
 		for sensor, c := range s.perSensor {
 			perSensor[sensor] += c
+			count += c
 		}
 		sketch.Merge(s.sketch) //nolint:errcheck // same alpha by construction
 	}
@@ -244,43 +221,24 @@ func (a *Aggregator) EmitNow() {
 
 	windowMS := strconv.FormatInt(a.opts.Window.Milliseconds(), 10)
 	gwName := a.gw.Name()
-	base := ulm.Record{Date: now, Host: gwName, Prog: "jamm.agg", Lvl: "Usage"}
-
-	countRec := base
-	countRec.Event = EventCount
-	countRec.Fields = []ulm.Field{
-		{Key: "GW", Value: gwName},
-		{Key: "WINDOW_MS", Value: windowMS},
-		{Key: "COUNT", Value: strconv.FormatUint(count, 10)},
-		{Key: "RATE", Value: strconv.FormatFloat(float64(count)/a.opts.Window.Seconds(), 'g', -1, 64)},
-		{Key: "SENSORS", Value: strconv.Itoa(len(perSensor))},
+	emit := func(topic, event string, fields ...ulm.Field) {
+		rec := ulm.Record{Date: now, Host: gwName, Prog: "jamm.agg", Lvl: "Usage", Event: event,
+			Fields: append([]ulm.Field{{Key: "GW", Value: gwName}, {Key: "WINDOW_MS", Value: windowMS}}, fields...)}
+		a.gw.Bus().PublishBatch(topic, []ulm.Record{rec})
 	}
-
-	topkRec := base
-	topkRec.Event = EventTopK
-	topkRec.Fields = []ulm.Field{
-		{Key: "GW", Value: gwName},
-		{Key: "WINDOW_MS", Value: windowMS},
-		{Key: "K", Value: strconv.Itoa(a.opts.TopK)},
-		{Key: "TOP", Value: encodeTop(topK(perSensor, a.opts.TopK))},
-	}
-
-	quantRec := base
-	quantRec.Event = EventQuantile
-	quantRec.Fields = []ulm.Field{
-		{Key: "GW", Value: gwName},
-		{Key: "WINDOW_MS", Value: windowMS},
-		{Key: "FIELD", Value: a.opts.Field},
-		{Key: "N", Value: strconv.FormatUint(sketch.Count(), 10)},
-		{Key: "P50", Value: strconv.FormatFloat(sketch.Quantile(0.50), 'g', -1, 64)},
-		{Key: "P99", Value: strconv.FormatFloat(sketch.Quantile(0.99), 'g', -1, 64)},
-		{Key: "SKETCH", Value: sketch.Encode()},
-	}
-
-	b := a.gw.Bus()
-	b.PublishBatch(TopicCount, []ulm.Record{countRec})
-	b.PublishBatch(TopicTopK, []ulm.Record{topkRec})
-	b.PublishBatch(TopicQuantile, []ulm.Record{quantRec})
+	emit(TopicCount, EventCount,
+		ulm.Field{Key: "COUNT", Value: strconv.FormatUint(count, 10)},
+		ulm.Field{Key: "RATE", Value: strconv.FormatFloat(float64(count)/a.opts.Window.Seconds(), 'g', -1, 64)},
+		ulm.Field{Key: "SENSORS", Value: strconv.Itoa(len(perSensor))})
+	emit(TopicTopK, EventTopK,
+		ulm.Field{Key: "K", Value: strconv.Itoa(a.opts.TopK)},
+		ulm.Field{Key: "TOP", Value: encodeTop(topK(perSensor, a.opts.TopK))})
+	emit(TopicQuantile, EventQuantile,
+		ulm.Field{Key: "FIELD", Value: a.opts.Field},
+		ulm.Field{Key: "N", Value: strconv.FormatUint(sketch.Count(), 10)},
+		ulm.Field{Key: "P50", Value: strconv.FormatFloat(sketch.Quantile(0.50), 'g', -1, 64)},
+		ulm.Field{Key: "P99", Value: strconv.FormatFloat(sketch.Quantile(0.99), 'g', -1, 64)},
+		ulm.Field{Key: "SKETCH", Value: sketch.Encode()})
 	a.emitted.Add(1)
 }
 
@@ -304,76 +262,38 @@ func topK(perSensor map[string]uint64, k int) []SensorCount {
 }
 
 // drainSensor is the mover's Drain hook: it removes sensor's in-window
-// per-slot counts and returns them as "startNanos:count" pairs. The
-// quantile sketch is field-global (samples are not attributed to
-// sensors), so its contribution stays and ages out with the window —
-// the documented accuracy tradeoff of a handoff.
-func (a *Aggregator) drainSensor(sensor string) (string, bool) {
+// per-slot counts and returns them, oldest first (the gateway ships
+// them as "startNanos:count" pairs). The quantile sketch is
+// field-global (samples are not attributed to sensors), so its
+// contribution stays and ages out with the window — the documented
+// accuracy tradeoff of a handoff.
+func (a *Aggregator) drainSensor(sensor string) []window.Slot {
+	now := a.now().UnixNano()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var b strings.Builder
-	for i := range a.slots {
-		s := &a.slots[i]
+	var out []window.Slot
+	for start, s := range a.ring.Live(now) {
 		c := s.perSensor[sensor]
 		if c == 0 {
 			continue
 		}
 		delete(s.perSensor, sensor)
-		s.count -= c
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatInt(s.start, 10))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(c, 10))
+		out = append(out, window.Slot{Start: start, Stat: window.Stat{Count: c}})
 	}
-	if b.Len() == 0 {
-		return "", false
-	}
-	return b.String(), true
+	return out
 }
 
-// seedSensor is the mover's Seed hook: drained "startNanos:count"
-// pairs fold back into the matching ring slots; pairs whose sub-window
-// already rotated out are dropped (they would have aged out here too).
-func (a *Aggregator) seedSensor(sensor, state string) {
-	type pair struct {
-		start int64
-		count uint64
-	}
-	var pairs []pair
-	for _, part := range strings.Split(state, ",") {
-		ss, cs, ok := strings.Cut(part, ":")
-		if !ok {
-			continue
-		}
-		start, err1 := strconv.ParseInt(ss, 10, 64)
-		c, err2 := strconv.ParseUint(cs, 10, 64)
-		if err1 != nil || err2 != nil || c == 0 {
-			continue
-		}
-		pairs = append(pairs, pair{start, c})
-	}
-	if len(pairs) == 0 {
-		return
-	}
+// seedSensor is the mover's Seed hook: each drained slot's count adds
+// into the local slot covering its start. A slot already out of the
+// ring is dropped (it would have aged out here too); one newer than the
+// current slot folds into the current one.
+func (a *Aggregator) seedSensor(sensor string, slots []window.Slot) {
+	now := a.now().UnixNano()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, p := range pairs {
-		// The old owner's slot alignment matches ours only when the
-		// widths match; re-bucket by start time so mixed configurations
-		// still land the counts in the right sub-window.
-		aligned := (p.start / a.width) * a.width
-		s := &a.slots[a.slotIdx(aligned)]
-		if s.start != 0 && s.start != aligned {
-			continue // that sub-window already rotated out of the ring
+	for _, sl := range slots {
+		if p := a.ring.Seed(sl.Start, now); p != nil {
+			a.claim(p).perSensor[sensor] += sl.Count
 		}
-		if s.start == 0 {
-			s.start = aligned
-			s.perSensor = make(map[string]uint64)
-			s.sketch = NewSketch(a.opts.Alpha)
-		}
-		s.perSensor[sensor] += p.count
-		s.count += p.count
 	}
 }

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"testing"
@@ -35,7 +36,7 @@ func newRig(t *testing.T, name string) *testRig {
 	now := epoch
 	clock := func() time.Time { return now }
 	gw := gateway.New(name, clock)
-	agg := New(gw, Options{Window: 10 * time.Second, Slots: 10, Emit: -1, TopK: 3, Now: clock})
+	agg := New(gw, Options{Window: 10 * time.Second, Emit: -1, TopK: 3, Now: clock})
 	t.Cleanup(agg.Close)
 	var recs []ulm.Record
 	_, err := gw.Subscribe(gateway.Request{Sensor: TopicPrefix, Prefix: true}, func(rec ulm.Record) {
@@ -119,6 +120,28 @@ func TestAggregatorEmit(t *testing.T) {
 	}
 }
 
+// TestAggregatorFoldsFiniteValuesOnly: NaN and ±Inf are no
+// measurement. The records carrying them still count toward rate and
+// top-k, but the quantiles are those of the finite values alone.
+func TestAggregatorFoldsFiniteValuesOnly(t *testing.T) {
+	r := newRig(t, "gwA")
+	r.publish("s1", 10, 100)
+	r.publish("s1", 10, math.Inf(1))
+	r.publish("s1", 5, math.Inf(-1))
+	r.publish("s1", 5, math.NaN())
+	r.agg.EmitNow()
+	if cp, _ := ParseCount(r.latest(t, EventCount)); cp.Count != 30 {
+		t.Fatalf("count = %d, want every record, 30", cp.Count)
+	}
+	qp, err := ParseQuantile(r.latest(t, EventQuantile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qp.N != 10 || relErr(qp.P50, 100) > DefaultAlpha || relErr(qp.P99, 100) > DefaultAlpha {
+		t.Fatalf("quantile point N=%d P50=%g P99=%g, want 10 values at ≈100", qp.N, qp.P50, qp.P99)
+	}
+}
+
 // TestAggregatorSlidingWindow: sub-windows age out individually as the
 // clock advances — no sawtooth reset.
 func TestAggregatorSlidingWindow(t *testing.T) {
@@ -175,8 +198,8 @@ func TestAggregatorDrainSeed(t *testing.T) {
 	a.publish("s1", 4, 1)
 	a.publish("s2", 9, 1)
 
-	state, ok := a.agg.drainSensor("s1")
-	if !ok {
+	state := a.agg.drainSensor("s1")
+	if len(state) == 0 {
 		t.Fatal("drain found nothing")
 	}
 	a.agg.EmitNow()

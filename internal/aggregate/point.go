@@ -9,7 +9,8 @@ package aggregate
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,7 +58,22 @@ type QuantilePoint struct {
 	Sketch *Sketch       `json:"-"`
 }
 
-func recBase(rec ulm.Record) (gw string, window time.Duration, err error) {
+// point is a decoded aggregate record as Site keeps it; at returns its
+// date and the window it covers.
+type point interface {
+	at() (time.Time, time.Duration)
+}
+
+func (p CountPoint) at() (time.Time, time.Duration)    { return p.Date, p.Window }
+func (p TopKPoint) at() (time.Time, time.Duration)     { return p.Date, p.Window }
+func (p QuantilePoint) at() (time.Time, time.Duration) { return p.Date, p.Window }
+
+// recBase checks rec is an aggregate record of the event and returns
+// its gateway and window.
+func recBase(rec ulm.Record, event string) (gw string, window time.Duration, err error) {
+	if rec.Event != event {
+		return "", 0, fmt.Errorf("aggregate: not an %s record: %q", event, rec.Event)
+	}
 	gw, _ = rec.Get("GW")
 	ms, ok := rec.Get("WINDOW_MS")
 	if gw == "" || !ok {
@@ -72,10 +88,7 @@ func recBase(rec ulm.Record) (gw string, window time.Duration, err error) {
 
 // ParseCount decodes an AGG_COUNT record.
 func ParseCount(rec ulm.Record) (CountPoint, error) {
-	if rec.Event != EventCount {
-		return CountPoint{}, fmt.Errorf("aggregate: not an %s record: %q", EventCount, rec.Event)
-	}
-	gw, window, err := recBase(rec)
+	gw, window, err := recBase(rec, EventCount)
 	if err != nil {
 		return CountPoint{}, err
 	}
@@ -94,10 +107,7 @@ func ParseCount(rec ulm.Record) (CountPoint, error) {
 
 // ParseTopK decodes an AGG_TOPK record.
 func ParseTopK(rec ulm.Record) (TopKPoint, error) {
-	if rec.Event != EventTopK {
-		return TopKPoint{}, fmt.Errorf("aggregate: not an %s record: %q", EventTopK, rec.Event)
-	}
-	gw, window, err := recBase(rec)
+	gw, window, err := recBase(rec, EventTopK)
 	if err != nil {
 		return TopKPoint{}, err
 	}
@@ -113,10 +123,7 @@ func ParseTopK(rec ulm.Record) (TopKPoint, error) {
 
 // ParseQuantile decodes an AGG_QUANT record.
 func ParseQuantile(rec ulm.Record) (QuantilePoint, error) {
-	if rec.Event != EventQuantile {
-		return QuantilePoint{}, fmt.Errorf("aggregate: not an %s record: %q", EventQuantile, rec.Event)
-	}
-	gw, window, err := recBase(rec)
+	gw, window, err := recBase(rec, EventQuantile)
 	if err != nil {
 		return QuantilePoint{}, err
 	}
@@ -218,36 +225,26 @@ func (s *Site) Observe(rec ulm.Record) bool {
 	switch rec.Event {
 	case EventCount:
 		p, err := ParseCount(rec)
-		if err != nil {
-			return false
-		}
-		s.mu.Lock()
-		if old, ok := s.counts[p.GW]; !ok || !p.Date.Before(old.Date) {
-			s.counts[p.GW] = p
-		}
-		s.mu.Unlock()
+		return err == nil && keepNewer(&s.mu, s.counts, p.GW, p)
 	case EventTopK:
 		p, err := ParseTopK(rec)
-		if err != nil {
-			return false
-		}
-		s.mu.Lock()
-		if old, ok := s.topks[p.GW]; !ok || !p.Date.Before(old.Date) {
-			s.topks[p.GW] = p
-		}
-		s.mu.Unlock()
+		return err == nil && keepNewer(&s.mu, s.topks, p.GW, p)
 	case EventQuantile:
 		p, err := ParseQuantile(rec)
-		if err != nil {
-			return false
-		}
-		s.mu.Lock()
-		if old, ok := s.quants[p.GW]; !ok || !p.Date.Before(old.Date) {
-			s.quants[p.GW] = p
-		}
-		s.mu.Unlock()
-	default:
-		return false
+		return err == nil && keepNewer(&s.mu, s.quants, p.GW, p)
+	}
+	return false
+}
+
+// keepNewer makes p gw's point in m unless m holds a newer one. It
+// reports true: p was an aggregate record.
+func keepNewer[P point](mu *sync.Mutex, m map[string]P, gw string, p P) bool {
+	mu.Lock()
+	defer mu.Unlock()
+	t, _ := p.at()
+	old, ok := m[gw]
+	if ot, _ := old.at(); !ok || !t.Before(ot) {
+		m[gw] = p
 	}
 	return true
 }
@@ -259,7 +256,7 @@ func (s *Site) View() SiteView {
 	var v SiteView
 	gateways := make(map[string]bool)
 
-	evictStale(s.counts, func(p CountPoint) (time.Time, time.Duration) { return p.Date, p.Window })
+	evictStale(s.counts)
 	if len(s.counts) > 0 {
 		merged := CountPoint{GW: "site"}
 		for gw, p := range s.counts {
@@ -267,17 +264,12 @@ func (s *Site) View() SiteView {
 			merged.Count += p.Count
 			merged.Rate += p.Rate
 			merged.Sensors += p.Sensors
-			if p.Date.After(merged.Date) {
-				merged.Date = p.Date
-			}
-			if p.Window > merged.Window {
-				merged.Window = p.Window
-			}
+			widen(&merged.Date, &merged.Window, p)
 		}
 		v.Count = &merged
 	}
 
-	evictStale(s.topks, func(p TopKPoint) (time.Time, time.Duration) { return p.Date, p.Window })
+	evictStale(s.topks)
 	if len(s.topks) > 0 {
 		merged := TopKPoint{GW: "site"}
 		bySensor := make(map[string]uint64)
@@ -286,12 +278,7 @@ func (s *Site) View() SiteView {
 			if p.K > merged.K {
 				merged.K = p.K
 			}
-			if p.Date.After(merged.Date) {
-				merged.Date = p.Date
-			}
-			if p.Window > merged.Window {
-				merged.Window = p.Window
-			}
+			widen(&merged.Date, &merged.Window, p)
 			for _, sc := range p.Top {
 				bySensor[sc.Sensor] += sc.Count
 			}
@@ -300,19 +287,14 @@ func (s *Site) View() SiteView {
 		v.TopK = &merged
 	}
 
-	evictStale(s.quants, func(p QuantilePoint) (time.Time, time.Duration) { return p.Date, p.Window })
+	evictStale(s.quants)
 	if len(s.quants) > 0 {
 		merged := QuantilePoint{GW: "site"}
 		var sketch *Sketch
 		for gw, p := range s.quants {
 			gateways[gw] = true
 			merged.N += p.N
-			if p.Date.After(merged.Date) {
-				merged.Date = p.Date
-			}
-			if p.Window > merged.Window {
-				merged.Window = p.Window
-			}
+			widen(&merged.Date, &merged.Window, p)
 			if merged.Field == "" {
 				merged.Field = p.Field
 			}
@@ -343,39 +325,35 @@ func (s *Site) View() SiteView {
 
 // evictStale drops per-gateway points staleWindows windows older than
 // the newest point in the map.
-func evictStale[P any](m map[string]P, at func(P) (time.Time, time.Duration)) {
+func evictStale[P point](m map[string]P) {
 	var newest time.Time
 	for _, p := range m {
-		if t, _ := at(p); t.After(newest) {
+		if t, _ := p.at(); t.After(newest) {
 			newest = t
 		}
 	}
 	for gw, p := range m {
-		t, w := at(p)
+		t, w := p.at()
 		if w > 0 && t.Add(staleWindows*w).Before(newest) {
 			delete(m, gw)
 		}
 	}
 }
 
+// widen moves a merged point's date and window up to p's.
+func widen[P point](date *time.Time, window *time.Duration, p P) {
+	t, w := p.at()
+	if t.After(*date) {
+		*date = t
+	}
+	*window = max(*window, w)
+}
+
 // Keys of the per-gateway maps, sorted — a debugging aid for jammctl.
 func (s *Site) Reporting() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	set := make(map[string]bool)
-	for gw := range s.counts {
-		set[gw] = true
-	}
-	for gw := range s.topks {
-		set[gw] = true
-	}
-	for gw := range s.quants {
-		set[gw] = true
-	}
-	out := make([]string, 0, len(set))
-	for gw := range set {
-		out = append(out, gw)
-	}
-	sort.Strings(out)
-	return out
+	out := slices.Concat(slices.Collect(maps.Keys(s.counts)), slices.Collect(maps.Keys(s.topks)), slices.Collect(maps.Keys(s.quants)))
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -126,3 +126,32 @@ func TestSketchEncodeDecode(t *testing.T) {
 		t.Fatal("want error on malformed sketch")
 	}
 }
+
+// FuzzDecodeSketch: DecodeSketch never panics, nor does a quantile of
+// what it accepts, and an accepted sketch's encoding decodes to a
+// sketch of the same encoding and count.
+func FuzzDecodeSketch(f *testing.F) {
+	s := NewSketch(DefaultAlpha)
+	for _, v := range []float64{-3, 0, 0.5, 1, 7, 1e9} {
+		s.Add(v)
+	}
+	for _, in := range []string{s.Encode(), NewSketch(0).Encode(), "a=0.01;z=0;p=;n=", "a=0.5;p=1:2,1:3", "z=1", "a=x"} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := DecodeSketch(in)
+		if err != nil {
+			return
+		}
+		s.Quantile(0.5)
+		s.Quantile(0.99)
+		enc := s.Encode()
+		again, err := DecodeSketch(enc)
+		if err != nil {
+			t.Fatalf("DecodeSketch(%q) accepted, its encoding %q refused: %v", in, enc, err)
+		}
+		if again.Encode() != enc || again.Count() != s.Count() {
+			t.Fatalf("%q: encoding %q (count %d) decodes to %q (count %d)", in, enc, s.Count(), again.Encode(), again.Count())
+		}
+	})
+}

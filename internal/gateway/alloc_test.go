@@ -214,8 +214,8 @@ func TestWarmQueryAllocs(t *testing.T) {
 }
 
 // TestWarmSummaryAllocs: a Summary on a kept connection allocates the
-// slice of points it returns, and the points its server computes, which
-// reads the sample window in place.
+// slice of points it returns, and the points its server computes from
+// the series' slots.
 func TestWarmSummaryAllocs(t *testing.T) {
 	g, srv := startServer(t)
 	g.EnableSummary("cpu", "LOAD", "VAL", time.Minute, time.Hour)

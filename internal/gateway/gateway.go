@@ -32,6 +32,7 @@ import (
 	"jamm/internal/bus"
 	"jamm/internal/telemetry"
 	"jamm/internal/ulm"
+	"jamm/internal/window"
 )
 
 // Meta describes a registered sensor, for directory publication and the
@@ -258,7 +259,7 @@ type Gateway struct {
 	aggMover atomic.Pointer[AggregateMover]
 
 	sumMu     sync.Mutex
-	summaries map[summaryKey]*summaryEntry
+	summaries map[summaryKey]*summaryState
 
 	queries        atomic.Uint64
 	consumerClamps atomic.Uint64
@@ -325,7 +326,7 @@ func NewWithConfig(name string, now func() time.Time, cfg Config) *Gateway {
 		resource:  "gateway/" + name,
 		now:       now,
 		bus:       bus.New(cfg.Bus),
-		summaries: make(map[summaryKey]*summaryEntry),
+		summaries: make(map[summaryKey]*summaryState),
 	}
 	allowAll := auth.AllowAll
 	g.authz.Store(&allowAll)
@@ -952,9 +953,9 @@ func (g *Gateway) Query(principal, sensorName, event string) (ulm.Record, bool, 
 // HandoffState is the gateway-side state a rebalancing move drains
 // from a sensor's old owner and seeds at its new one: registration
 // metadata, the last-event cache (one record per event type, the state
-// a Query answers from), every summarized series' sample window, and
-// the sensor's opaque in-window aggregate contribution (when an
-// aggregation plane registered a mover).
+// a Query answers from), every summarized series' slot rings, and the
+// sensor's in-window aggregate slot counts (when an aggregation plane
+// registered a mover), both in package window's slot encoding.
 type HandoffState struct {
 	Meta      Meta
 	Recs      []ulm.Record
@@ -964,26 +965,17 @@ type HandoffState struct {
 
 // AggregateMover is the aggregation plane's handoff hook
 // (SetAggregateMover): Drain removes and returns a sensor's in-window
-// aggregate contribution as an opaque string (ok=false when the sensor
-// contributed nothing), Seed merges a drained contribution into the
-// local window.
+// aggregate slot counts (none when the sensor contributed nothing), Seed
+// adds drained counts into the local window.
 type AggregateMover struct {
-	Drain func(sensor string) (state string, ok bool)
-	Seed  func(sensor, state string)
+	Drain func(sensor string) []window.Slot
+	Seed  func(sensor string, slots []window.Slot)
 }
 
 // SetAggregateMover installs the aggregation plane's per-sensor
 // drain/seed hooks, so Handoff moves a sensor's in-window aggregate
 // contribution along with its cache and summaries; nil detaches.
 func (g *Gateway) SetAggregateMover(m *AggregateMover) { g.aggMover.Store(m) }
-
-// SeedAggregate hands a drained aggregate contribution to the local
-// aggregation plane (no-op without a registered mover).
-func (g *Gateway) SeedAggregate(sensor, state string) {
-	if m := g.aggMover.Load(); m != nil && m.Seed != nil && state != "" {
-		m.Seed(sensor, state)
-	}
-}
 
 // Handoff drains one sensor's gateway-side state for a rebalancing
 // move and unregisters the sensor locally, so the announcer withdraws
@@ -1011,7 +1003,7 @@ func (g *Gateway) Handoff(sensorName string) (st HandoffState, ok bool) {
 	// being rebuilt from scratch at the new owner.
 	st.Summaries = g.drainSummaries(sensorName)
 	if m := g.aggMover.Load(); m != nil && m.Drain != nil {
-		st.Agg, _ = m.Drain(sensorName)
+		st.Agg = window.Encode(m.Drain(sensorName), true)
 	}
 	g.Unregister(sensorName)
 	return st, true

@@ -2,10 +2,7 @@ package gateway
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,7 +65,7 @@ func TestSnapshotStalenessBound(t *testing.T) {
 }
 
 // TestSnapshotSummaryPath: after the deprecated EnableSnapshots, Summary
-// reads its window in place: a repeat read counts a sample published in
+// reads its current slots: a repeat read counts a sample published in
 // between, and a series enabled later answers at once.
 func TestSnapshotSummaryPath(t *testing.T) {
 	now := epoch
@@ -165,9 +162,8 @@ func TestSensorsListingFollowsChurn(t *testing.T) {
 // TestReadsUnderChurn hammers the locked read paths from concurrent
 // publishers, registration churn and readers (run with -race). Every
 // Query returns a VAL no smaller than the last one its publisher had
-// finished before the read began, and every Summary, read in place
-// while publishes append and trim its window, is consistent with
-// itself.
+// finished before the read began, and every Summary, read while
+// publishes fold into and age out its slots, is consistent with itself.
 func TestReadsUnderChurn(t *testing.T) {
 	var tick atomic.Int64
 	g := New("gw1", func() time.Time {
@@ -243,78 +239,6 @@ func TestReadsUnderChurn(t *testing.T) {
 	wg.Wait()
 }
 
-// threePassPoints is the summary computation points replaced, kept as
-// the oracle: the sample window copied, then scanned once per window.
-func threePassPoints(st *summaryState, now time.Time) []SummaryPoint {
-	st.mu.Lock()
-	samples := append([]sample(nil), st.samples...)
-	st.mu.Unlock()
-	out := make([]SummaryPoint, 0, len(st.windows))
-	for _, w := range st.windows {
-		cutoff := now.Add(-w)
-		pt := SummaryPoint{Window: w}
-		for _, s := range samples {
-			if s.t.Before(cutoff) {
-				continue
-			}
-			if pt.Count == 0 || s.v < pt.Min {
-				pt.Min = s.v
-			}
-			if pt.Count == 0 || s.v > pt.Max {
-				pt.Max = s.v
-			}
-			pt.Avg += s.v
-			pt.Count++
-		}
-		if pt.Count > 0 {
-			pt.Avg /= float64(pt.Count)
-		}
-		out = append(out, pt)
-	}
-	return out
-}
-
-// TestSummaryPointsMatchThreePassOracle: over random series — samples
-// out of order, seeded ones without a monotonic clock reading, samples
-// exactly on a window's cutoff, in the future, or older than every
-// window — the one-pass points answers what the three-pass oracle does:
-// the same count, min and max, and the same avg to within rounding.
-func TestSummaryPointsMatchThreePassOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for series := 0; series < 2000; series++ {
-		windows := make([]time.Duration, 1+rng.Intn(4))
-		for i := range windows {
-			windows[i] = time.Duration(1+rng.Intn(600)) * 100 * time.Millisecond
-		}
-		sort.Slice(windows, func(i, j int) bool { return windows[i] < windows[j] })
-		now := time.Now() // with a monotonic reading
-		if rng.Intn(2) == 0 {
-			now = time.UnixMicro(now.UnixMicro()).UTC() // without one
-		}
-		st := &summaryState{windows: windows}
-		for n := rng.Intn(200); n > 0; n-- {
-			var at time.Time
-			switch rng.Intn(4) {
-			case 0: // exactly on a cutoff
-				at = now.Add(-windows[rng.Intn(len(windows))])
-			case 1: // seeded: microseconds, no monotonic reading
-				at = time.UnixMicro(now.Add(-time.Duration(rng.Int63n(int64(time.Minute)))).UnixMicro()).UTC()
-			default: // anywhere from the future to past every window
-				at = now.Add(time.Duration(rng.Int63n(int64(70*time.Second))) - 5*time.Second)
-			}
-			st.samples = append(st.samples, sample{at, rng.Float64()*2000 - 1000})
-		}
-		got, want := st.points(now), threePassPoints(st, now)
-		for i := range want {
-			g, w := got[i], want[i]
-			if g.Window != w.Window || g.Count != w.Count || g.Min != w.Min || g.Max != w.Max ||
-				math.Abs(g.Avg-w.Avg) > 1e-9*math.Max(1, math.Abs(w.Avg)) {
-				t.Fatalf("series %d, window %v: got %+v, want %+v", series, w.Window, g, w)
-			}
-		}
-	}
-}
-
 // TestSummaryAllocsIndependentOfWindow: a summary read allocates the
 // points it returns, nothing per sample: the same with 16 samples in the
 // window as with 4096.
@@ -347,25 +271,5 @@ func TestSummaryAllocsIndependentOfWindow(t *testing.T) {
 	t.Logf("a summary read allocates %.0f objects, %d bytes over 16 samples; %.0f, %d bytes over 4096", smallAllocs, smallBytes, bigAllocs, bigBytes)
 	if bigAllocs != smallAllocs || bigBytes > smallBytes+64 {
 		t.Fatalf("over 4096 samples a summary read allocates %.0f objects, %d bytes; over 16, %.0f and %d", bigAllocs, bigBytes, smallAllocs, smallBytes)
-	}
-}
-
-// TestSummaryTrimMovesNoSample: a fold that ages k samples out of a full
-// window moves none; the window's first sample is the old sample k, in
-// place.
-func TestSummaryTrimMovesNoSample(t *testing.T) {
-	const full, k, step = 600, 7, 100 * time.Millisecond
-	st := &summaryState{windows: []time.Duration{time.Minute}}
-	recs := []ulm.Record{mkRec("E", 0, 1)}
-	for i := 0; i < full; i++ {
-		st.addBatch(epoch.Add(time.Duration(i)*step), "E", "VAL", recs)
-	}
-	old := st.samples
-	if len(old) != full || cap(old) == len(old) {
-		t.Fatalf("setup: %d samples in a window of capacity %d, want %d and room for one more", len(old), cap(old), full)
-	}
-	st.addBatch(epoch.Add(time.Minute+k*step), "E", "VAL", recs)
-	if len(st.samples) != full-k+1 || &st.samples[0] != &old[k] {
-		t.Fatalf("after aging %d samples out: %d samples, first in place: %v", k, len(st.samples), &st.samples[0] == &old[k])
 	}
 }

@@ -1,37 +1,37 @@
 package gateway
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"jamm/internal/auth"
 	"jamm/internal/ulm"
+	"jamm/internal/window"
 )
 
 type summaryKey struct{ sensor, event, field string }
 
-type sample struct {
-	t time.Time
-	v float64
-}
+// summarySlots is how many slots each summary window keeps: a window W
+// is summarized in slots of width ⌈W/60⌉.
+const summarySlots = 60
 
-// summaryState is one summarized series' sliding sample window. Its
+// summaryState is one summarized series: one slot ring per window. Its
 // folding runs as a batch bus tap on the publish path — one tap call
 // and one lock acquisition per published batch, possibly from several
 // publishing goroutines at once — while Summary reads from consumer
 // goroutines, so it carries its own lock.
 type summaryState struct {
-	mu      sync.Mutex
-	windows []time.Duration
-	samples []sample
-}
+	windows []time.Duration // ascending, immutable
+	tap     interface{ Cancel() bool }
 
-type summaryEntry struct {
-	st  *summaryState
-	tap interface{ Cancel() bool }
+	mu    sync.Mutex
+	rings []*window.Ring[window.Stat] // rings[i] summarizes windows[i]
+	cur   []*window.Stat              // a fold's current slots, reused
 }
 
 // SummaryPoint is one summary window's statistics.
@@ -47,242 +47,225 @@ type SummaryPoint struct {
 var DefaultSummaryWindows = []time.Duration{time.Minute, 10 * time.Minute, 60 * time.Minute}
 
 // EnableSummary makes the gateway compute windowed statistics for one
-// (sensor, event, field) series. Empty windows means the paper's
-// 1/10/60-minute defaults. The summary is a silent batch bus tap on
-// the sensor's topic: it folds each published batch into the window
-// under one state-lock acquisition, on the publish path, without
-// touching delivery counters.
+// (sensor, event, field) series, replacing any it computed before.
+// Empty windows means the paper's 1/10/60-minute defaults. The summary
+// is a silent batch bus tap on the sensor's topic: it folds each
+// published batch into the window under one state-lock acquisition, on
+// the publish path, without touching delivery counters.
 func (g *Gateway) EnableSummary(sensorName, event, field string, windows ...time.Duration) {
+	g.summary(summaryKey{sensorName, event, orVAL(field)}, windows, true)
+}
+
+func orVAL(field string) string {
 	if field == "" {
-		field = "VAL"
+		return "VAL"
+	}
+	return field
+}
+
+// summary returns key's series. When there is none, or replace is set,
+// it installs a fresh one over windows first.
+func (g *Gateway) summary(key summaryKey, windows []time.Duration, replace bool) *summaryState {
+	g.sumMu.Lock()
+	defer g.sumMu.Unlock()
+	if old, ok := g.summaries[key]; ok {
+		if !replace {
+			return old
+		}
+		old.tap.Cancel()
 	}
 	if len(windows) == 0 {
 		windows = DefaultSummaryWindows
 	}
-	sorted := append([]time.Duration(nil), windows...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	st := &summaryState{windows: sorted}
-	tap := g.bus.TapBatch(sensorName, func(topic string, recs []ulm.Record) {
-		if topic != sensorName {
-			return
-		}
-		st.addBatch(g.now(), event, field, recs)
-	})
-	key := summaryKey{sensorName, event, field}
-	g.sumMu.Lock()
-	if old, ok := g.summaries[key]; ok {
-		old.tap.Cancel()
+	st := &summaryState{windows: slices.Sorted(slices.Values(windows))}
+	for _, w := range st.windows {
+		st.rings = append(st.rings, window.NewRing[window.Stat](w, summarySlots))
 	}
-	g.summaries[key] = &summaryEntry{st: st, tap: tap}
-	g.sumMu.Unlock()
+	st.tap = g.bus.TapBatch(key.sensor, func(topic string, recs []ulm.Record) {
+		if topic == key.sensor {
+			st.addBatch(g.now(), key.event, key.field, recs)
+		}
+	})
+	g.summaries[key] = st
+	return st
 }
 
-// Summary returns the windowed statistics for a summarized series, over
-// every sample folded before the call.
+// Summary returns the windowed statistics of a summarized series. A
+// window W is kept in 60 slots of width w = ⌈W/60⌉, aligned to absolute
+// time. Its answer is the exact count, min, max and average of the
+// samples folded into its 60 most recent slots, the current one
+// counted: those that arrived in the last 59·w, plus the part of the
+// current slot already past. That is at least W − W/60 and at most W
+// (rounded up to whole nanoseconds a slot) of arrival time.
 func (g *Gateway) Summary(principal, sensorName, event, field string) ([]SummaryPoint, error) {
-	if field == "" {
-		field = "VAL"
-	}
+	field = orVAL(field)
 	if err := g.authorize(principal, sensorName, auth.ActionSummary); err != nil {
 		return nil, err
 	}
 	g.sumMu.Lock()
-	e, ok := g.summaries[summaryKey{sensorName, event, field}]
+	st, ok := g.summaries[summaryKey{sensorName, event, field}]
 	g.sumMu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("gateway: no summary for %s/%s/%s", sensorName, event, field)
 	}
-	return e.st.points(g.now()), nil
+	return st.points(g.now()), nil
 }
 
-// addBatch folds one published batch into the window: scan for
-// matching samples, append them, and trim the window once — one lock
-// acquisition per batch instead of per record. A value that is not a
-// number, NaN and ±Inf included, is no measurement and is not folded.
+// addBatch folds one published batch: it finds each window's current
+// slot once, then adds every matching sample to them, under one lock
+// acquisition. A value that is not a number, NaN and ±Inf included, is
+// no measurement and is not folded.
 func (st *summaryState) addBatch(now time.Time, event, field string, recs []ulm.Record) {
+	t := now.UnixNano()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	folded := false
+	cur := st.cur[:0]
+	for _, r := range st.rings {
+		cur = append(cur, r.Current(t))
+	}
+	st.cur = cur
 	for i := range recs {
 		if recs[i].Event != event {
 			continue
 		}
-		if v, err := recs[i].Float(field); err == nil && !math.IsNaN(v) && !math.IsInf(v, 0) {
-			st.samples = append(st.samples, sample{now, v})
-			folded = true
+		if v, err := recs[i].Float(field); err == nil && window.Finite(v) {
+			for _, s := range cur {
+				s.Add(v)
+			}
 		}
 	}
-	if folded {
-		st.trimLocked(now)
-	}
 }
 
-// trimLocked drops the samples older than the largest window by
-// reslicing: it moves no sample, so a window read in place by points
-// stays intact.
-func (st *summaryState) trimLocked(now time.Time) {
-	maxWin := st.windows[len(st.windows)-1]
-	cutoff := now.Add(-maxWin)
-	trim := 0
-	for trim < len(st.samples) && st.samples[trim].t.Before(cutoff) {
-		trim++
-	}
-	st.samples = st.samples[trim:]
-}
-
-// points computes the window statistics in one pass over the sample
-// window, read in place: the state lock covers only taking the slice
-// header. Nothing rewrites a sample below a slice's length — addBatch
-// appends past it, trimLocked reslices and seedSamples merges into a
-// new slice — so a publish folding into the series is never stalled
-// behind a consumer's statistics pass, and the pass copies nothing.
-// Each sample is counted in the smallest window that holds it; the
-// windows are then accumulated from the smallest up, as a sample within
-// one window is within every larger one.
+// points answers every window at now: one walk over each ring's live
+// slots.
 func (st *summaryState) points(now time.Time) []SummaryPoint {
+	t := now.UnixNano()
+	out := make([]SummaryPoint, len(st.windows))
 	st.mu.Lock()
-	samples := st.samples
-	st.mu.Unlock()
-	out := make([]SummaryPoint, len(st.windows)) // windows: immutable, ascending
-	for i, w := range st.windows {
-		out[i].Window = w
-	}
-	for _, s := range samples {
-		age := now.Sub(s.t)
-		i := 0
-		for i < len(out) && age > out[i].Window {
-			i++
+	defer st.mu.Unlock()
+	for i, r := range st.rings {
+		var sum window.Stat
+		for _, s := range r.Live(t) {
+			sum.Merge(*s)
 		}
-		if i < len(out) {
-			out[i].fold(SummaryPoint{Avg: s.v, Min: s.v, Max: s.v, Count: 1})
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		out[i].fold(out[i-1])
-	}
-	for i := range out {
-		if out[i].Count > 0 {
-			out[i].Avg /= float64(out[i].Count)
+		out[i] = SummaryPoint{Window: st.windows[i], Min: sum.Min, Max: sum.Max, Count: int(sum.Count)}
+		if sum.Count > 0 {
+			out[i].Avg = sum.Sum / float64(sum.Count)
 		}
 	}
 	return out
 }
 
-// fold adds in's samples to pt; Avg holds both their sums.
-func (pt *SummaryPoint) fold(in SummaryPoint) {
-	if in.Count == 0 {
-		return
-	}
-	if pt.Count == 0 || in.Min < pt.Min {
-		pt.Min = in.Min
-	}
-	if pt.Count == 0 || in.Max > pt.Max {
-		pt.Max = in.Max
-	}
-	pt.Avg += in.Avg
-	pt.Count += in.Count
-}
-
-// SummarySample is one drained sample of a summarized series, in
-// handoff-portable form (UTC microseconds since the epoch — the ULM
-// DATE precision).
-type SummarySample struct {
-	T int64   `json:"t"`
-	V float64 `json:"v"`
-}
-
-// SummarySeries is one summarized series' full window state, the unit
-// a rebalancing handoff moves: re-enabling the summary at the new
-// owner with these windows and seeding these samples reproduces the
+// SummarySeries is one summarized series' window state, the unit a
+// rebalancing handoff moves: seeding it at the new owner continues the
 // old owner's Summary answers instead of rebuilding them from scratch
-// over the next window-length of traffic.
+// over the next window-length of traffic. Slots holds one ring per
+// window, in WindowsMS order, each its live slots in the
+// "start:count:sum:min:max" encoding of package window.
 type SummarySeries struct {
-	Event     string          `json:"event"`
-	Field     string          `json:"field"`
-	WindowsMS []int64         `json:"windows_ms"`
-	Samples   []SummarySample `json:"samples,omitempty"`
+	Event     string   `json:"event"`
+	Field     string   `json:"field"`
+	WindowsMS []int64  `json:"windows_ms"`
+	Slots     []string `json:"slots,omitempty"`
 }
 
 // drainSummaries removes and returns every summarized series of
-// sensor: the taps are cancelled and the sample windows extracted, so
-// the drained state has exactly one owner from here on.
+// sensor: the taps are cancelled and the slot rings encoded, so the
+// drained state has exactly one owner from here on.
 func (g *Gateway) drainSummaries(sensor string) []SummarySeries {
+	now := g.now().UnixNano()
+	var out []SummarySeries
 	g.sumMu.Lock()
-	var drained []*summaryEntry
-	var keys []summaryKey
-	for key, e := range g.summaries {
-		if key.sensor != sensor {
-			continue
+	for key, st := range g.summaries {
+		if key.sensor == sensor {
+			delete(g.summaries, key)
+			st.tap.Cancel()
+			out = append(out, st.drain(key, now))
 		}
-		keys = append(keys, key)
-		drained = append(drained, e)
-		delete(g.summaries, key)
 	}
 	g.sumMu.Unlock()
-	out := make([]SummarySeries, 0, len(drained))
-	for i, e := range drained {
-		e.tap.Cancel()
-		e.st.mu.Lock()
-		samples := append([]sample(nil), e.st.samples...)
-		e.st.mu.Unlock()
-		s := SummarySeries{Event: keys[i].event, Field: keys[i].field}
-		for _, w := range e.st.windows {
-			s.WindowsMS = append(s.WindowsMS, w.Milliseconds())
-		}
-		for _, sm := range samples {
-			s.Samples = append(s.Samples, SummarySample{T: sm.t.UnixMicro(), V: sm.v})
-		}
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Event != out[j].Event {
-			return out[i].Event < out[j].Event
-		}
-		return out[i].Field < out[j].Field
+	slices.SortFunc(out, func(a, b SummarySeries) int {
+		return cmp.Or(strings.Compare(a.Event, b.Event), strings.Compare(a.Field, b.Field))
 	})
 	return out
 }
 
-// SeedSummaries installs handed-off summary state for sensor: each
-// series is (re-)enabled with its drained windows and its sample
-// window is merged in, so the new owner's Summary answers continue
-// where the old owner's stopped instead of starting empty. Samples
-// older than the largest window are dropped on merge.
-func (g *Gateway) SeedSummaries(sensor string, series []SummarySeries) {
-	now := g.now()
-	for _, s := range series {
-		windows := make([]time.Duration, 0, len(s.WindowsMS))
-		for _, ms := range s.WindowsMS {
-			windows = append(windows, time.Duration(ms)*time.Millisecond)
-		}
-		g.EnableSummary(sensor, s.Event, s.Field, windows...)
-		field := s.Field
-		if field == "" {
-			field = "VAL"
-		}
-		g.sumMu.Lock()
-		e, ok := g.summaries[summaryKey{sensor, s.Event, field}]
-		g.sumMu.Unlock()
-		if !ok {
-			continue
-		}
-		e.st.seedSamples(now, s.Samples)
-	}
-}
-
-// seedSamples merges handed-off samples into the window. The live tap
-// may already have folded newer samples, so the merged window is
-// sorted by time and trimmed. It is a new slice: the old one may be
-// being read in place (points).
-func (st *summaryState) seedSamples(now time.Time, in []SummarySample) {
+// drain encodes each window's live slots.
+func (st *summaryState) drain(key summaryKey, now int64) SummarySeries {
+	s := SummarySeries{Event: key.event, Field: key.field}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	merged := make([]sample, len(st.samples), len(st.samples)+len(in))
-	copy(merged, st.samples)
-	for _, s := range in {
-		merged = append(merged, sample{time.UnixMicro(s.T).UTC(), s.V})
+	for i, w := range st.windows {
+		var slots []window.Slot
+		for start, stat := range st.rings[i].Live(now) {
+			if stat.Count > 0 {
+				slots = append(slots, window.Slot{Start: start, Stat: *stat})
+			}
+		}
+		s.WindowsMS = append(s.WindowsMS, w.Milliseconds())
+		s.Slots = append(s.Slots, window.Encode(slots, false))
 	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].t.Before(merged[j].t) })
-	st.samples = merged
-	st.trimLocked(now)
+	return s
+}
+
+// SeedState installs a sensor's handed-off read state at its new owner,
+// the second half of a rebalancing move. Each summary series' slots
+// add into the local series, which is created with the handed-off
+// windows if it does not exist: a seeded slot adds into the local slot
+// covering its start, one already out of the ring is dropped, and one
+// newer than the current slot folds into the current one (the old
+// owner's clock ran ahead). agg, the drained aggregate contribution,
+// goes to the aggregation plane. Nothing is installed unless all of it
+// is valid: every window positive and within a time.Duration, one slot
+// ring per window, and every slot as package window parses it.
+func (g *Gateway) SeedState(sensor string, series []SummarySeries, agg string) error {
+	windows := make([][]time.Duration, len(series))
+	rings := make([][][]window.Slot, len(series))
+	for i, s := range series {
+		if len(s.Slots) > 0 && len(s.Slots) != len(s.WindowsMS) {
+			return fmt.Errorf("gateway: seed %s/%s: %d slot rings for %d windows", sensor, s.Event, len(s.Slots), len(s.WindowsMS))
+		}
+		for j, ms := range s.WindowsMS {
+			if ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
+				return fmt.Errorf("gateway: seed %s/%s: window of %d ms", sensor, s.Event, ms)
+			}
+			windows[i] = append(windows[i], time.Duration(ms)*time.Millisecond)
+			if j < len(s.Slots) {
+				slots, err := window.Parse(s.Slots[j], false)
+				if err != nil {
+					return fmt.Errorf("gateway: seed %s/%s: %w", sensor, s.Event, err)
+				}
+				rings[i] = append(rings[i], slots)
+			}
+		}
+	}
+	aggSlots, err := window.Parse(agg, true)
+	if err != nil {
+		return fmt.Errorf("gateway: seed %s aggregate: %w", sensor, err)
+	}
+	if m := g.aggMover.Load(); m != nil && m.Seed != nil && len(aggSlots) > 0 {
+		m.Seed(sensor, aggSlots)
+	}
+	now := g.now().UnixNano()
+	for i, s := range series {
+		g.summary(summaryKey{sensor, s.Event, orVAL(s.Field)}, windows[i], false).seed(now, windows[i], rings[i])
+	}
+	return nil
+}
+
+// seed adds handed-off rings into the windows of the same length.
+func (st *summaryState) seed(now int64, windows []time.Duration, rings [][]window.Slot) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i, slots := range rings {
+		j := slices.Index(st.windows, windows[i])
+		if j < 0 {
+			continue
+		}
+		for _, s := range slots {
+			if p := st.rings[j].Seed(s.Start, now); p != nil {
+				p.Merge(s.Stat)
+			}
+		}
+	}
 }

@@ -165,10 +165,10 @@ type wireRequest struct {
 	// the sensor's primary gateway: ingested without firing
 	// registration hooks and never re-forwarded to the replica set.
 	Replica bool `json:"replica,omitempty"`
-	// Summaries and Agg carry drained summary windows and the opaque
-	// aggregate contribution on an op=seed_state request — the second
-	// half of a rebalancing handoff, seeding the new owner with the
-	// state the old owner drained instead of rebuilding it.
+	// Summaries and Agg carry drained summary slots and the aggregate
+	// slot counts on an op=seed_state request — the second half of a
+	// rebalancing handoff, seeding the new owner with the state the old
+	// owner drained instead of rebuilding it.
 	Summaries []SummarySeries `json:"summaries,omitempty"`
 	Agg       string          `json:"agg,omitempty"`
 	Request
@@ -195,9 +195,9 @@ type wireResponse struct {
 	// protocol version the connection speaks from here on.
 	Version int `json:"version,omitempty"`
 	// Meta carries the drained sensor's metadata on a handoff response;
-	// Summaries its summary windows and Agg its opaque in-window
-	// aggregate contribution, so the new owner continues the old
-	// owner's answers instead of rebuilding them.
+	// Summaries its summary slots and Agg its in-window aggregate slot
+	// counts, so the new owner continues the old owner's answers instead
+	// of rebuilding them.
 	Meta      *Meta           `json:"meta,omitempty"`
 	Summaries []SummarySeries `json:"summaries,omitempty"`
 	Agg       string          `json:"agg,omitempty"`
@@ -626,13 +626,15 @@ func (c *serverConn) handle(req wireRequest) wireResponse {
 	case "seed_state":
 		// The receiving half of a rebalancing move: install the drained
 		// summary windows and aggregate contribution for the sensor this
-		// gateway is about to own. Control-plane verb, control-plane
-		// authorization, like handoff.
+		// gateway is about to own, or refuse all of it when any part is
+		// invalid. Control-plane verb, control-plane authorization, like
+		// handoff.
 		if err := t.gw.authorize(req.Principal, req.Sensor, auth.ActionControl); err != nil {
 			return wireResponse{Error: err.Error()}
 		}
-		t.gw.SeedSummaries(req.Sensor, req.Summaries)
-		t.gw.SeedAggregate(req.Sensor, req.Agg)
+		if err := t.gw.SeedState(req.Sensor, req.Summaries, req.Agg); err != nil {
+			return wireResponse{Error: err.Error()}
+		}
 		return wireResponse{OK: true}
 	case "coverage":
 		hist := t.hist.Load()

@@ -15,6 +15,7 @@ import (
 
 	"jamm/internal/auth"
 	"jamm/internal/ulm"
+	"jamm/internal/window"
 )
 
 func startServer(t *testing.T) (*Gateway, *TCPServer) {
@@ -78,7 +79,7 @@ func TestWireSummary(t *testing.T) {
 // TestWireSummarySkipsNonFiniteSamples: NaN and ±Inf are no
 // measurement. A summary leaves them out and answers on the connection
 // it was asked on, and a handoff of the series carries the samples there
-// are.
+// are, in its one window's slots.
 func TestWireSummarySkipsNonFiniteSamples(t *testing.T) {
 	g, srv := startServer(t)
 	g.EnableSummary("cpu", "E", "VAL", time.Minute)
@@ -98,8 +99,16 @@ func TestWireSummarySkipsNonFiniteSamples(t *testing.T) {
 		t.Fatalf("%d connections accepted for a ping and a summary, want 1", a)
 	}
 	st, found, err := c.Handoff("cpu")
-	if err != nil || !found || len(st.Summaries) != 1 || len(st.Summaries[0].Samples) != 2 {
-		t.Fatalf("handoff = %+v, found %v, %v; want the series with its 2 samples", st, found, err)
+	if err != nil || !found || len(st.Summaries) != 1 || len(st.Summaries[0].Slots) != 1 {
+		t.Fatalf("handoff = %+v, found %v, %v; want the series with one slot ring", st, found, err)
+	}
+	slots, err := window.Parse(st.Summaries[0].Slots[0], false)
+	var sum window.Stat
+	for _, s := range slots {
+		sum.Merge(s.Stat)
+	}
+	if err != nil || sum != (window.Stat{Count: 2, Sum: 3, Min: 1, Max: 2}) {
+		t.Fatalf("handed-off slots %q hold %+v, %v; want the 2 finite samples", st.Summaries[0].Slots[0], sum, err)
 	}
 }
 
